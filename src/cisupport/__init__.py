@@ -7,6 +7,9 @@ modules realizing prescribed cones via mapping cones.  All arithmetic is
 exact, over prime fields.
 """
 
+# Defined before the submodule imports: the report cache keys on it.
+__version__ = "0.1.0"
+
 from .cimodule import (
     CIRing,
     GradedModule,
@@ -74,9 +77,6 @@ from .variety import (
     variety_of,
     variety_of_pair,
 )
-
-__version__ = "0.1.0"
-
 
 def union_and_intersection(v1: SupportVariety, v2: SupportVariety):
     """(union, intersection) of two support varieties, at radical level."""

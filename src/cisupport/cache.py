@@ -6,15 +6,22 @@ import hashlib
 import os
 import tempfile
 
+from . import __version__
+
 HEADER = "cisupport-cache v1"
 FORMAT_VERSION = "1"
+# Bumped whenever the engine's computation changes, so reports cached by an
+# earlier engine are never served.
+ENGINE_VERSION = "2"
 
 
 def cache_key(job_text: str, command: str, params: dict) -> str:
-    """Stable key over the canonical job text, command and parameters."""
+    """Stable key over the package and engine versions, the canonical job
+    text, the command and the parameters."""
     h = hashlib.sha256()
-    h.update(FORMAT_VERSION.encode())
-    h.update(b"\x00")
+    for part in (FORMAT_VERSION, __version__, ENGINE_VERSION):
+        h.update(part.encode())
+        h.update(b"\x00")
     h.update(job_text.encode())
     h.update(b"\x00")
     h.update(command.encode())

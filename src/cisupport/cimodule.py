@@ -17,7 +17,7 @@ from .groebner import (
     module_syzygies,
     normal_form,
 )
-from .poly import Poly, PolyRing, mono_divides
+from .poly import Poly, PolyRing, mono_divides, mono_mul
 from .pmatrix import PolyMatrix
 
 
@@ -406,6 +406,26 @@ def free_basis(ring, twists, d: int):
     return out
 
 
+def free_blocks(ring, twists, d: int):
+    """The degree-d piece of (+) ring(-t_j), grouped by twist.
+
+    Returns (dimension, {t: (generators, positions)}): the generators j with
+    t_j = t, and the free_basis positions of their blocks as an array of
+    shape (len(generators), block size).  Empty blocks are left out.
+    """
+    sizes = [len(std_monomials(ring, d - t)) for t in twists]
+    offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).astype(np.int64)
+    groups = {}
+    for j, t in enumerate(twists):
+        if sizes[j]:
+            groups.setdefault(t, []).append(j)
+    blocks = {}
+    for t, gens in groups.items():
+        gens = np.array(gens, dtype=np.int64)
+        blocks[t] = (gens, offsets[gens][:, None] + np.arange(sizes[gens[0]]))
+    return int(offsets[-1]), blocks
+
+
 def poly_coords(ring, poly: Poly, d: int, basis_monos=None):
     """Coordinates of a (normal-form) element of degree d in the monomial basis."""
     if basis_monos is None:
@@ -425,29 +445,75 @@ def column_coords(ring, twists, col, d: int):
     return out
 
 
+def var_mult_matrix(ring, var: int, d: int) -> np.ndarray:
+    """Multiplication by a variable from the degree-d piece of the ring to the
+    degree d + weight piece, in standard-monomial bases; cached on the ring."""
+    cache = getattr(ring, "_mult_cache", None)
+    if cache is None:
+        cache = {}
+        ring._mult_cache = cache
+    key = (var, d)
+    if key not in cache:
+        amb = ambient_of(ring)
+        src = std_monomials(ring, d)
+        dst = std_monomials(ring, d + amb.weights[var])
+        idx = {m: i for i, m in enumerate(dst)}
+        a = np.zeros((len(dst), len(src)), dtype=np.int64)
+        vm = amb.var_mono(var)
+        one = amb.field.one
+        for j, m in enumerate(src):
+            prod = ring_nf(ring, amb.from_terms([(mono_mul(m, vm), one)]))
+            for mm, c in prod.terms:
+                a[idx[mm], j] = c
+        cache[key] = a
+    return cache[key]
+
+
 def slice_matrix(ring, matrix: PolyMatrix, d: int) -> np.ndarray:
-    """Degree-d piece of the graded map as an integer matrix mod p."""
-    dom = free_basis(ring, matrix.col_twists, d)
-    cod = free_basis(ring, matrix.row_twists, d)
-    cod_index = {}
-    offs = 0
-    row_monos = {}
-    for i, t in enumerate(matrix.row_twists):
-        monos = std_monomials(ring, d - t)
-        row_monos[i] = {m: k for k, m in enumerate(monos)}
-        cod_index[i] = offs
-        offs += len(monos)
-    a = np.zeros((len(cod), len(dom)), dtype=np.int64)
-    for col_idx, (j, mono) in enumerate(dom):
-        for i in range(matrix.nrows):
-            e = matrix.entries[i][j]
-            if e.is_zero():
+    """Degree-d piece of the graded map as an integer matrix mod p.
+
+    Entry (i, j) = sum_m c_m m maps the degree d - t_j piece of the ring to
+    the degree d - r_i piece by sum_m c_m M_m, where M_m, multiplication by
+    the monomial m, is a product of variable multiplication matrices.  Rows
+    (columns) of equal twist have equal block sizes, so every band of one row
+    twist and one column twist is a single Kronecker sum over the monomials.
+    """
+    amb = ambient_of(ring)
+    p = amb.field.p
+    nrows, row_blocks = free_blocks(ring, matrix.row_twists, d)
+    ncols, col_blocks = free_blocks(ring, matrix.col_twists, d)
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    if a.size == 0:
+        return a
+    by_degree = {}
+    coeffs = matrix.coefficient_arrays()
+    for m in coeffs:
+        by_degree.setdefault(amb.wdeg(m), []).append(m)
+    products = {}  # (monomial, source degree) -> M_m, for this call only
+
+    def mono_matrix(m, s):
+        if (m, s) not in products:
+            v = next((i for i, e in enumerate(m) if e), None)
+            if v is None:
+                out = np.eye(len(std_monomials(ring, s)), dtype=np.int64)
+            else:
+                rest = m[:v] + (m[v] - 1,) + m[v + 1 :]
+                step = var_mult_matrix(ring, v, s + amb.wdeg(rest))
+                out = step if not any(rest) else modlinalg.matmul(step, mono_matrix(rest, s), p)
+            products[(m, s)] = out
+        return products[(m, s)]
+
+    for t, (cols, col_pos) in col_blocks.items():
+        for r, (rows, row_pos) in row_blocks.items():
+            monos = by_degree.get(t - r)
+            if not monos:
                 continue
-            prod = ring_nf(ring, e.term_mul(mono, matrix.ring.field.one))
-            base = cod_index[i]
-            lookup = row_monos[i]
-            for m, c in prod.terms:
-                a[base + lookup[m], col_idx] = c
+            sub = np.ix_(rows, cols)
+            a[np.ix_(row_pos.reshape(-1), col_pos.reshape(-1))] = modlinalg.kron_sum(
+                np.stack([coeffs[m][sub] for m in monos]),
+                np.stack([mono_matrix(m, d - t) for m in monos]),
+                p,
+            )
     return a
 
 

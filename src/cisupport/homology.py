@@ -106,9 +106,6 @@ class HypersurfaceComplex:
             m.entries[i][i] = self.f
         return m
 
-    def _compose(self, a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-        return a.mul(b)
-
     def _build_homotopies(self):
         res, pd = self.res, self.pd
         fdeg = self.f.degree()

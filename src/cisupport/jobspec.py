@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from .cimodule import CIRing, GradedModule, residue_module
 from .field import PrimeField, is_prime
 from .groebner import is_regular_sequence
+from .modlinalg import PRIME_LIMIT
 from .poly import PolyParseError, PolyRing, parse_poly, render_poly
 
 
@@ -172,6 +173,8 @@ def parse_input(text: str) -> JobSpec:
                 p = int(rest)
             except ValueError:
                 raise JobSpecError(f"field wants a prime, got {rest!r}", lineno, 7)
+            if p >= PRIME_LIMIT:
+                raise JobSpecError(f"field prime must be below 2^31, got {p}", lineno, 7)
             if not is_prime(p):
                 raise JobSpecError(f"{p} is not prime", lineno, 7)
             mode = None

@@ -10,15 +10,55 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_array(rows, cols=None):
-    """Build an int64 matrix from a list of rows; explicit shape for empties."""
-    if len(rows) == 0:
-        return np.zeros((0, 0 if cols is None else cols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+# Largest value an int64 accumulator may reach.
+_INT64_MAX = 2**63 - 1
+
+# Job files accept primes below this bound: residue products then fit in int64.
+PRIME_LIMIT = 2**31
+
+
+def _safe_terms(p: int) -> int:
+    """How many products of residues mod p one int64 sum can hold."""
+    k = _INT64_MAX // (p - 1) ** 2
+    if k == 0:
+        raise ValueError(f"p={p} is too large for exact int64 products")
+    return k
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p), exact in int64.
+
+    When inner * (p - 1)^2 could reach 2^63 the inner dimension is summed in
+    chunks short enough that no partial sum overflows.  Stacked (3-d)
+    operands broadcast as in numpy's matmul.
+    """
+    step = _safe_terms(p)
+    inner = a.shape[-1]
+    if inner <= step:
+        return a @ b % p
+    out = a[..., :step] @ b[..., :step, :] % p
+    for k in range(step, inner, step):
+        out += a[..., k : k + step] @ b[..., k : k + step, :] % p
+        out %= p
+    return out
+
+
+def kron_sum(coeffs: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
+    """sum_k kron(coeffs[k], mats[k]) mod p, exact in int64.
+
+    coeffs has shape (K, r, c) and mats (K, s, t); the result is the
+    (r*s) x (c*t) block matrix whose (i, j) block is sum_k coeffs[k, i, j] *
+    mats[k].  The sum over k is one matmul, so it is chunked like matmul.
+    """
+    n, r, c = coeffs.shape
+    _, s, t = mats.shape
+    flat = matmul(coeffs.reshape(n, r * c).T, mats.reshape(n, s * t), p)
+    return flat.reshape(r, c, s, t).transpose(0, 2, 1, 3).reshape(r * s, c * t)
 
 
 def rref(a: np.ndarray, p: int):
     """Reduced row echelon form mod p; returns (matrix, pivot column list)."""
+    _safe_terms(p)  # raises unless a product of two residues fits in int64
     m = a.copy() % p
     rows, cols = m.shape
     pivots = []
@@ -132,37 +172,3 @@ def field_rank(field, rows) -> int:
         if rk == len(mat):
             break
     return rk
-
-
-def field_nullspace(field, rows, ncols):
-    """Nullspace basis vectors (as lists) over an arbitrary field object."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        inv = field.inv(mat[rk][c])
-        mat[rk] = [field.mul(x, inv) for x in mat[rk]]
-        for i in range(len(mat)):
-            if i != rk and mat[i][c] != field.zero:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[rk])]
-        pivots.append(c)
-        rk += 1
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(mat[i][fc])
-        basis.append(v)
-    return basis

@@ -153,6 +153,13 @@ class ExtKModule:
     def chi(self, i: int, n: int) -> np.ndarray:
         return self.chi_maps[i][n]
 
+    def truncated(self, window: int) -> "ExtKModule":
+        """The same action over the shorter window [0, window]."""
+        if not 2 <= window <= self.window:
+            raise ValueError("can only truncate to a window in [2, current window]")
+        maps = [{n: m for n, m in cm.items() if n <= window - 2} for cm in self.chi_maps]
+        return ExtKModule(self.ring, self.dims[: window + 1], maps, window)
+
     def monomial_action(self, expo, n: int) -> np.ndarray:
         """Matrix of chi^expo acting from Ext^n, composing one variable at a time."""
         p = self.ring.field.p
@@ -160,7 +167,7 @@ class ExtKModule:
         level = n
         for i in range(self.ring.c - 1, -1, -1):
             for _ in range(expo[i]):
-                cur = self.chi_maps[i][level] @ cur % p
+                cur = modlinalg.matmul(self.chi_maps[i][level], cur, p)
                 level += 2
         return cur
 
@@ -171,8 +178,8 @@ class ExtKModule:
             for j in range(i + 1, c):
                 di = dj = 2
                 for n in range(0, self.window - di - dj + 1):
-                    a = self.chi_maps[j][n + di] @ self.chi_maps[i][n] % p
-                    b = self.chi_maps[i][n + dj] @ self.chi_maps[j][n] % p
+                    a = modlinalg.matmul(self.chi_maps[j][n + di], self.chi_maps[i][n], p)
+                    b = modlinalg.matmul(self.chi_maps[i][n + dj], self.chi_maps[j][n], p)
                     if not np.array_equal(a, b):
                         raise AssertionError(
                             f"chi_{i+1} and chi_{j+1} do not commute at n={n}"
@@ -207,20 +214,6 @@ def _span_solver_columns(ring: CIRing, g: int):
     return np.array(cols, dtype=np.int64).T, labels
 
 
-def _coeff_matrices(mat: PolyMatrix, p: int):
-    """Decompose a polynomial matrix as {monomial: integer coefficient matrix}."""
-    out = {}
-    for r in range(mat.nrows):
-        for c in range(mat.ncols):
-            for m, cc in mat.entries[r][c].terms:
-                a = out.get(m)
-                if a is None:
-                    a = np.zeros((mat.nrows, mat.ncols), dtype=np.int64)
-                    out[m] = a
-                a[r, c] = cc
-    return out
-
-
 def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "auto") -> ExtKModule:
     """The k[chi]-action on Ext(M, k) over homological degrees [0, window].
 
@@ -242,50 +235,45 @@ def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "a
     scalar_t = [dict() for _ in range(ring.c)]
     span_cache = {}
     for n in range(2, window + 1):
-        rows_tw = res.twists(n - 2)
-        cols_tw = res.twists(n)
+        rows_tw = np.array(res.twists(n - 2), dtype=np.int64)
+        cols_tw = np.array(res.twists(n), dtype=np.int64)
         bn2, bn = dims[n - 2], dims[n]
         tmats = [np.zeros((bn2, bn), dtype=np.int64) for _ in range(ring.c)]
-        if bn2 and bn:
-            gaps = {}
-            for r in range(bn2):
-                for c in range(bn):
-                    g = cols_tw[c] - rows_tw[r]
-                    if g in fdeg:
-                        gaps.setdefault(g, []).append((r, c))
-            if gaps:
-                a_parts = _coeff_matrices(res.differential(n - 1), p)
-                b_parts = _coeff_matrices(res.differential(n), p)
-                needed = set(gaps)
-                prod_coeffs = {}
-                for m1, a1 in a_parts.items():
-                    d1 = amb.wdeg(m1)
-                    for m2, b2 in b_parts.items():
-                        if d1 + amb.wdeg(m2) not in needed:
-                            continue
-                        m = mono_mul(m1, m2)
-                        acc = prod_coeffs.get(m)
-                        prod = a1 @ b2 % p
-                        prod_coeffs[m] = prod if acc is None else (acc + prod) % p
-                for g, entries in gaps.items():
-                    if g not in span_cache:
-                        span_cache[g] = _span_solver_columns(ring, g)
-                    s_mat, labels = span_cache[g]
-                    monos_g = amb.monomials_of_degree(g)
-                    rhs = np.zeros((len(monos_g), len(entries)), dtype=np.int64)
-                    for t, m in enumerate(monos_g):
-                        cm = prod_coeffs.get(m)
-                        if cm is None:
-                            continue
-                        for e_idx, (r, c) in enumerate(entries):
-                            rhs[t, e_idx] = cm[r, c]
-                    sol = modlinalg.solve(s_mat, rhs, p)
-                    if sol is None:
-                        raise AssertionError("square not decomposable along the forms")
-                    for lbl_idx, (i, m) in enumerate(labels):
-                        if fdeg[i] == g and m == amb.zero_mono:
-                            for e_idx, (r, c) in enumerate(entries):
-                                tmats[i][r, c] = sol[lbl_idx, e_idx]
+        gap = cols_tw[None, :] - rows_tw[:, None]
+        gaps = {}
+        for g in sorted(set(fdeg)):
+            rr, cc = np.nonzero(gap == g)
+            if rr.size:
+                gaps[g] = (rr, cc)
+        if gaps:
+            a_parts = res.differential(n - 1).coefficient_arrays()
+            b_parts = res.differential(n).coefficient_arrays()
+            prod_coeffs = {}
+            for m1, a1 in a_parts.items():
+                d1 = amb.wdeg(m1)
+                for m2, b2 in b_parts.items():
+                    if d1 + amb.wdeg(m2) not in gaps:
+                        continue
+                    m = mono_mul(m1, m2)
+                    acc = prod_coeffs.get(m)
+                    prod = modlinalg.matmul(a1, b2, p)
+                    prod_coeffs[m] = prod if acc is None else (acc + prod) % p
+            for g, (rr, cc) in gaps.items():
+                if g not in span_cache:
+                    span_cache[g] = _span_solver_columns(ring, g)
+                s_mat, labels = span_cache[g]
+                monos_g = amb.monomials_of_degree(g)
+                rhs = np.zeros((len(monos_g), rr.size), dtype=np.int64)
+                for t, m in enumerate(monos_g):
+                    cm = prod_coeffs.get(m)
+                    if cm is not None:
+                        rhs[t] = cm[rr, cc]
+                sol = modlinalg.solve(s_mat, rhs, p)
+                if sol is None:
+                    raise AssertionError("square not decomposable along the forms")
+                for lbl_idx, (i, m) in enumerate(labels):
+                    if fdeg[i] == g and m == amb.zero_mono:
+                        tmats[i][rr, cc] = sol[lbl_idx]
         for i in range(ring.c):
             scalar_t[i][n] = tmats[i]
     chi_maps = []

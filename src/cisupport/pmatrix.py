@@ -8,6 +8,8 @@ unambiguous.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .poly import PolyRing, render_poly
 
 
@@ -110,6 +112,24 @@ class PolyMatrix:
                     continue
                 acc = acc + a * column[k]
             out.append(reduce(acc) if reduce else acc)
+        return out
+
+    def coefficient_arrays(self):
+        """The matrix as sum_m m * C_m: {monomial: int64 array C_m}.
+
+        Prime-field coefficients only.
+        """
+        pos = {}
+        for r, row in enumerate(self.entries):
+            for c, e in enumerate(row):
+                for m, cc in e.terms:
+                    pos.setdefault(m, []).append((r, c, cc))
+        out = {}
+        for m, trip in pos.items():
+            rr, cc, vv = zip(*trip)
+            a = np.zeros((self.nrows, self.ncols), dtype=np.int64)
+            a[list(rr), list(cc)] = vv
+            out[m] = a
         return out
 
     def is_zero(self) -> bool:

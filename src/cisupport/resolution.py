@@ -23,6 +23,7 @@ from .cimodule import (
     GradedModule,
     ambient_of,
     free_basis,
+    free_blocks,
     is_artinian,
     minimal_generator_indices,
     ring_key,
@@ -30,9 +31,11 @@ from .cimodule import (
     slice_matrix,
     std_monomials,
     syzygy_matrix,
+    var_mult_matrix,
 )
 from .field import PrimeField
 from .pmatrix import PolyMatrix
+from .poly import Poly
 
 
 class FreeResolution:
@@ -44,7 +47,6 @@ class FreeResolution:
         self.differentials = differentials  # [d_1, ..., d_length]
         self.f0_twists = tuple(f0_twists)
         self.length = length
-        self.minimal = True
 
     @property
     def betti(self):
@@ -89,57 +91,43 @@ def _count(twists):
 # slice engine (artinian quotient rings)
 
 
-def _ring_mult_matrix(ring: CIRing, var: int, d: int) -> np.ndarray:
-    cache = getattr(ring, "_mult_cache", None)
-    if cache is None:
-        cache = {}
-        ring._mult_cache = cache
-    key = (var, d)
-    if key not in cache:
-        src = ring.std_monomials(d)
-        w = ring.ambient.weights[var]
-        dst = ring.std_monomials(d + w)
-        idx = {m: i for i, m in enumerate(dst)}
-        a = np.zeros((len(dst), len(src)), dtype=np.int64)
-        vm = ring.ambient.var_mono(var)
-        one = ring.field.one
-        for j, m in enumerate(src):
-            prod = ring.nf(ring.ambient.from_terms([(tuple(x + y for x, y in zip(m, vm)), one)]))
-            for mm, c in prod.terms:
-                a[idx[mm], j] = c
-        cache[key] = a
-    return cache[key]
+def _free_mult(ring, twists, var: int, d: int, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Multiply the columns of vecs, coordinates in the degree-d piece of
+    (+) ring(-t_j), by a variable; generators of one twist share one
+    variable multiplication matrix."""
+    w = ambient_of(ring).weights[var]
+    _, src = free_blocks(ring, twists, d)
+    dim, dst = free_blocks(ring, twists, d + w)
+    k = vecs.shape[1]
+    out = np.zeros((dim, k), dtype=np.int64)
+    for t, (gens, pos) in src.items():
+        if t not in dst:
+            continue
+        block = vecs[pos.reshape(-1)].reshape(len(gens), pos.shape[1], k)
+        prod = modlinalg.matmul(var_mult_matrix(ring, var, d - t), block, p)
+        out[dst[t][1].reshape(-1)] = prod.reshape(-1, k)
+    return out
 
 
-def _free_mult_matrix(ring: CIRing, twists, var: int, d: int) -> np.ndarray:
-    """Multiplication by a variable on the degree-d piece of (+)ring(-t_j)."""
-    blocks = [_ring_mult_matrix(ring, var, d - t) for t in twists]
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    r = c = 0
-    for b in blocks:
-        a[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return a
+def _coords_to_columns(ring, twists, d, vecs):
+    """Inverse of column_coords for each column of vecs: polynomial columns.
 
-
-def _coords_to_column(ring, twists, d, vec):
-    """Inverse of column_coords: coordinate vector -> polynomial column."""
+    Standard monomials come in descending term order, the order Poly keeps
+    its terms in, so each entry is built without sorting.
+    """
     amb = ambient_of(ring)
-    col = []
-    pos = 0
-    for t in twists:
-        monos = std_monomials(ring, d - t)
-        terms = []
-        for m in monos:
-            c = int(vec[pos]) % amb.field.p
-            if c:
-                terms.append((m, c))
-            pos += 1
-        col.append(amb.from_terms(terms))
-    return col
+    monos = []
+    owner = []
+    for j, t in enumerate(twists):
+        block = std_monomials(ring, d - t)
+        monos.extend(block)
+        owner.extend([j] * len(block))
+    vals = vecs.T % amb.field.p
+    terms = [[[] for _ in twists] for _ in range(vals.shape[0])]
+    cols, pos = np.nonzero(vals)  # row-major: ascending positions per column
+    for k, i, c in zip(cols.tolist(), pos.tolist(), vals[cols, pos].tolist()):
+        terms[k][owner[i]].append((monos[i], c))
+    return [[Poly(amb, tuple(t)) for t in col] for col in terms]
 
 
 def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
@@ -170,16 +158,15 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
             prev = kernels.get(d - w)
             if prev is None or prev.shape[1] == 0:
                 continue
-            spans.append(_free_mult_matrix(ring, twists, v, d - w) @ prev % p)
+            spans.append(_free_mult(ring, twists, v, d - w, prev, p))
         base = (
             np.concatenate(spans, axis=1)
             if spans
             else np.zeros((n_d.shape[0], 0), dtype=np.int64)
         )
         chosen = modlinalg.complement_pivots(base, n_d, p)
-        for c in chosen:
-            new_cols.append(_coords_to_column(ring, twists, d, n_d[:, c]))
-            new_twists.append(d)
+        new_cols.extend(_coords_to_columns(ring, twists, d, n_d[:, chosen]))
+        new_twists.extend([d] * len(chosen))
     entries = [
         [new_cols[j][i] for j in range(len(new_cols))] for i in range(len(twists))
     ]
@@ -281,10 +268,6 @@ def minimal_resolution(ring, module: GradedModule, length: int, engine: str = "a
         _RES_CACHE[key] = builder
     builder.extend_to(length)
     return builder.view(length)
-
-
-def betti_numbers(ring, module: GradedModule, length: int, engine: str = "auto"):
-    return minimal_resolution(ring, module, length, engine).betti
 
 
 def syzygy_module(module: GradedModule, n: int, engine: str = "auto") -> GradedModule:

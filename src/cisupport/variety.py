@@ -174,12 +174,44 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a, engin
 # annihilator route
 
 
+def monomial_action_layers(ext_module: ExtKModule, degree_bound: int):
+    """Yield (d, monos, layer) for d = 1..degree_bound, where layer[t][n] is
+    the matrix of chi^monos[t] acting from Ext^n, for n in [0, window - 2d].
+
+    Degree d is built from degree d - 1 as chi_{i0} . chi^(alpha - e_{i0}),
+    with i0 the first index where alpha is positive; that is the product
+    order of ExtKModule.monomial_action.  Only the previous layer is kept.
+    """
+    ring = ext_module.ring
+    chi = ring.chi_ring()
+    p = ring.field.p
+    window = ext_module.window
+    prev = {}
+    for d in range(1, degree_bound + 1):
+        monos = chi.monomials_of_degree(d)
+        top = window - 2 * d
+        layer = []
+        for alpha in monos:
+            i0 = next(i for i, e in enumerate(alpha) if e)
+            maps = ext_module.chi_maps[i0]
+            if d == 1:
+                layer.append([maps[n] for n in range(top + 1)])
+                continue
+            rest = prev[alpha[:i0] + (alpha[i0] - 1,) + alpha[i0 + 1 :]]
+            layer.append(
+                [modlinalg.matmul(maps[n + 2 * (d - 1)], rest[n], p) for n in range(top + 1)]
+            )
+        yield d, monos, layer
+        prev = dict(zip(monos, layer))
+
+
 def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     """Forms of chi-degree <= degree_bound annihilating the windowed action.
 
     For each degree the annihilating forms are the nullspace of the stacked
-    entries of all monomial action matrices; redundant generators are
-    filtered out degree by degree.
+    entries of all monomial action matrices; each homological degree's block
+    is folded into a running row echelon form, whose nullspace is the same.
+    Redundant generators are filtered out degree by degree.
     """
     ring = ext_module.ring
     chi = ring.chi_ring()
@@ -188,23 +220,15 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     if window < 2 * degree_bound + 2:
         raise ValueError("window must exceed twice the degree bound plus slack")
     kept = []
-    for d in range(1, degree_bound + 1):
-        monos = chi.monomials_of_degree(d)
-        rows = []
-        top = window - 2 * d
-        for n in range(0, top + 1):
-            if ext_module.dims[n] == 0:
+    for d, monos, layer in monomial_action_layers(ext_module, degree_bound):
+        echelon = np.zeros((0, len(monos)), dtype=np.int64)
+        for n in range(0, window - 2 * d + 1):
+            if ext_module.dims[n] == 0 or layer[0][n].size == 0:
                 continue
-            mats = [ext_module.monomial_action(alpha, n) for alpha in monos]
-            if mats[0].size == 0:
-                continue
-            flat = np.stack([m.reshape(-1) for m in mats], axis=1)
-            rows.append(flat)
-        if rows:
-            a = np.concatenate(rows, axis=0)
-            basis = modlinalg.nullspace(a, p)
-        else:
-            basis = np.eye(len(monos), dtype=np.int64)
+            flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
+            echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
+            echelon = echelon[: len(pivots)]
+        basis = modlinalg.nullspace(echelon, p)
         gb_kept = buchberger(kept) if kept else []
         for col in range(basis.shape[1]):
             q = chi.from_terms(
@@ -236,16 +260,16 @@ def variety_of(
 ) -> SupportVariety:
     """Support variety of a module via the annihilator of the chi action.
 
-    The ideal is recomputed at window + 2; if the two agree up to radical the
-    result is flagged stabilized, otherwise it is returned flagged unstable,
-    never silently.
+    The ideal is computed at window and at window + 2, both from one chi
+    action at window + 2; if the two agree up to radical the result is
+    flagged stabilized, otherwise it is returned flagged unstable, never
+    silently.
     """
     w = window if window is not None else default_window(ring)
     d = degree_bound if degree_bound is not None else default_degree_bound(ring)
     w = max(w, 2 * d + 2, 2)
-    e1 = chi_action(ring, module, w, engine)
-    i1 = annihilator_ideal(e1, d)
     e2 = chi_action(ring, module, w + 2, engine)
+    i1 = annihilator_ideal(e2.truncated(w), d)
     i2 = annihilator_ideal(e2, d)
     stabilized = equal_up_to_radical(i1, i2)
     return SupportVariety(ring, i2, w + 2, stabilized, d)

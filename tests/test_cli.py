@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cisupport import cache
 from cisupport.cache import HEADER, cache_key, cache_path, read_cache, write_cache
 from cisupport.cli import EXIT_OK, EXIT_PARSE, main
 
@@ -102,6 +103,30 @@ def test_parse_error_exit_code_and_location(jobfile, capsys):
     assert ":3:" in err and "regular sequence" in err
 
 
+BIG_PRIME = 2147483647  # the largest prime the job grammar accepts
+
+
+def test_betti_at_the_largest_accepted_prime(jobfile, capsys):
+    code, out, _ = run_cli(capsys, ["betti", "--input", jobfile(EX54.replace("field 5", f"field {BIG_PRIME}"))])
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["betti"] == [1, 3, 6, 10, 15, 21]
+
+
+def test_variety_at_the_largest_accepted_prime(jobfile, capsys):
+    code, out, _ = run_cli(capsys, ["variety", "--input", jobfile(EX54.replace("field 5", f"field {BIG_PRIME}"))])
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["results"]["ideal"] == []
+    assert report["flags"]["stabilized"] is True
+
+
+def test_prime_above_two_to_the_31_is_a_located_parse_error(jobfile, capsys):
+    code, out, err = run_cli(capsys, ["betti", "--input", jobfile(EX54.replace("field 5", "field 4294967311"))])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert ":1:7:" in err and "below 2^31" in err
+
+
 def test_missing_input_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, ["betti"])
     assert code == EXIT_PARSE
@@ -150,6 +175,16 @@ def test_cache_key_depends_on_parameters():
     k2 = cache_key("job", "variety", {"window": "12"})
     k3 = cache_key("job", "betti", {"window": "10"})
     assert len({k1, k2, k3}) == 3
+
+
+def test_cache_key_depends_on_package_and_engine_versions(monkeypatch):
+    base = cache_key("job", "variety", {"window": "10"})
+    monkeypatch.setattr(cache, "__version__", cache.__version__ + ".dev1")
+    bumped_package = cache_key("job", "variety", {"window": "10"})
+    monkeypatch.undo()
+    monkeypatch.setattr(cache, "ENGINE_VERSION", cache.ENGINE_VERSION + "1")
+    bumped_engine = cache_key("job", "variety", {"window": "10"})
+    assert len({base, bumped_package, bumped_engine}) == 3
 
 
 def test_cache_roundtrip_and_header(tmp_path):
