@@ -16,6 +16,8 @@ from .groebner import (
     is_regular_sequence,
     module_syzygies,
     normal_form,
+    poly_basis,
+    vec_to_column,
 )
 from .poly import Poly, PolyRing, mono_divides, mono_mul
 from .pmatrix import PolyMatrix
@@ -39,6 +41,7 @@ class CIRing:
             self.note = res.note
         self.c = len(self.fs)
         self.gb = buchberger(list(self.fs)) if self.fs else []
+        self._reducer = poly_basis(ambient, self.gb)
         self.dim = ambient.n - self.c
         self._std_cache = {}
         self._key = (
@@ -56,7 +59,7 @@ class CIRing:
         return self.dim == 0
 
     def nf(self, poly: Poly) -> Poly:
-        return normal_form(poly, self.gb)
+        return normal_form(poly, self._reducer)
 
     def std_monomials(self, d: int):
         """Monomial basis of the degree-d piece of the quotient ring."""
@@ -159,13 +162,6 @@ def column_to_vec(col) -> dict:
     return v
 
 
-def vec_to_column(ambient: PolyRing, nrows: int, v: dict):
-    rows = [[] for _ in range(nrows)]
-    for (i, m), c in v.items():
-        rows[i].append((m, c))
-    return [ambient.from_terms(r) for r in rows]
-
-
 def column_degree(ring, twists, col):
     """Degree of a homogeneous column vector; None if zero."""
     for i, p in enumerate(col):
@@ -198,31 +194,32 @@ def submodule_contains(ring, twists, columns, vector) -> bool:
     return submodule_igb(ring, twists, columns).contains(column_to_vec(vector))
 
 
-def syzygy_matrix(ring, matrix: PolyMatrix) -> PolyMatrix:
-    """Generators of the kernel of the graded map defined by the matrix.
+def kernel_modulo(ring, twists, cols, rel_cols):
+    """Generators of {a : sum_j a_j cols_j lies in span(rel_cols)} over the ring.
 
-    Over a quotient ring the kernel is computed by adjoining multiples of the
-    quotient relations in the ambient ring and projecting back.
+    cols and rel_cols are columns of the free module with the given twists.
+    The kernel comes from the syzygies of [cols | rel_cols | quotient
+    relations] in the ambient ring, projected onto the cols block; returns the
+    nonzero normal forms of those projections (columns of length len(cols)).
     """
     amb = ambient_of(ring)
-    cols = [column_to_vec(matrix.column(j)) for j in range(matrix.ncols)]
-    extra = quotient_columns(ring, matrix.row_twists)
-    syz = module_syzygies(amb, matrix.row_twists, cols + extra)
-    ncols = matrix.ncols
-    out_cols = []
-    out_twists = []
-    ctx_twists = matrix.col_twists
-    for s in syz:
-        proj = {(j, m): c for (j, m), c in s.items() if j < ncols}
-        col = vec_to_column(amb, ncols, proj)
-        col = [ring_nf(ring, p) for p in col]
-        deg = column_degree(ring, ctx_twists, col)
-        if deg is None:
-            continue
-        out_cols.append(col)
-        out_twists.append(deg)
-    entries = [[out_cols[j][i] for j in range(len(out_cols))] for i in range(ncols)]
-    return PolyMatrix(amb, entries, ctx_twists, out_twists)
+    vectors = [column_to_vec(col) for col in list(cols) + list(rel_cols)]
+    vectors += quotient_columns(ring, twists)
+    n = len(cols)
+    out = []
+    for s in module_syzygies(amb, twists, vectors):
+        proj = {(j, m): c for (j, m), c in s.items() if j < n}
+        col = [ring_nf(ring, p) for p in vec_to_column(amb, n, proj)]
+        if any(not p.is_zero() for p in col):
+            out.append(col)
+    return out
+
+
+def syzygy_matrix(ring, matrix: PolyMatrix) -> PolyMatrix:
+    """Generators of the kernel of the graded map defined by the matrix."""
+    cols = kernel_modulo(ring, matrix.row_twists, matrix.columns(), [])
+    twists = [column_degree(ring, matrix.col_twists, col) for col in cols]
+    return PolyMatrix.from_columns(ambient_of(ring), matrix.col_twists, cols, twists)
 
 
 def minimal_generator_indices(ring, twists, columns):
@@ -279,8 +276,7 @@ class GradedModule:
                 if d is None:
                     raise ValueError("zero relation column needs an explicit twist")
                 col_twists.append(d)
-        entries = [[columns[j][i] for j in range(len(columns))] for i in range(len(row_twists))]
-        return cls(ring, PolyMatrix(amb, entries, row_twists, col_twists))
+        return cls(ring, PolyMatrix.from_columns(amb, row_twists, columns, col_twists))
 
     def content_key(self):
         if self._key is None:
@@ -351,10 +347,9 @@ def _minimalize(module: GradedModule) -> GradedModule:
     kept = minimal_generator_indices(ring, tuple(row_twists), cols)
     kept_cols = [cols[j] for j in kept]
     kept_twists = [col_twists[j] for j in kept]
-    out_entries = [[kept_cols[j][i] for j in range(len(kept))] for i in range(len(row_twists))]
     out = GradedModule(
         ring,
-        PolyMatrix(amb, out_entries, row_twists, kept_twists),
+        PolyMatrix.from_columns(amb, row_twists, kept_cols, kept_twists),
         normalize=False,
     )
     out._minimal = out
@@ -570,8 +565,7 @@ def tensor_over_base(m1: GradedModule, m2: GradedModule, target) -> GradedModule
                 col[i * g2 + j] = p2.entries[j][t]
             cols.append(col)
             col_twists.append(m1.row_twists[i] + p2.col_twists[t])
-    entries = [[cols[j][i] for j in range(len(cols))] for i in range(g1 * g2)]
-    return GradedModule(target, PolyMatrix(amb, entries, row_twists, col_twists))
+    return GradedModule(target, PolyMatrix.from_columns(amb, row_twists, cols, col_twists))
 
 
 def quotient_by_element(module: GradedModule, x: Poly):
@@ -587,31 +581,20 @@ def quotient_by_element(module: GradedModule, x: Poly):
         raise ValueError("need a homogeneous element of positive degree")
     g = module.ngens
     pres = module.presentation
-    # columns of [x*Id | P]; syzygies' first block generates {v : x v in im P}
+    # x is regular on M iff its kernel {v : x v in im P} lies in im P
     mult_cols = []
     for i in range(g):
         col = [amb.zero()] * g
         col[i] = x
         mult_cols.append(col)
-    all_cols = [column_to_vec(c) for c in mult_cols]
-    all_cols += [column_to_vec(pres.column(j)) for j in range(pres.ncols)]
-    all_cols += quotient_columns(ring, module.row_twists)
-    syz = module_syzygies(amb, module.row_twists, all_cols)
     rel_igb = submodule_igb(ring, module.row_twists, pres.columns())
-    regular = True
-    xdeg = x.degree()
-    for s in syz:
-        proj = {(j, m): c for (j, m), c in s.items() if j < g}
-        if not proj:
-            continue
-        kern = [ring_nf(ring, p) for p in vec_to_column(amb, g, proj)]
-        if not rel_igb.contains(column_to_vec(kern)):
-            regular = False
-            break
+    regular = all(
+        rel_igb.contains(column_to_vec(col))
+        for col in kernel_modulo(ring, module.row_twists, mult_cols, pres.columns())
+    )
     new_cols = pres.columns() + mult_cols
-    new_twists = list(pres.col_twists) + [t + xdeg for t in module.row_twists]
-    entries = [[new_cols[j][i] for j in range(len(new_cols))] for i in range(g)]
-    quot = GradedModule(ring, PolyMatrix(amb, entries, module.row_twists, new_twists))
+    new_twists = list(pres.col_twists) + [t + x.degree() for t in module.row_twists]
+    quot = GradedModule.from_columns(ring, module.row_twists, new_cols, new_twists)
     return quot, regular
 
 
@@ -624,43 +607,16 @@ def submodule_and_quotient(module: GradedModule, gens):
     """
     ring = module.ring
     amb = ambient_of(ring)
-    g = module.ngens
     gens = [[ring_nf(ring, p) for p in col] for col in gens]
     gens = [col for col in gens if any(not p.is_zero() for p in col)]
-    gen_twists = []
-    for col in gens:
-        d = column_degree(ring, module.row_twists, col)
-        gen_twists.append(d)
+    gen_twists = [column_degree(ring, module.row_twists, col) for col in gens]
     pres = module.presentation
-    all_cols = [column_to_vec(c) for c in gens]
-    all_cols += [column_to_vec(pres.column(j)) for j in range(pres.ncols)]
-    all_cols += quotient_columns(ring, module.row_twists)
-    syz = module_syzygies(amb, module.row_twists, all_cols)
-    r = len(gens)
-    rel_cols = []
-    rel_twists = []
-    for s in syz:
-        proj = {(j, m): c for (j, m), c in s.items() if j < r}
-        if not proj:
-            continue
-        col = [ring_nf(ring, p) for p in vec_to_column(amb, r, proj)]
-        d = column_degree(ring, tuple(gen_twists), col)
-        if d is None:
-            continue
-        rel_cols.append(col)
-        rel_twists.append(d)
-    s_entries = [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(r)]
-    sub = GradedModule(ring, PolyMatrix(amb, s_entries, gen_twists, rel_twists))
+    rel_cols = kernel_modulo(ring, module.row_twists, gens, pres.columns())
+    sub = GradedModule.from_columns(ring, gen_twists, rel_cols)
     q_cols = pres.columns() + gens
     q_twists = list(pres.col_twists) + gen_twists
-    q_entries = [[q_cols[j][i] for j in range(len(q_cols))] for i in range(g)]
-    quot = GradedModule(ring, PolyMatrix(amb, q_entries, module.row_twists, q_twists))
-    incl = PolyMatrix(
-        amb,
-        [[gens[j][i] for j in range(r)] for i in range(g)],
-        module.row_twists,
-        gen_twists,
-    )
+    quot = GradedModule.from_columns(ring, module.row_twists, q_cols, q_twists)
+    incl = PolyMatrix.from_columns(amb, module.row_twists, gens, gen_twists)
     return sub, quot, incl
 
 
@@ -687,8 +643,7 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
             col[i] = hh
             cols.append(col)
             twists.append(module.row_twists[i] + hh.degree())
-    entries = [[cols[j][i] for j in range(len(cols))] for i in range(module.ngens)]
-    return GradedModule(target, PolyMatrix(amb_t, entries, module.row_twists, twists))
+    return GradedModule(target, PolyMatrix.from_columns(amb_t, module.row_twists, cols, twists))
 
 
 def base_change_ring(ring, new_field):
@@ -715,25 +670,7 @@ def base_change_module(module: GradedModule, new_ring) -> GradedModule:
 
 def subquotient_presentation(ring, twists, ker_cols, im_cols) -> GradedModule:
     """Presentation of (span of ker_cols) / (span of im_cols) inside a free module."""
-    amb = ambient_of(ring)
     ker_cols = [col for col in ker_cols if any(not p.is_zero() for p in col)]
-    r = len(ker_cols)
     gen_twists = [column_degree(ring, twists, col) for col in ker_cols]
-    all_cols = [column_to_vec(c) for c in ker_cols]
-    all_cols += [column_to_vec(c) for c in im_cols]
-    all_cols += quotient_columns(ring, twists)
-    syz = module_syzygies(amb, twists, all_cols)
-    rel_cols = []
-    rel_twists = []
-    for s in syz:
-        proj = {(j, m): c for (j, m), c in s.items() if j < r}
-        if not proj:
-            continue
-        col = [ring_nf(ring, p) for p in vec_to_column(amb, r, proj)]
-        d = column_degree(ring, tuple(gen_twists), col)
-        if d is None:
-            continue
-        rel_cols.append(col)
-        rel_twists.append(d)
-    entries = [[rel_cols[j][i] for j in range(len(rel_cols))] for i in range(r)]
-    return GradedModule(ring, PolyMatrix(amb, entries, gen_twists, rel_twists))
+    rel_cols = kernel_modulo(ring, twists, ker_cols, im_cols)
+    return GradedModule.from_columns(ring, gen_twists, rel_cols)

@@ -50,7 +50,6 @@ def _build_parser():
         sp.add_argument("--point")
         sp.add_argument("--subspace")
         sp.add_argument("--cone")
-        sp.add_argument("--seed", type=int)
         sp.add_argument("--cache-dir", dest="cache_dir")
         sp.add_argument("--allow-unstable", action="store_true")
         sp.add_argument("--json-out", dest="json_out")
@@ -68,7 +67,6 @@ def _effective_params(job: JobSpec, args) -> dict:
         ("point", "point"),
         ("subspace", "subspace"),
         ("cone", "cone"),
-        ("seed", "seed"),
     ):
         v = getattr(args, cli_name, None)
         if v is not None:

@@ -4,12 +4,15 @@ One engine covers ideals (single component) and column modules of graded
 matrices.  Vectors are dicts mapping (component, monomial) to a coefficient;
 the module order is degree-first (twisted), then grevlex on the monomial,
 then component.  S-pairs are processed in increasing degree (normal
-strategy) so runs are deterministic.
+strategy) so runs are deterministic.  Every basis is a GroebnerBasis, and
+every normal form, membership test and witness goes through its one
+division loop, GroebnerBasis.reduce.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 from .poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
@@ -23,20 +26,10 @@ class ModuleCtx:
         self.twists = tuple(twists)
         self.field = ring.field
 
-    def key(self, term):
+    def order(self, term):
+        """Sort key of a term: ascending keys are descending module order."""
         comp, mono = term
-        return (
-            self.ring.wdeg(mono) + self.twists[comp],
-            tuple(-e for e in reversed(mono)),
-            -comp,
-        )
-
-    def term_degree(self, term):
-        return self.ring.wdeg(term[1]) + self.twists[term[0]]
-
-
-def vp_lead(ctx: ModuleCtx, v: dict):
-    return max(v, key=ctx.key)
+        return (-(self.ring.wdeg(mono) + self.twists[comp]), mono[::-1], comp)
 
 
 def vp_axpy(field, dst: dict, src: dict, mono, coeff):
@@ -59,24 +52,41 @@ def poly_to_vec(poly: Poly, comp: int = 0) -> dict:
     return {(comp, m): c for m, c in poly.terms}
 
 
-def vec_component(ctx: ModuleCtx, v: dict, comp: int) -> Poly:
-    return ctx.ring.from_terms((m, c) for (cc, m), c in v.items() if cc == comp)
+def vec_to_column(ring: PolyRing, nrows: int, v: dict):
+    """The vector as a list of nrows polynomials, one per component."""
+    rows = [[] for _ in range(nrows)]
+    for (i, m), c in v.items():
+        rows[i].append((m, c))
+    return [ring.from_terms(r) for r in rows]
 
 
 class GroebnerBasis:
-    """Module Groebner basis with optional traces back to the input vectors."""
+    """Monic module elements with their leads and optional traces.
 
-    def __init__(self, ctx: ModuleCtx, elements, traces=None):
+    traces[i], when kept, is a dict over (input index, monomial) expressing
+    elements[i] through the input vectors.  Reducers are tried in insertion
+    order.
+    """
+
+    def __init__(self, ctx: ModuleCtx, track: bool = False):
         self.ctx = ctx
-        self.elements = elements  # list of dict vectors, each monic
-        self.traces = traces  # parallel list of dicts over input indices, or None
-        self._by_comp = {}
-        for i, v in enumerate(elements):
-            lt = vp_lead(ctx, v)
-            self._by_comp.setdefault(lt[0], []).append((lt[1], i))
+        self.elements = []
+        self.leads = []
+        self.traces = [] if track else None
+        self._by_comp = {}  # component -> [(lead monomial, index)]
 
-    def lead(self, i):
-        return vp_lead(self.ctx, self.elements[i])
+    def insert(self, v: dict, tr: dict = None) -> int:
+        """Append v (and its trace) scaled to be monic; returns its index."""
+        field = self.ctx.field
+        lead = min(v, key=self.ctx.order)
+        inv = field.inv(v[lead])
+        idx = len(self.elements)
+        self.elements.append(vp_scale(field, v, inv))
+        if self.traces is not None:
+            self.traces.append(vp_scale(field, tr, inv))
+        self.leads.append(lead)
+        self._by_comp.setdefault(lead[0], []).append((lead[1], idx))
+        return idx
 
     def find_reducer(self, term):
         comp, mono = term
@@ -85,50 +95,77 @@ class GroebnerBasis:
                 return i
         return None
 
-    def reduce(self, v: dict, track: bool = False):
-        """Full normal form of v; with track=True also the division quotients.
+    def pair_degree(self, a: int, b: int) -> int:
+        (comp, la), (_, lb) = self.leads[a], self.leads[b]
+        return self.ctx.ring.wdeg(mono_lcm(la, lb)) + self.ctx.twists[comp]
 
-        Quotients come back as a dict {basis index: quotient dict of
-        (mono, coeff)} such that v = sum(q_i * g_i) + remainder.
+    def spair(self, a: int, b: int):
+        """S-vector of elements a and b (same lead component) and its trace
+        (None when untracked)."""
+        field = self.ctx.field
+        la, lb = self.leads[a][1], self.leads[b][1]
+        lcm = mono_lcm(la, lb)
+        ma, mb = mono_div(lcm, la), mono_div(lcm, lb)
+        minus = field.neg(field.one)
+        s = {}
+        vp_axpy(field, s, self.elements[a], ma, field.one)
+        vp_axpy(field, s, self.elements[b], mb, minus)
+        tr = None
+        if self.traces is not None:
+            tr = {}
+            vp_axpy(field, tr, self.traces[a], ma, field.one)
+            vp_axpy(field, tr, self.traces[b], mb, minus)
+        return s, tr
+
+    def reduce(self, v: dict, tr: dict = None) -> dict:
+        """Full normal form of v; the one division loop of the package.
+
+        Each step takes the largest remaining term and, if a lead divides it,
+        subtracts c * x^m * elements[i].  Given a trace dict tr, every step is
+        mirrored in place as tr -= c * x^m * traces[i].  The remainder's terms
+        come out in descending order.
         """
         field = self.ctx.field
+        order = self.ctx.order
+        zero = field.zero
         work = dict(v)
+        heap = [(order(t), t) for t in work]
+        heapq.heapify(heap)
         rem = {}
-        quots = {} if track else None
-        while work:
-            t = vp_lead(self.ctx, work)
-            c = work[t]
+        while heap:
+            t = heapq.heappop(heap)[1]
+            c = work.get(t)
+            if c is None:  # cancelled, or already handled
+                continue
             i = self.find_reducer(t)
             if i is None:
                 rem[t] = c
                 del work[t]
                 continue
-            g = self.elements[i]
-            lt = vp_lead(self.ctx, g)
-            qm = mono_div(t[1], lt[1])
-            qc = c  # basis elements are monic
-            vp_axpy(field, work, g, qm, field.neg(qc))
-            if track:
-                qd = quots.setdefault(i, {})
-                nc = field.add(qd.get(qm, field.zero), qc)
-                if nc == field.zero:
-                    qd.pop(qm, None)
+            qm = mono_div(t[1], self.leads[i][1])
+            qc = field.neg(c)
+            for (comp, m), gc in self.elements[i].items():
+                s = (comp, mono_mul(m, qm))
+                old = work.get(s)
+                nc = field.add(zero if old is None else old, field.mul(gc, qc))
+                if nc == zero:
+                    work.pop(s, None)
                 else:
-                    qd[qm] = nc
-        if track:
-            return rem, quots
+                    work[s] = nc
+                    if old is None:
+                        heapq.heappush(heap, (order(s), s))
+            if tr is not None:
+                vp_axpy(field, tr, self.traces[i], qm, qc)
         return rem
 
-    def contains(self, v: dict) -> bool:
-        return not self.reduce(v)
-
-
-def _spair_data(ctx, va, vb, la, lb):
-    lcm = mono_lcm(la[1], lb[1])
-    ma = mono_div(lcm, la[1])
-    mb = mono_div(lcm, lb[1])
-    deg = ctx.ring.wdeg(lcm) + ctx.twists[la[0]]
-    return lcm, ma, mb, deg
+    def express(self, v: dict):
+        """Coefficients of v over the input vectors, as a dict over (input
+        index, monomial), or None when v is not in their span.  Needs traces."""
+        tr = {}
+        if self.reduce(v, tr):
+            return None
+        field = self.ctx.field
+        return vp_scale(field, tr, field.neg(field.one))
 
 
 def module_groebner(ring: PolyRing, twists, vectors, track: bool = False) -> GroebnerBasis:
@@ -137,89 +174,25 @@ def module_groebner(ring: PolyRing, twists, vectors, track: bool = False) -> Gro
     vectors: list of dict {(comp, mono): coeff}; zero vectors are allowed and
     skipped (their indices still count for traces).
     """
-    ctx = ModuleCtx(ring, twists)
     field = ring.field
-    basis = []
-    traces = [] if track else None
-    by_comp = {}
-
-    def add_element(v, tr):
-        lt = vp_lead(ctx, v)
-        inv = field.inv(v[lt])
-        v = vp_scale(field, v, inv)
-        idx = len(basis)
-        basis.append(v)
-        if track:
-            traces.append(vp_scale(field, tr, inv))
-        by_comp.setdefault(lt[0], []).append((lt[1], idx))
-        return idx, lt
-
-    def find_reducer(term):
-        comp, mono = term
-        for lm, i in by_comp.get(comp, ()):
-            if mono_divides(lm, mono):
-                return i
-        return None
-
-    def reduce_with_trace(work, tr):
-        rem = {}
-        while work:
-            t = vp_lead(ctx, work)
-            c = work[t]
-            i = find_reducer(t)
-            if i is None:
-                rem[t] = c
-                del work[t]
-                continue
-            g = basis[i]
-            lt = vp_lead(ctx, g)
-            qm = mono_div(t[1], lt[1])
-            vp_axpy(field, work, g, qm, field.neg(c))
-            if tr is not None:
-                vp_axpy(field, tr, traces[i], qm, field.neg(c))
-        return rem
-
+    gb = GroebnerBasis(ModuleCtx(ring, twists), track)
     pairs = []  # heap of (degree, i, j)
-    leads = []
+
+    def add(v, tr):
+        rem = gb.reduce(v, tr)
+        if rem:
+            b = gb.insert(rem, tr)
+            for a in range(b):
+                if gb.leads[a][0] == gb.leads[b][0]:
+                    heapq.heappush(pairs, (gb.pair_degree(a, b), a, b))
 
     for j, v in enumerate(vectors):
-        if not v:
-            continue
-        tr = {(j, ring.zero_mono): field.one} if track else None
-        rem = reduce_with_trace(dict(v), tr)
-        if not rem:
-            continue
-        idx, lt = add_element(rem, tr)
-        leads.append(lt)
-        for i in range(idx):
-            li = vp_lead(ctx, basis[i])
-            if li[0] == lt[0]:
-                _, _, _, deg = _spair_data(ctx, basis[i], basis[idx], li, lt)
-                heapq.heappush(pairs, (deg, i, idx))
-
+        if v:
+            add(v, {(j, ring.zero_mono): field.one} if track else None)
     while pairs:
         _, a, b = heapq.heappop(pairs)
-        ga, gb = basis[a], basis[b]
-        la, lb = vp_lead(ctx, ga), vp_lead(ctx, gb)
-        lcm, ma, mb, _ = _spair_data(ctx, ga, gb, la, lb)
-        work = {}
-        vp_axpy(field, work, ga, ma, field.one)
-        vp_axpy(field, work, gb, mb, field.neg(field.one))
-        tr = None
-        if track:
-            tr = {}
-            vp_axpy(field, tr, traces[a], ma, field.one)
-            vp_axpy(field, tr, traces[b], mb, field.neg(field.one))
-        rem = reduce_with_trace(work, tr)
-        if rem:
-            idx, lt = add_element(rem, tr)
-            for i in range(idx):
-                li = vp_lead(ctx, basis[i])
-                if li[0] == lt[0]:
-                    _, _, _, deg = _spair_data(ctx, basis[i], basis[idx], li, lt)
-                    heapq.heappush(pairs, (deg, i, idx))
-
-    return GroebnerBasis(ctx, basis, traces)
+        add(*gb.spair(a, b))
+    return gb
 
 
 def module_syzygies(ring: PolyRing, twists, vectors):
@@ -227,137 +200,55 @@ def module_syzygies(ring: PolyRing, twists, vectors):
 
     Returns a list of dicts over components 0..len(vectors)-1 (coefficients of
     the input vectors).  Standard two-pass construction: a tracked Groebner
-    basis, then one syzygy per S-pair of basis elements plus the relations
-    expressing each input through the basis.
+    basis, then the relation expressing each input through the basis plus one
+    syzygy per S-pair of basis elements; each is the trace of a reduction to
+    zero.
     """
-    ctx = ModuleCtx(ring, twists)
     field = ring.field
     gb = module_groebner(ring, twists, vectors, track=True)
-    syzygies = []
-
-    # inputs that reduce to zero against the basis contribute e_j - sum q_t tr_t
-    for j, v in enumerate(vectors):
-        if not v:
-            syzygies.append({(j, ring.zero_mono): field.one})
-            continue
-        rem, quots = gb.reduce(dict(v), track=True)
-        if rem:
-            raise AssertionError("generator does not reduce against its own basis")
-        syz = {(j, ring.zero_mono): field.one}
-        for t, qd in quots.items():
-            for qm, qc in qd.items():
-                vp_axpy(field, syz, gb.traces[t], qm, field.neg(qc))
-        if syz:
-            syzygies.append(syz)
-
     n = len(gb.elements)
-    pair_list = []
-    for b in range(n):
-        lb = gb.lead(b)
-        for a in range(b):
-            la = gb.lead(a)
-            if la[0] == lb[0]:
-                lcm = mono_lcm(la[1], lb[1])
-                deg = ring.wdeg(lcm) + ctx.twists[la[0]]
-                pair_list.append((deg, a, b))
-    pair_list.sort()
-    for _, a, b in pair_list:
-        ga, gb_ = gb.elements[a], gb.elements[b]
-        la, lb = gb.lead(a), gb.lead(b)
-        lcm = mono_lcm(la[1], lb[1])
-        ma = mono_div(lcm, la[1])
-        mb = mono_div(lcm, lb[1])
-        work = {}
-        vp_axpy(field, work, ga, ma, field.one)
-        vp_axpy(field, work, gb_, mb, field.neg(field.one))
-        rem, quots = gb.reduce(work, track=True)
-        if rem:
-            raise AssertionError("S-pair of a Groebner basis did not reduce to zero")
-        syz = {}
-        vp_axpy(field, syz, gb.traces[a], ma, field.one)
-        vp_axpy(field, syz, gb.traces[b], mb, field.neg(field.one))
-        for t, qd in quots.items():
-            for qm, qc in qd.items():
-                vp_axpy(field, syz, gb.traces[t], qm, field.neg(qc))
+    pairs = sorted(
+        (gb.pair_degree(a, b), a, b)
+        for b in range(n)
+        for a in range(b)
+        if gb.leads[a][0] == gb.leads[b][0]
+    )
+    inputs = ((v, {(j, ring.zero_mono): field.one}) for j, v in enumerate(vectors))
+    spairs = (gb.spair(a, b) for _, a, b in pairs)
+    syzygies = []
+    for v, syz in itertools.chain(inputs, spairs):
+        if gb.reduce(v, syz):
+            raise AssertionError("vector does not reduce to zero against its own basis")
         if syz:
             syzygies.append(syz)
     return syzygies
 
 
-class IncrementalGB:
-    """Groebner basis that accepts elements one at a time.
+class IncrementalGB(GroebnerBasis):
+    """Groebner basis that accepts elements one at a time, without traces.
 
-    Used for greedy minimal-generator selection and membership filters; no
-    traces.
+    Used for greedy minimal-generator selection and membership filters.
     """
 
     def __init__(self, ring: PolyRing, twists):
-        self.ctx = ModuleCtx(ring, twists)
-        self.field = ring.field
-        self.basis = []
-        self._by_comp = {}
-
-    def _find_reducer(self, term):
-        comp, mono = term
-        for lm, i in self._by_comp.get(comp, ()):
-            if mono_divides(lm, mono):
-                return i
-        return None
-
-    def normal_form(self, v: dict) -> dict:
-        field = self.field
-        work = dict(v)
-        rem = {}
-        while work:
-            t = vp_lead(self.ctx, work)
-            c = work[t]
-            i = self._find_reducer(t)
-            if i is None:
-                rem[t] = c
-                del work[t]
-                continue
-            g = self.basis[i]
-            lt = vp_lead(self.ctx, g)
-            vp_axpy(field, work, g, mono_div(t[1], lt[1]), field.neg(c))
-        return rem
+        super().__init__(ModuleCtx(ring, twists))
 
     def contains(self, v: dict) -> bool:
-        return not self.normal_form(v)
-
-    def _insert(self, v):
-        lt = vp_lead(self.ctx, v)
-        v = vp_scale(self.field, v, self.field.inv(v[lt]))
-        idx = len(self.basis)
-        self.basis.append(v)
-        self._by_comp.setdefault(lt[0], []).append((lt[1], idx))
-        return idx, lt
+        return not self.reduce(v)
 
     def add(self, v: dict) -> bool:
         """Add a vector; returns True if it enlarged the module."""
-        rem = self.normal_form(v)
-        if not rem:
-            return False
-        pending = [rem]
+        pending = [v]
         enlarged = False
         while pending:
-            w = self.normal_form(pending.pop())
+            w = self.reduce(pending.pop())
             if not w:
                 continue
             enlarged = True
-            idx, lt = self._insert(w)
-            for i in range(idx):
-                li = vp_lead(self.ctx, self.basis[i])
-                if li[0] == lt[0]:
-                    lcm = mono_lcm(li[1], lt[1])
-                    s = {}
-                    vp_axpy(self.field, s, self.basis[i], mono_div(lcm, li[1]), self.field.one)
-                    vp_axpy(
-                        self.field,
-                        s,
-                        self.basis[idx],
-                        mono_div(lcm, lt[1]),
-                        self.field.neg(self.field.one),
-                    )
+            b = self.insert(w)
+            for a in range(b):
+                if self.leads[a][0] == self.leads[b][0]:
+                    s, _ = self.spair(a, b)
                     if s:
                         pending.append(s)
         return enlarged
@@ -414,36 +305,25 @@ def _interreduce(ring: PolyRing, polys) -> list:
     return out
 
 
+def poly_basis(ring: PolyRing, polys) -> GroebnerBasis:
+    """Basis object over the nonzero polynomials (not necessarily a Groebner
+    basis), for repeated normal forms; reducers are tried in list order."""
+    gb = GroebnerBasis(ModuleCtx(ring, (0,)))
+    for g in polys:
+        if not g.is_zero():
+            gb.insert(poly_to_vec(g))
+    return gb
+
+
 def normal_form(f: Poly, basis) -> Poly:
-    """Remainder of multivariate division of f by the basis (full reduction)."""
-    ring = f.ring
-    field = ring.field
-    work = dict(f.terms)
-    rem = {}
-    lookup = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
-    while work:
-        mono = max(work, key=ring.mono_key)
-        c = work[mono]
-        hit = None
-        for lm, lc, g in lookup:
-            if mono_divides(lm, mono):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            rem[mono] = c
-            del work[mono]
-            continue
-        lm, lc, g = hit
-        qm = mono_div(mono, lm)
-        qc = field.mul(c, field.inv(lc))
-        for m2, c2 in g.terms:
-            t = mono_mul(m2, qm)
-            nc = field.sub(work.get(t, field.zero), field.mul(c2, qc))
-            if nc == field.zero:
-                work.pop(t, None)
-            else:
-                work[t] = nc
-    return ring.from_terms(rem.items())
+    """Remainder of multivariate division of f by the basis (full reduction).
+
+    basis: a list of polynomials, or a GroebnerBasis from poly_basis.
+    """
+    if not isinstance(basis, GroebnerBasis):
+        basis = poly_basis(f.ring, basis)
+    rem = basis.reduce(poly_to_vec(f))
+    return Poly(f.ring, tuple((m, c) for (_, m), c in rem.items()))
 
 
 def member_witness(f: Poly, gens):
@@ -454,22 +334,9 @@ def member_witness(f: Poly, gens):
     deterministic for a fixed generator order; permuting gens may give a
     different (equally valid) witness.
     """
-    ring = f.ring
-    field = ring.field
-    vectors = [poly_to_vec(g) for g in gens]
-    gb = module_groebner(ring, (0,), vectors, track=True)
-    rem, quots = gb.reduce(poly_to_vec(f), track=True)
-    if rem:
-        return None
-    coeffs = [ring.zero() for _ in gens]
-    for t, qd in quots.items():
-        trace = gb.traces[t]
-        for (j, m), c in trace.items():
-            add = ring.from_terms(
-                (mono_mul(m, qm), field.mul(c, qc)) for qm, qc in qd.items()
-            )
-            coeffs[j] = coeffs[j] + add
-    return coeffs
+    gb = module_groebner(f.ring, (0,), [poly_to_vec(g) for g in gens], track=True)
+    coeffs = gb.express(poly_to_vec(f))
+    return None if coeffs is None else vec_to_column(f.ring, len(gens), coeffs)
 
 
 def radical_member(f: Poly, ideal_gens) -> bool:

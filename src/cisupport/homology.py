@@ -19,41 +19,13 @@ from .cimodule import (
     ambient_of,
     column_to_vec,
     is_residue_field,
-    quotient_columns,
+    kernel_modulo,
     restrict_to_ring,
-    ring_nf,
     submodule_igb,
-    vec_to_column,
 )
 from .field import PrimeField
-from .groebner import module_groebner, module_syzygies
+from .groebner import module_groebner, vec_to_column
 from .pmatrix import PolyMatrix
-from .poly import PolyRing, mono_mul
-
-
-class ColumnSolver:
-    """Solve  sum_j c_j * columns[j] = target  exactly over a free ring."""
-
-    def __init__(self, ring: PolyRing, twists, columns):
-        self.ring = ring
-        self.ncols = len(columns)
-        vectors = [column_to_vec(c) for c in columns]
-        self.gb = module_groebner(ring, twists, vectors, track=True)
-
-    def solve(self, target_col):
-        rem, quots = self.gb.reduce(column_to_vec(target_col), track=True)
-        if rem:
-            return None
-        ring = self.ring
-        field = ring.field
-        coeffs = [ring.zero() for _ in range(self.ncols)]
-        for t, qd in quots.items():
-            trace = self.gb.traces[t]
-            for (j, m), c in trace.items():
-                coeffs[j] = coeffs[j] + ring.from_terms(
-                    (mono_mul(m, qm), field.mul(c, qc)) for qm, qc in qd.items()
-                )
-        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +60,17 @@ class HypersurfaceComplex:
         self.pd = pd
         self.res = res
         self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
-        self._solvers = {}
+        self._bases = {}  # i -> tracked Groebner basis of the columns of d_i
         self._build_homotopies()
 
-    def _solver(self, i):
-        if i not in self._solvers:
-            d = self.res.differential(i)
-            self._solvers[i] = ColumnSolver(self.amb, d.row_twists, d.columns())
-        return self._solvers[i]
+    def _lift(self, i, col):
+        """Coefficients c with d_i c = col, or None when col is not a boundary."""
+        d = self.res.differential(i)
+        if i not in self._bases:
+            vectors = [column_to_vec(c) for c in d.columns()]
+            self._bases[i] = module_groebner(self.amb, d.row_twists, vectors, track=True)
+        coeffs = self._bases[i].express(column_to_vec(col))
+        return None if coeffs is None else vec_to_column(self.amb, d.ncols, coeffs)
 
     def _zero_matrix(self, rows_twists, cols_twists):
         return PolyMatrix.zero(self.amb, rows_twists, cols_twists)
@@ -126,36 +101,27 @@ class HypersurfaceComplex:
                         term = left.mul(right).scale(
                             self.amb.field.neg(self.amb.field.one)
                         )
-                        rhs = term if rhs is None else _matrix_add(rhs, term)
+                        rhs = term if rhs is None else rhs + term
                 if i > 0:
                     prev = self.sigma.get((t, i - 1))
                     if prev is not None:
                         corr = prev.mul(res.differential(i)).scale(
                             self.amb.field.neg(self.amb.field.one)
                         )
-                        rhs = corr if rhs is None else _matrix_add(rhs, corr)
+                        rhs = corr if rhs is None else rhs + corr
                 if rhs is None or rhs.is_zero():
                     continue
                 if target > pd:
                     if not rhs.is_zero():
                         raise AssertionError("homotopy system inconsistent at the top")
                     continue
-                solver = self._solver(target)
-                cols = []
-                for j in range(rhs.ncols):
-                    sol = solver.solve(rhs.column(j))
-                    if sol is None:
-                        raise AssertionError("homotopy right-hand side is not a boundary")
-                    cols.append(sol)
-                twists_target = res.twists(target)
-                entries = [
-                    [cols[j][u] for j in range(len(cols))]
-                    for u in range(len(twists_target))
-                ]
-                self.sigma[(t, i)] = PolyMatrix(
+                cols = [self._lift(target, col) for col in rhs.columns()]
+                if any(col is None for col in cols):
+                    raise AssertionError("homotopy right-hand side is not a boundary")
+                self.sigma[(t, i)] = PolyMatrix.from_columns(
                     self.amb,
-                    entries,
-                    twists_target,
+                    res.twists(target),
+                    cols,
                     tuple(tt + t * fdeg for tt in res.twists(i)),
                 )
             t += 1
@@ -229,14 +195,6 @@ class HypersurfaceComplex:
         for m in range(upto + 1):
             out.append(self.rank_of(m) - ranks[m] - ranks[m + 1])
         return out
-
-
-def _matrix_add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    entries = [
-        [a.entries[i][j] + b.entries[i][j] for j in range(a.ncols)]
-        for i in range(a.nrows)
-    ]
-    return PolyMatrix(a.ring, entries, a.row_twists, a.col_twists)
 
 
 _HYPER_CACHE: dict = {}
@@ -320,7 +278,6 @@ def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int, engine
 def _ext_vanishes_general(ring, module, n_min, i, engine="auto") -> bool:
     from .resolution import minimal_resolution
 
-    amb = ambient_of(ring)
     res = minimal_resolution(ring, module, i + 1, engine)
     if res.betti[i] == 0:
         return True
@@ -332,19 +289,7 @@ def _ext_vanishes_general(ring, module, n_min, i, engine="auto") -> bool:
     d_cols = _hom_map_columns(ring, res, n_min, i)
 
     # kernel generators: vectors v with D(v) inside the relation submodule
-    all_cols = [column_to_vec(c) for c in d_cols]
-    all_cols += [column_to_vec(c) for c in next_rels]
-    all_cols += quotient_columns(ring, next_tw)
-    syz = module_syzygies(amb, next_tw, all_cols)
-    nv = len(d_cols)
-    kernel_gens = []
-    for s in syz:
-        proj = {(j, m): c for (j, m), c in s.items() if j < nv}
-        if not proj:
-            continue
-        col = [ring_nf(ring, p) for p in vec_to_column(amb, nv, proj)]
-        if any(not p.is_zero() for p in col):
-            kernel_gens.append(col)
+    kernel_gens = kernel_modulo(ring, next_tw, d_cols, next_rels)
 
     # image submodule: Hom(d_i, N) columns plus the relations at spot i
     image_cols = list(spot_rels)

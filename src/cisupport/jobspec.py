@@ -136,7 +136,7 @@ VALID_COMMANDS = (
     "check",
 )
 
-_INT_PARAMS = ("length", "window", "degree-bound", "seed")
+_INT_PARAMS = ("length", "window", "degree-bound")
 _STR_PARAMS = ("module", "module2", "point", "subspace", "cone", "allow-unstable")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import modlinalg
 from .cimodule import CIRing, GradedModule
 from .field import PrimeField
-from .groebner import member_witness
+from .groebner import module_groebner, poly_to_vec, vec_to_column
 from .pmatrix import PolyMatrix
 from .poly import Poly, mono_mul
 from .resolution import FreeResolution, minimal_resolution
@@ -100,9 +100,9 @@ class OperatorFamily:
 def operator_family(ring: CIRing, res: FreeResolution, strategy: str = "forward") -> OperatorFamily:
     """Solve d~_{n-1} d~_n = sum_i f_i t_i[n] entry-wise for all n in the window.
 
-    strategy chooses the generator order handed to the witness solver
-    ("forward" or "reverse"); any witness works, and the induced action on
-    Ext(M, k) does not depend on the choice.
+    strategy chooses the generator order of the tracked Groebner basis the
+    witnesses come from ("forward" or "reverse"); any witness works, and the
+    induced action on Ext(M, k) does not depend on the choice.
     """
     amb = ring.ambient
     fs = list(ring.fs)
@@ -112,6 +112,7 @@ def operator_family(ring: CIRing, res: FreeResolution, strategy: str = "forward"
     elif strategy != "forward":
         raise ValueError("strategy must be 'forward' or 'reverse'")
     gens = [fs[i] for i in order]
+    gb = module_groebner(amb, (0,), [poly_to_vec(g) for g in gens], track=True)
     fdeg = [f.degree() for f in fs]
     ops = [dict() for _ in range(ring.c)]
     for n in range(2, res.length + 1):
@@ -125,11 +126,12 @@ def operator_family(ring: CIRing, res: FreeResolution, strategy: str = "forward"
                 e = prod.entries[r][c]
                 if e.is_zero():
                     continue
-                wit = member_witness(e, gens)
+                wit = gb.express(poly_to_vec(e))
                 if wit is None:
                     raise AssertionError(
                         "square of lifted differential not in the defining ideal"
                     )
+                wit = vec_to_column(amb, len(gens), wit)
                 for pos, i in enumerate(order):
                     mats[i].entries[r][c] = wit[pos]
         for i in range(ring.c):
@@ -339,14 +341,6 @@ def evaluate_chi_class(
                     comp = step if comp is None else step.mul(comp)
                     level -= 2
             comp = comp.scale(coeff)
-            acc = comp if acc is None else _add(acc, comp)
+            acc = comp if acc is None else acc + comp
         out[n] = acc.map_entries(lambda q: ring.nf(q))
     return out
-
-
-def _add(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    entries = [
-        [a.entries[i][j] + b.entries[i][j] for j in range(a.ncols)]
-        for i in range(a.nrows)
-    ]
-    return PolyMatrix(a.ring, entries, a.row_twists, a.col_twists)

@@ -37,6 +37,11 @@ class PolyMatrix:
         )
 
     @classmethod
+    def from_columns(cls, ring, row_twists, columns, col_twists):
+        entries = [[col[i] for col in columns] for i in range(len(row_twists))]
+        return cls(ring, entries, row_twists, col_twists)
+
+    @classmethod
     def identity(cls, ring, twists):
         m = cls.zero(ring, twists, twists)
         for i in range(len(twists)):
@@ -78,6 +83,15 @@ class PolyMatrix:
             self.row_twists,
             self.col_twists,
         )
+
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
+        entries = [
+            [a + b for a, b in zip(row, other_row)]
+            for row, other_row in zip(self.entries, other.entries)
+        ]
+        return PolyMatrix(self.ring, entries, self.row_twists, self.col_twists)
 
     def __neg__(self):
         return self.scale(self.ring.field.neg(self.ring.field.one))

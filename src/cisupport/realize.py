@@ -212,13 +212,11 @@ def is_finite_length(module: GradedModule) -> bool:
     cols += quotient_columns(ring, m.row_twists)
     gb = module_groebner(amb, m.row_twists, cols)
     leads = {}
-    for v in gb.elements:
-        comp, mono = max(v, key=gb.ctx.key)
+    for comp, mono in gb.leads:
         leads.setdefault(comp, []).append(mono)
     for comp in range(m.ngens):
         lts = leads.get(comp, [])
         for var in range(amb.n):
-            unit = amb.var_mono(var)
             if not any(
                 all(e == 0 for k, e in enumerate(mono) if k != var) and mono[var] > 0
                 for mono in lts

@@ -167,10 +167,7 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
         chosen = modlinalg.complement_pivots(base, n_d, p)
         new_cols.extend(_coords_to_columns(ring, twists, d, n_d[:, chosen]))
         new_twists.extend([d] * len(chosen))
-    entries = [
-        [new_cols[j][i] for j in range(len(new_cols))] for i in range(len(twists))
-    ]
-    return PolyMatrix(amb, entries, twists, tuple(new_twists))
+    return PolyMatrix.from_columns(amb, twists, new_cols, tuple(new_twists))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +183,7 @@ def _groebner_kernel_step(ring, mat: PolyMatrix) -> PolyMatrix:
     kept = minimal_generator_indices(ring, syz.row_twists, cols)
     kept_cols = [cols[j] for j in kept]
     kept_twists = [syz.col_twists[j] for j in kept]
-    entries = [
-        [kept_cols[j][i] for j in range(len(kept_cols))] for i in range(mat.ncols)
-    ]
-    return PolyMatrix(amb, entries, mat.col_twists, tuple(kept_twists))
+    return PolyMatrix.from_columns(amb, mat.col_twists, kept_cols, tuple(kept_twists))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +208,8 @@ class _ResolutionBuilder:
                 )
                 cols = [nxt.column(j) for j in order]
                 twists = [nxt.col_twists[j] for j in order]
-                entries = [
-                    [cols[j][i] for j in range(len(cols))]
-                    for i in range(nxt.nrows)
-                ]
-                nxt = PolyMatrix(
-                    ambient_of(self.ring), entries, nxt.row_twists, tuple(twists)
+                nxt = PolyMatrix.from_columns(
+                    ambient_of(self.ring), nxt.row_twists, cols, tuple(twists)
                 )
             elif self.engine == "slice":
                 nxt = _slice_kernel_step(self.ring, self.diffs[-1])

@@ -13,6 +13,7 @@ stabilization flag since no effective generation bound is assumed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .cimodule import (
     restrict_to_ring,
 )
 from .field import ExtField
-from .groebner import Ideal, buchberger, equal_up_to_radical, normal_form
+from .groebner import Ideal, IncrementalGB, equal_up_to_radical, poly_to_vec
 from .homology import ext_k_dims, ext_vanishes
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing, mono_mul
@@ -220,6 +221,7 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     if window < 2 * degree_bound + 2:
         raise ValueError("window must exceed twice the degree bound plus slack")
     kept = []
+    kept_gb = IncrementalGB(chi, (0,))  # keep q iff it enlarges the ideal
     for d, monos, layer in monomial_action_layers(ext_module, degree_bound):
         echelon = np.zeros((0, len(monos)), dtype=np.int64)
         for n in range(0, window - 2 * d + 1):
@@ -229,17 +231,12 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
             echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
             echelon = echelon[: len(pivots)]
         basis = modlinalg.nullspace(echelon, p)
-        gb_kept = buchberger(kept) if kept else []
         for col in range(basis.shape[1]):
             q = chi.from_terms(
                 (monos[t], int(basis[t, col]) % p) for t in range(len(monos))
             )
-            if q.is_zero():
-                continue
-            if gb_kept and normal_form(q, gb_kept).is_zero():
-                continue
-            kept.append(q.monic())
-            gb_kept = buchberger(kept)
+            if kept_gb.add(poly_to_vec(q)):
+                kept.append(q.monic())
     return Ideal(chi, kept)
 
 
@@ -320,19 +317,18 @@ def sample_points(ring: CIRing, count: int, seed: int = 11):
     p = ring.field.p
     c = ring.c
     out = []
-    state = seed
+    rng = random.Random(seed)
     seen = set()
     total = p**c - 1
     while len(out) < min(count, total):
-        state = (state * 75 + 74) % 65537
-        code = state % (p**c)
+        code = rng.randrange(1, p**c)
         coords = []
         t = code
         for _ in range(c):
             coords.append(t % p)
             t //= p
         coords = tuple(coords)
-        if coords in seen or all(x == 0 for x in coords):
+        if coords in seen:
             continue
         seen.add(coords)
         out.append(coords)

@@ -132,6 +132,20 @@ def test_missing_input_is_a_parse_error(capsys):
     assert code == EXIT_PARSE
 
 
+def test_seed_flag_is_not_accepted(jobfile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["variety", "--input", jobfile(EX54), "--seed", "3"])
+    assert exc.value.code == EXIT_PARSE
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_seed_job_parameter_is_a_located_parse_error(jobfile, capsys):
+    code, out, err = run_cli(capsys, ["betti", "--input", jobfile(EX54 + "seed 3\n")])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert ":9:1:" in err and "unknown command parameter 'seed'" in err
+
+
 def strip_wall(out):
     report = json.loads(out)
     report.pop("wall_time_ms", None)

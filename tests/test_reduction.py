@@ -1,0 +1,265 @@
+"""The one division loop and the kernel-modulo-relations helper.
+
+GroebnerBasis.reduce and normal_form are compared with the plain division
+loop that takes max(work) each step, buchberger with sympy's Groebner bases
+mod p, and kernel_modulo with Groebner containment in the relation span.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cisupport.catalog import three_var_ring, two_var_ring
+from cisupport.cimodule import (
+    ambient_of,
+    column_degree,
+    column_to_vec,
+    kernel_modulo,
+    ring_nf,
+    submodule_igb,
+)
+from cisupport.field import PrimeField
+from cisupport.groebner import (
+    buchberger,
+    module_groebner,
+    normal_form,
+    vp_axpy,
+)
+from cisupport.poly import PolyRing, mono_div, mono_divides
+
+RINGS = [
+    PolyRing(["x", "y"], field=PrimeField(5)),
+    PolyRing(["x", "y", "z"], field=PrimeField(7)),
+    PolyRing(["x", "y", "z"], field=PrimeField(101), weights=(1, 2, 1)),
+]
+
+
+def reference_key(ring, twists, term):
+    """The module order as the old loops spelled it: larger key = larger term."""
+    comp, mono = term
+    return (ring.wdeg(mono) + twists[comp], tuple(-e for e in reversed(mono)), -comp)
+
+
+def reference_reduce(ring, twists, elements, v):
+    """Division of v by monic elements, taking max(work) every step; returns
+    (remainder, [(element index, quotient monomial, quotient coefficient)])."""
+    field = ring.field
+    key = lambda t: reference_key(ring, twists, t)
+    leads = [max(g, key=key) for g in elements]
+    work, rem, steps = dict(v), {}, []
+    while work:
+        t = max(work, key=key)
+        c = work[t]
+        i = next(
+            (i for i, (comp, lm) in enumerate(leads) if comp == t[0] and mono_divides(lm, t[1])),
+            None,
+        )
+        if i is None:
+            rem[t] = work.pop(t)
+            continue
+        qm = mono_div(t[1], leads[i][1])
+        vp_axpy(field, work, elements[i], qm, field.neg(c))
+        steps.append((i, qm, c))
+    return rem, steps
+
+
+def reference_normal_form(f, basis):
+    """Division of f by a list of (not necessarily monic) polynomials."""
+    ring, field = f.ring, f.ring.field
+    work, rem = dict(f.terms), {}
+    lookup = [(g.lm(), g.lc(), g) for g in basis if not g.is_zero()]
+    while work:
+        mono = max(work, key=ring.mono_key)
+        c = work[mono]
+        hit = next((h for h in lookup if mono_divides(h[0], mono)), None)
+        if hit is None:
+            rem[mono] = work.pop(mono)
+            continue
+        lm, lc, g = hit
+        qc = field.mul(c, field.inv(lc))
+        for m2, c2 in g.terms:
+            t = tuple(a + b for a, b in zip(m2, mono_div(mono, lm)))
+            nc = field.sub(work.get(t, field.zero), field.mul(c2, qc))
+            if nc == field.zero:
+                work.pop(t, None)
+            else:
+                work[t] = nc
+    return ring.from_terms(rem.items())
+
+
+@st.composite
+def polys(draw, ring, max_deg=3, max_terms=4):
+    p = ring.field.p
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple(draw(st.integers(0, max_deg)) for _ in range(ring.n))
+        terms.append((mono, draw(st.integers(0, p - 1))))
+    return ring.from_terms(terms)
+
+
+@st.composite
+def vectors(draw, ring, ncomp):
+    """Component polynomials; often the first one again, so that equal terms
+    in different components have to be ordered."""
+    first = draw(polys(ring, max_terms=3))
+    v = {}
+    for comp in range(ncomp):
+        f = first if comp == 0 or draw(st.booleans()) else draw(polys(ring, max_terms=3))
+        for m, c in f.terms:
+            v[(comp, m)] = c
+    return v
+
+
+@st.composite
+def module_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    ncomp = draw(st.integers(1, 2))
+    twists = tuple(draw(st.integers(0, 2)) for _ in range(ncomp))
+    inputs = draw(st.lists(vectors(ring, ncomp), min_size=1, max_size=3))
+    targets = draw(st.lists(vectors(ring, ncomp), min_size=1, max_size=3))
+    return ring, twists, inputs, targets
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_cases())
+def test_reduce_matches_the_max_based_loop_and_tracks_traces(case):
+    ring, twists, inputs, targets = case
+    field = ring.field
+    gb = module_groebner(ring, twists, inputs, track=True)
+    key = lambda t: reference_key(ring, twists, t)
+    assert gb.leads == [max(g, key=key) for g in gb.elements]
+    in_span = inputs + [gb.spair(a, b)[0] for b in range(len(gb.elements)) for a in range(b)]
+    assert all(gb.express(v) is not None for v in in_span)
+    for v in targets + in_span:
+        tr = {}
+        rem = gb.reduce(v, tr)
+        ref_rem, steps = reference_reduce(ring, twists, gb.elements, v)
+        assert list(rem.items()) == sorted(ref_rem.items(), key=lambda kv: key(kv[0]), reverse=True)
+        ref_tr = {}
+        for i, qm, qc in steps:
+            vp_axpy(field, ref_tr, gb.traces[i], qm, field.neg(qc))
+        assert tr == ref_tr
+        # v = sum_j coeff_j * input_j + remainder, with coeff = -tr
+        recombined = dict(rem)
+        for (j, m), c in tr.items():
+            vp_axpy(field, recombined, inputs[j], m, field.neg(c))
+        assert recombined == {t: c for t, c in v.items() if c}
+        coeffs = gb.express(v)
+        assert (coeffs is None) == bool(rem)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_normal_form_matches_the_max_based_loop(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    basis = data.draw(st.lists(polys(ring, max_deg=2), max_size=4))
+    for f in data.draw(st.lists(polys(ring, max_terms=6), min_size=1, max_size=3)):
+        assert normal_form(f, basis) == reference_normal_form(f, basis)
+        gb = buchberger(basis)
+        assert normal_form(f, gb) == reference_normal_form(f, gb)
+
+
+# ---------------------------------------------------------------------------
+# sympy reference
+
+try:
+    import sympy
+except ImportError:  # the reference is optional
+    sympy = None
+
+
+def to_sympy(f, symbols):
+    return sympy.Add(*(
+        int(c) * sympy.Mul(*(s**e for s, e in zip(symbols, m))) for m, c in f.terms
+    ))
+
+
+def normalized_sympy_basis(gens, symbols, p):
+    """sympy's reduced basis mod p as monic {monomial: residue} dicts."""
+    out = []
+    for g in sympy.groebner(gens, *symbols, modulus=p, order="grevlex").exprs:
+        terms = sympy.Poly(g, *symbols, modulus=p).terms()
+        lead = max(terms, key=lambda mc: (sum(mc[0]), tuple(-e for e in reversed(mc[0]))))
+        inv = pow(int(lead[1]) % p, -1, p)
+        out.append({tuple(m): int(c) * inv % p for m, c in terms})
+    return sorted(out, key=lambda d: sorted(d.items()))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_buchberger_matches_sympy_reduced_basis(data):
+    ring = data.draw(st.sampled_from([r for r in RINGS if r._std_weights]))
+    p = ring.field.p
+    gens = data.draw(st.lists(polys(ring, max_deg=2, max_terms=3), min_size=1, max_size=3))
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    symbols = sympy.symbols(" ".join(ring.variables))
+    ours = sorted(
+        ({m: c for m, c in g.terms} for g in buchberger(gens)),
+        key=lambda d: sorted(d.items()),
+    )
+    ref = normalized_sympy_basis([to_sympy(g, symbols) for g in gens], symbols, p)
+    assert ours == ref
+
+
+# ---------------------------------------------------------------------------
+# kernel modulo relations
+
+
+@st.composite
+def kernel_cases(draw):
+    ring = draw(st.sampled_from([two_var_ring(5), three_var_ring(3), RINGS[0]]))
+    amb = ambient_of(ring)
+    p = amb.field.p
+    twists = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+
+    def column(deg):
+        col = []
+        for t in twists:
+            terms = [(m, draw(st.sampled_from([0, 1, draw(st.integers(0, p - 1))])))
+                     for m in amb.monomials_of_degree(deg - t)]
+            col.append(ring_nf(ring, amb.from_terms(terms)))
+        return col
+
+    cols = [column(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    rels = [column(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
+    return ring, twists, cols, rels
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases())
+def test_kernel_modulo_maps_into_the_relation_span(case):
+    ring, twists, cols, rels = case
+    amb = ambient_of(ring)
+    span = submodule_igb(ring, twists, rels)
+    for a in kernel_modulo(ring, twists, cols, rels):
+        assert any(not p.is_zero() for p in a)
+        image = [
+            ring_nf(ring, sum((a[j] * col[i] for j, col in enumerate(cols)), amb.zero()))
+            for i in range(len(twists))
+        ]
+        assert span.contains(column_to_vec(image))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kernel_cases())
+def test_kernel_modulo_of_columns_inside_the_span_is_everything(case):
+    ring, twists, cols, rels = case
+    amb = ambient_of(ring)
+    cols = [col for col in cols if any(not p.is_zero() for p in col)]
+    degrees = [column_degree(ring, twists, col) for col in cols]
+    kernel = submodule_igb(ring, degrees, kernel_modulo(ring, twists, cols, cols + rels))
+    for j in range(len(cols)):
+        unit = {(j, amb.zero_mono): amb.field.one}
+        assert kernel.contains(unit)
+
+
+def test_kernel_modulo_uses_the_quotient_relations():
+    # the annihilator of x in k[x,y]/(x^2, y^2) is (x), and is 0 over k[x,y]
+    ring = two_var_ring(5)
+    x = ring.ambient.var_poly(0)
+    kernel = kernel_modulo(ring, (0,), [[x]], [])
+    assert submodule_igb(ring, (1,), kernel).contains(column_to_vec([x]))
+    assert kernel_modulo(ring.ambient, (0,), [[x]], []) == []

@@ -291,6 +291,26 @@ def test_sample_points_deterministic_and_nonzero():
     assert a == b and all(any(c for c in pt) for pt in a)
 
 
+def test_sample_points_returns_for_every_seed():
+    # 65536 was a fixed point of the old generator, which then never returned
+    ring = two_var_ring(5)
+    for seed in (0, 65535, 65536, 65537, 2**40):
+        pts = sample_points(ring, 6, seed=seed)
+        assert len(set(pts)) == 6 and all(any(pt) for pt in pts)
+    assert len(set(sample_points(ring, 100, seed=65536))) == 24  # all of k^2 minus 0
+
+
+def test_sample_points_cover_every_coordinate_for_large_p_and_c():
+    # p^c > 65537: the old generator left the last coordinate at most 6
+    q = PolyRing(["x", "y", "z"], field=PrimeField(101))
+    ring = CIRing(q, [P(q, "x^2"), P(q, "y^2"), P(q, "z^2")])
+    pts = sample_points(ring, 400, seed=11)
+    assert len(set(pts)) == 400
+    for i in range(3):
+        values = [pt[i] for pt in pts]
+        assert max(values) > 90 and min(values) < 10
+
+
 def test_substitute_linear_change_of_coordinates():
     ring = two_var_ring(5)
     chi = ring.chi_ring()
