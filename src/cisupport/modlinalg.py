@@ -28,18 +28,23 @@ def _safe_terms(p: int) -> int:
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for entries in [0, p), exact in int64.
 
-    When inner * (p - 1)^2 could reach 2^63 the inner dimension is summed in
-    chunks short enough that no partial sum overflows.  Stacked (3-d)
+    When inner * (p - 1)^2 could reach 2^63, a is split into base-2^bits
+    limbs small enough that inner * (p - 1) * 2^bits stays below 2^63; the
+    limb products are recombined by Horner steps mod p.  Stacked (3-d)
     operands broadcast as in numpy's matmul.
     """
     step = _safe_terms(p)
     inner = a.shape[-1]
     if inner <= step:
         return a @ b % p
-    out = a[..., :step] @ b[..., :step, :] % p
-    for k in range(step, inner, step):
-        out += a[..., k : k + step] @ b[..., k : k + step, :] % p
-        out %= p
+    bits = ((1 << 63) // (inner * (p - 1))).bit_length() - 1
+    if bits < 1:
+        raise ValueError(f"inner dimension {inner} is too large for exact int64 products")
+    shift = ((p - 1).bit_length() - 1) // bits * bits
+    out = (a >> shift) @ b % p
+    mask = (1 << bits) - 1
+    for s in range(shift - bits, -1, -bits):
+        out = (out * (1 << bits) % p + ((a >> s) & mask) @ b % p) % p
     return out
 
 
@@ -48,7 +53,7 @@ def kron_sum(coeffs: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
 
     coeffs has shape (K, r, c) and mats (K, s, t); the result is the
     (r*s) x (c*t) block matrix whose (i, j) block is sum_k coeffs[k, i, j] *
-    mats[k].  The sum over k is one matmul, so it is chunked like matmul.
+    mats[k].  The sum over k is one exact matmul.
     """
     n, r, c = coeffs.shape
     _, s, t = mats.shape
@@ -57,28 +62,32 @@ def kron_sum(coeffs: np.ndarray, mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (matrix, pivot column list)."""
+    """Reduced row echelon form mod p; returns (matrix, pivot column list).
+
+    When column c is reached, every row from the current pivot row down is
+    zero left of c, so scaling and elimination touch only columns c onward.
+    """
     _safe_terms(p)  # raises unless a product of two residues fits in int64
-    m = a.copy() % p
+    m = a % p
     rows, cols = m.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
+            m[[r, pr], c:] = m[[pr, r], c:]
+        row = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        m[r, c:] = row
         col = m[:, c].copy()
         col[r] = 0
-        nzr = np.nonzero(col)[0]
+        nzr = col.nonzero()[0]
         if nzr.size:
-            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
+            m[nzr, c:] = (m[nzr, c:] - np.outer(col[nzr], row)) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -98,39 +107,46 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref(a, p)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[i, fc])) % p
+    is_free = np.ones(cols, dtype=bool)  # a mask: np.isin would import numpy.ma
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -r[: len(pivots), free] % p
     return basis
+
+
+class Solver:
+    """Solves a @ x = b mod p for many right-hand sides with one elimination.
+
+    rref([a | I]) = [R | E] with E invertible and E a = R, so a @ x = b iff
+    R @ x = E @ b: the system is consistent iff the rows of E @ b past the
+    rank vanish, and the solution that is zero at the free columns has E @ b
+    at the pivots -- by uniqueness of the RREF, the one rref([a | b]) gives.
+    """
+
+    def __init__(self, a: np.ndarray, p: int):
+        rows, cols = a.shape
+        r, pivots = rref(np.concatenate([a % p, np.eye(rows, dtype=np.int64)], axis=1), p)
+        self.p = p
+        self.cols = cols
+        self.pivots = [c for c in pivots if c < cols]
+        self.ops = r[:, cols:]
+
+    def __call__(self, b: np.ndarray):
+        """One solution x of a @ x = b mod p, or None; b may be a matrix."""
+        y = matmul(self.ops, (b if b.ndim > 1 else b[:, None]) % self.p, self.p)
+        rank = len(self.pivots)
+        if y[rank:].any():
+            return None  # inconsistent system
+        x = np.zeros((self.cols, y.shape[1]), dtype=np.int64)
+        x[self.pivots] = y[:rank]
+        return x if b.ndim > 1 else x[:, 0]
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution x of a @ x = b mod p, or None; b may be a matrix."""
-    rows, cols = a.shape
-    bb = b.reshape(rows, -1) % p
-    aug = np.concatenate([a % p, bb], axis=1)
-    r, pivots = rref(aug, p)
-    ncols_b = bb.shape[1]
-    for pc in pivots:
-        if pc >= cols:
-            return None  # inconsistent system
-    x = np.zeros((cols, ncols_b), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols:]
-    return x if b.ndim > 1 else x[:, 0]
-
-
-def in_span(span_cols: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Is column vector v in the column span of span_cols mod p?"""
-    if not v.any():
-        return True
-    if span_cols.shape[1] == 0:
-        return False
-    return solve(span_cols, v, p) is not None
+    return Solver(a, p)(b)
 
 
 def complement_pivots(base: np.ndarray, cand: np.ndarray, p: int):

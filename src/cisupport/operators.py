@@ -221,8 +221,9 @@ def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "a
 
     Works directly with the scalar parts of the operator decomposition: for
     each entry of the squared lifted differential whose twist gap equals
-    deg f_i, the coefficient of f_i is a uniquely determined scalar, found by
-    one linear solve per gap degree.
+    deg f_i, the coefficient of f_i is a uniquely determined scalar.  All
+    entries of one gap degree are solved together, against one elimination
+    of that degree's span matrix shared by every homological degree.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -262,15 +263,16 @@ def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "a
                     prod_coeffs[m] = prod if acc is None else (acc + prod) % p
             for g, (rr, cc) in gaps.items():
                 if g not in span_cache:
-                    span_cache[g] = _span_solver_columns(ring, g)
-                s_mat, labels = span_cache[g]
+                    s_mat, labels = _span_solver_columns(ring, g)
+                    span_cache[g] = (modlinalg.Solver(s_mat, p), labels)
+                solver, labels = span_cache[g]
                 monos_g = amb.monomials_of_degree(g)
                 rhs = np.zeros((len(monos_g), rr.size), dtype=np.int64)
                 for t, m in enumerate(monos_g):
                     cm = prod_coeffs.get(m)
                     if cm is not None:
                         rhs[t] = cm[rr, cc]
-                sol = modlinalg.solve(s_mat, rhs, p)
+                sol = solver(rhs)
                 if sol is None:
                     raise AssertionError("square not decomposable along the forms")
                 for lbl_idx, (i, m) in enumerate(labels):

@@ -130,6 +130,19 @@ def _coords_to_columns(ring, twists, d, vecs):
     return [[Poly(amb, tuple(t)) for t in col] for col in terms]
 
 
+def _kernel_complement(base: np.ndarray, n_d: np.ndarray, p: int):
+    """Indices of the columns of n_d that extend the span of base, as
+    complement_pivots(base, n_d, p) chooses them.
+
+    n_d is a nullspace basis and the columns of base lie in its span.  n_d is
+    the identity at its free rows (column j's free row is its last nonzero
+    row), so base[free] holds their coordinates in that basis; the same
+    pivots come out with one row per kernel vector, not one per coordinate.
+    """
+    free = n_d.shape[0] - 1 - (n_d[::-1] != 0).argmax(axis=0)
+    return modlinalg.complement_pivots(base[free], np.eye(n_d.shape[1], dtype=np.int64), p)
+
+
 def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
     """Next differential: minimal generators of ker(mat) over an artinian ring."""
     p = ring.field.p
@@ -164,7 +177,7 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
             if spans
             else np.zeros((n_d.shape[0], 0), dtype=np.int64)
         )
-        chosen = modlinalg.complement_pivots(base, n_d, p)
+        chosen = _kernel_complement(base, n_d, p)
         new_cols.extend(_coords_to_columns(ring, twists, d, n_d[:, chosen]))
         new_twists.extend([d] * len(chosen))
     return PolyMatrix.from_columns(amb, twists, new_cols, tuple(new_twists))

@@ -206,6 +206,41 @@ def monomial_action_layers(ext_module: ExtKModule, degree_bound: int):
         prev = dict(zip(monos, layer))
 
 
+def annihilator_ideals(ext_module: ExtKModule, degree_bound: int, windows) -> list:
+    """annihilator_ideal of the action truncated to each window, in one pass.
+
+    For chi-degree d the window-w ideal folds the blocks n <= w - 2d, a
+    prefix of what a longer window folds, so the blocks are folded once up
+    to the longest window and each window takes its nullspace on the way.
+    Each window filters its generators with its own IncrementalGB.
+    """
+    chi = ext_module.ring.chi_ring()
+    p = ext_module.ring.field.p
+    if min(windows) < 2 * degree_bound + 2:
+        raise ValueError("window must exceed twice the degree bound plus slack")
+    ext = ext_module.truncated(max(windows))
+    kept = [[] for _ in windows]
+    kept_gbs = [IncrementalGB(chi, (0,)) for _ in windows]  # keep q iff it enlarges the ideal
+    for d, monos, layer in monomial_action_layers(ext, degree_bound):
+        echelon = np.zeros((0, len(monos)), dtype=np.int64)
+        for n in range(0, ext.window - 2 * d + 1):
+            if ext.dims[n] and layer[0][n].size:
+                flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
+                echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
+                echelon = echelon[: len(pivots)].copy()  # a view would pin the whole rref
+            for j, w in enumerate(windows):
+                if w - 2 * d != n:
+                    continue
+                basis = modlinalg.nullspace(echelon, p)
+                for col in range(basis.shape[1]):
+                    q = chi.from_terms(
+                        (monos[t], int(basis[t, col]) % p) for t in range(len(monos))
+                    )
+                    if kept_gbs[j].add(poly_to_vec(q)):
+                        kept[j].append(q.monic())
+    return [Ideal(chi, gens) for gens in kept]
+
+
 def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     """Forms of chi-degree <= degree_bound annihilating the windowed action.
 
@@ -214,30 +249,7 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     is folded into a running row echelon form, whose nullspace is the same.
     Redundant generators are filtered out degree by degree.
     """
-    ring = ext_module.ring
-    chi = ring.chi_ring()
-    p = ring.field.p
-    window = ext_module.window
-    if window < 2 * degree_bound + 2:
-        raise ValueError("window must exceed twice the degree bound plus slack")
-    kept = []
-    kept_gb = IncrementalGB(chi, (0,))  # keep q iff it enlarges the ideal
-    for d, monos, layer in monomial_action_layers(ext_module, degree_bound):
-        echelon = np.zeros((0, len(monos)), dtype=np.int64)
-        for n in range(0, window - 2 * d + 1):
-            if ext_module.dims[n] == 0 or layer[0][n].size == 0:
-                continue
-            flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
-            echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
-            echelon = echelon[: len(pivots)]
-        basis = modlinalg.nullspace(echelon, p)
-        for col in range(basis.shape[1]):
-            q = chi.from_terms(
-                (monos[t], int(basis[t, col]) % p) for t in range(len(monos))
-            )
-            if kept_gb.add(poly_to_vec(q)):
-                kept.append(q.monic())
-    return Ideal(chi, kept)
+    return annihilator_ideals(ext_module, degree_bound, (ext_module.window,))[0]
 
 
 def default_window(ring: CIRing) -> int:
@@ -258,16 +270,15 @@ def variety_of(
     """Support variety of a module via the annihilator of the chi action.
 
     The ideal is computed at window and at window + 2, both from one chi
-    action at window + 2; if the two agree up to radical the result is
-    flagged stabilized, otherwise it is returned flagged unstable, never
-    silently.
+    action at window + 2 and one annihilator pass; if the two agree up to
+    radical the result is flagged stabilized, otherwise it is returned
+    flagged unstable, never silently.
     """
     w = window if window is not None else default_window(ring)
     d = degree_bound if degree_bound is not None else default_degree_bound(ring)
     w = max(w, 2 * d + 2, 2)
     e2 = chi_action(ring, module, w + 2, engine)
-    i1 = annihilator_ideal(e2.truncated(w), d)
-    i2 = annihilator_ideal(e2, d)
+    i1, i2 = annihilator_ideals(e2, d, (w, w + 2))
     stabilized = equal_up_to_radical(i1, i2)
     return SupportVariety(ring, i2, w + 2, stabilized, d)
 
