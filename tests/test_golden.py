@@ -41,25 +41,19 @@ def run_golden(name):
     return code, err.getvalue(), _WALL.sub("", out.getvalue())
 
 
-def expected(name):
-    with open(os.path.join(GOLDEN, f"{name}.expected"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @pytest.mark.parametrize("name", JOBS)
 def test_report_matches_golden(name, monkeypatch):
     monkeypatch.delenv("CISUPPORT_CACHE", raising=False)
     code, err, out = run_golden(name)
-    want = expected(name)
+    with open(os.path.join(GOLDEN, f"{name}.expected"), encoding="utf-8") as fh:
+        want = json.load(fh)
     assert code == want["exit"]
     assert err == want["stderr"]
     assert out == want["stdout"]
 
 
-def test_goldens_cover_every_job():
-    assert len(JOBS) >= 6
-    for name in JOBS:
-        assert os.path.exists(os.path.join(GOLDEN, f"{name}.expected"))
+def test_golden_jobs_are_found():
+    assert len(JOBS) >= 6  # an empty glob would parametrize no test at all
 
 
 if __name__ == "__main__":
