@@ -180,11 +180,21 @@ def quotient_columns(ring, twists):
     return cols
 
 
-def submodule_igb(ring, twists, columns) -> IncrementalGB:
-    """Incremental basis of the span of the columns over the given ring."""
+def quotient_igb(ring, twists) -> IncrementalGB:
+    """Incremental basis seeded with the quotient relations h * e_i.
+
+    ring.gb is a reduced Groebner basis, so the relations need no S-pairs
+    among themselves and are inserted as they are.
+    """
     igb = IncrementalGB(ambient_of(ring), twists)
     for v in quotient_columns(ring, twists):
-        igb.add(v)
+        igb.insert(v)
+    return igb
+
+
+def submodule_igb(ring, twists, columns) -> IncrementalGB:
+    """Incremental basis of the span of the columns over the given ring."""
+    igb = quotient_igb(ring, twists)
     for col in columns:
         igb.add(column_to_vec(col))
     return igb
@@ -228,14 +238,9 @@ def minimal_generator_indices(ring, twists, columns):
     Columns are considered in increasing degree (ties by position), which by
     the graded Nakayama lemma yields a minimal generating set.
     """
-    degs = []
-    for j, col in enumerate(columns):
-        d = column_degree(ring, twists, col)
-        degs.append((d if d is not None else None, j))
+    degs = [(column_degree(ring, twists, col), j) for j, col in enumerate(columns)]
     order = sorted((d, j) for d, j in degs if d is not None)
-    igb = IncrementalGB(ambient_of(ring), twists)
-    for v in quotient_columns(ring, twists):
-        igb.add(v)
+    igb = quotient_igb(ring, twists)
     kept = []
     for _, j in order:
         if igb.add(column_to_vec(columns[j])):

@@ -227,31 +227,65 @@ def module_syzygies(ring: PolyRing, twists, vectors):
 class IncrementalGB(GroebnerBasis):
     """Groebner basis that accepts elements one at a time, without traces.
 
-    Used for greedy minimal-generator selection and membership filters.
+    Used for greedy minimal-generator selection and membership filters.  The
+    basis is finished only as far as a question needs: S-pairs wait on a heap
+    keyed (degree, a, b), and `add` or `contains` of a homogeneous vector of
+    degree d first reduces the pairs of degree <= d (the normal strategy,
+    truncated at d).  For homogeneous input every element and S-vector is
+    homogeneous and reduction keeps the degree, so that basis decides
+    membership in degree d exactly.  Once an inhomogeneous vector is seen,
+    every question first reduces all pending pairs.  Elements given to
+    `insert` before the first `add` (a seed that is already a Groebner basis)
+    get no pairs among themselves, only with the elements added after them.
     """
 
     def __init__(self, ring: PolyRing, twists):
         super().__init__(ModuleCtx(ring, twists))
+        self._pairs = []  # heap of (degree, a, b)
+        self._homogeneous = True
+
+    def _degree(self, v: dict):
+        """Twisted degree of a nonzero v; None (and no more truncation) when
+        v is not homogeneous."""
+        ring, twists = self.ctx.ring, self.ctx.twists
+        degrees = {ring.wdeg(m) + twists[comp] for comp, m in v}
+        if len(degrees) > 1:
+            self._homogeneous = False
+            return None
+        return degrees.pop()
+
+    def insert(self, v: dict, tr: dict = None) -> int:
+        self._degree(v)
+        return super().insert(v, tr)
+
+    def _complete_to(self, v: dict):
+        """Reduce the pending S-pairs that the answer for v depends on."""
+        if not v:
+            return
+        d = self._degree(v)
+        pairs = self._pairs
+        while pairs and (not self._homogeneous or pairs[0][0] <= d):
+            _, a, b = heapq.heappop(pairs)
+            self._grow(self.spair(a, b)[0])
+
+    def _grow(self, v: dict) -> bool:
+        """Insert the normal form of v if it is nonzero and queue its pairs."""
+        w = self.reduce(v)
+        if not w:
+            return False
+        b = self.insert(w)
+        for _, a in self._by_comp[self.leads[b][0]][:-1]:
+            heapq.heappush(self._pairs, (self.pair_degree(a, b), a, b))
+        return True
 
     def contains(self, v: dict) -> bool:
+        self._complete_to(v)
         return not self.reduce(v)
 
     def add(self, v: dict) -> bool:
         """Add a vector; returns True if it enlarged the module."""
-        pending = [v]
-        enlarged = False
-        while pending:
-            w = self.reduce(pending.pop())
-            if not w:
-                continue
-            enlarged = True
-            b = self.insert(w)
-            for a in range(b):
-                if self.leads[a][0] == self.leads[b][0]:
-                    s, _ = self.spair(a, b)
-                    if s:
-                        pending.append(s)
-        return enlarged
+        self._complete_to(v)
+        return self._grow(v)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import PolyRing, render_poly
+from .poly import PolyRing, mono_mul, render_poly
+
+
+def _entry(ring, pairs, reduce=None):
+    """sum a * b over the (a, b) pairs, collected in one dict and sorted
+    once, then passed through reduce if given."""
+    field = ring.field
+    acc = {}
+    for a, b in pairs:
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = mono_mul(m1, m2)
+                c = field.mul(c1, c2)
+                prev = acc.get(m)
+                acc[m] = c if prev is None else field.add(prev, c)
+    out = ring.from_terms(acc.items())
+    return reduce(out) if reduce else out
 
 
 class PolyMatrix:
@@ -100,33 +116,16 @@ class PolyMatrix:
         """Matrix product, optionally reducing entries with the given map."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = self.ring.zero()
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(reduce(acc) if reduce else acc)
-            out.append(row)
+        cols = other.columns()
+        out = [
+            [_entry(self.ring, zip(row, col), reduce) for col in cols]
+            for row in self.entries
+        ]
         return PolyMatrix(self.ring, out, self.row_twists, other.col_twists)
 
     def apply(self, column, reduce=None):
         """Apply to a column vector of polynomials."""
-        out = []
-        for i in range(self.nrows):
-            acc = self.ring.zero()
-            for k in range(self.ncols):
-                a = self.entries[i][k]
-                if a.is_zero() or column[k].is_zero():
-                    continue
-                acc = acc + a * column[k]
-            out.append(reduce(acc) if reduce else acc)
-        return out
+        return [_entry(self.ring, zip(row, column), reduce) for row in self.entries]
 
     def coefficient_arrays(self):
         """The matrix as sum_m m * C_m: {monomial: int64 array C_m}.

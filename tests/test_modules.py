@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisupport import modlinalg
 from cisupport.cimodule import (
@@ -50,6 +52,60 @@ def test_polymatrix_block_and_transpose():
     assert (blk.nrows, blk.ncols) == (2, 2)
     t = a.transpose()
     assert t.row_twists == (-1,) and t.col_twists == (0,)
+
+
+def reference_mul(a, b, reduce=None):
+    """The old product loop: acc = acc + x * y, re-sorted after every term."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = a.ring.zero()
+            for k in range(a.ncols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x.is_zero() or y.is_zero():
+                    continue
+                acc = acc + x * y
+            row.append(reduce(acc) if reduce else acc)
+        out.append(row)
+    return PolyMatrix(a.ring, out, a.row_twists, b.col_twists)
+
+
+@st.composite
+def product_cases(draw):
+    """Two matrices over F_5[x, y] with few monomials, so that products often
+    cancel to zero, and an optional reducing map."""
+    q, ring = ring2()
+    monos = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+    def entry():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(0, 4)), max_size=3))
+        return q.from_terms(terms)
+
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+    a = PolyMatrix(q, [[entry() for _ in range(k)] for _ in range(n)], (0,) * n, (0,) * k)
+    b = PolyMatrix(q, [[entry() for _ in range(m)] for _ in range(k)], (0,) * k, (0,) * m)
+    reduce = draw(st.sampled_from([None, ring.nf, lambda f: f.scale(2)]))
+    return a, b, reduce
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_cases())
+def test_polymatrix_mul_and_apply_match_the_old_loop(case):
+    a, b, reduce = case
+    want = reference_mul(a, b, reduce)
+    assert a.mul(b, reduce=reduce) == want
+    for j in range(b.ncols):
+        assert a.apply(b.column(j), reduce=reduce) == want.column(j)
+
+
+def test_polymatrix_mul_cancels_to_the_zero_polynomial():
+    q, _ = ring2()
+    x, y = parse_poly(q, "x"), parse_poly(q, "y")
+    a = PolyMatrix(q, [[x, y]], (0,), (1, 1))
+    b = PolyMatrix(q, [[y], [parse_poly(q, "4*x")]], (1, 1), (2,))
+    assert a.mul(b).entries[0][0].terms == ()
+    assert a.apply([y, parse_poly(q, "4*x")]) == [q.zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,41 @@
-"""The one division loop and the kernel-modulo-relations helper.
+"""The one division loop, the incremental basis and the kernel-modulo-
+relations helper.
 
 GroebnerBasis.reduce and normal_form are compared with the plain division
 loop that takes max(work) each step, buchberger with sympy's Groebner bases
-mod p, and kernel_modulo with Groebner containment in the relation span.
+mod p, the degree-truncated IncrementalGB with a basis finished after every
+vector, and kernel_modulo with Groebner containment in the relation span.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisupport.catalog import three_var_ring, two_var_ring
+from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
+    CIRing,
     ambient_of,
     column_degree,
     column_to_vec,
     kernel_modulo,
+    minimal_generator_indices,
+    quotient_columns,
     ring_nf,
     submodule_igb,
+    syzygy_matrix,
 )
 from cisupport.field import PrimeField
 from cisupport.groebner import (
+    GroebnerBasis,
+    IncrementalGB,
+    ModuleCtx,
     buchberger,
     module_groebner,
     normal_form,
+    vec_to_column,
     vp_axpy,
 )
-from cisupport.poly import PolyRing, mono_div, mono_divides
+from cisupport.poly import PolyRing, mono_div, mono_divides, parse_poly
 
 RINGS = [
     PolyRing(["x", "y"], field=PrimeField(5)),
@@ -157,6 +167,188 @@ def test_normal_form_matches_the_max_based_loop(data):
         assert normal_form(f, basis) == reference_normal_form(f, basis)
         gb = buchberger(basis)
         assert normal_form(f, gb) == reference_normal_form(f, gb)
+
+
+# ---------------------------------------------------------------------------
+# the degree-truncated incremental basis
+
+
+class ReferenceIncrementalGB(GroebnerBasis):
+    """The old IncrementalGB: every add finishes the whole basis, taking
+    S-vectors from a LIFO stack."""
+
+    def __init__(self, ring, twists):
+        super().__init__(ModuleCtx(ring, twists))
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+    def add(self, v):
+        pending = [v]
+        enlarged = False
+        while pending:
+            w = self.reduce(pending.pop())
+            if not w:
+                continue
+            enlarged = True
+            b = self.insert(w)
+            for a in range(b):
+                if self.leads[a][0] == self.leads[b][0]:
+                    s, _ = self.spair(a, b)
+                    if s:
+                        pending.append(s)
+        return enlarged
+
+
+@st.composite
+def homogeneous_vectors(draw, ring, twists, degree):
+    """A vector of twisted degree `degree` with at most two terms per
+    component (often zero)."""
+    p = ring.field.p
+    v = {}
+    for comp, t in enumerate(twists):
+        monos = ring.monomials_of_degree(degree - t)
+        if not monos:
+            continue
+        for _ in range(draw(st.integers(0, 2))):
+            v[(comp, draw(st.sampled_from(monos)))] = draw(st.integers(1, p - 1))
+    return v
+
+
+@st.composite
+def incremental_cases(draw):
+    ring = draw(st.sampled_from(RINGS))
+    ncomp = draw(st.integers(1, 2))
+    twists = tuple(draw(st.integers(0, 2)) for _ in range(ncomp))
+    # small inhomogeneous vectors: the finished reference basis has no
+    # criteria and can blow up on larger ones
+    small = lambda: {
+        (comp, m): c
+        for comp in range(ncomp)
+        for m, c in draw(polys(ring, max_deg=2, max_terms=2)).terms
+    }
+    seeds = [small() for _ in range(draw(st.integers(0, 2)))]
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        op = draw(st.sampled_from(["add", "add", "contains"]))
+        if draw(st.integers(0, 5)):
+            degree = draw(st.integers(0, 4))  # degrees go up and down
+            v = draw(homogeneous_vectors(ring, twists, degree))
+        else:
+            v = small()  # usually inhomogeneous
+        calls.append((op, v))
+    return ring, twists, seeds, calls
+
+
+@settings(max_examples=80, deadline=None)
+@given(incremental_cases())
+def test_truncated_incremental_basis_matches_the_finished_one(case):
+    ring, twists, seeds, calls = case
+    igb = IncrementalGB(ring, twists)
+    ref = ReferenceIncrementalGB(ring, twists)
+    # a seed is a Groebner basis inserted without pairs among its elements
+    for g in module_groebner(ring, twists, seeds).elements:
+        igb.insert(g)
+        ref.add(g)
+    for op, v in calls:
+        assert getattr(igb, op)(v) == getattr(ref, op)(v)
+    # the spans agree in every degree asked about and in every other one
+    for g in ref.elements:
+        assert igb.contains(g)
+    for g in igb.elements:
+        assert ref.contains(g)
+
+
+def test_truncated_basis_leaves_higher_pairs_pending():
+    ring = PolyRing(["x", "y", "z"], field=PrimeField(101))
+    igb = IncrementalGB(ring, (0,))
+    # x*y and y^2 + x*z have an S-pair in degree 3
+    assert igb.add({(0, (1, 1, 0)): 1})
+    assert igb.add({(0, (0, 2, 0)): 1, (0, (1, 0, 1)): 1})
+    assert igb._pairs and igb._pairs[0][0] == 3
+    assert not igb.contains({(0, (2, 0, 0)): 1})  # degree 2 leaves it alone
+    assert igb._pairs
+    # x * (y^2 + x z) - y * (x y) = x^2 z lies in the span
+    assert igb.contains({(0, (2, 0, 1)): 1})
+    assert not igb._pairs or igb._pairs[0][0] > 3
+
+
+# ---------------------------------------------------------------------------
+# the basis seeded with the quotient relations
+
+
+def unseeded_minimal_generator_indices(ring, twists, columns):
+    """minimal_generator_indices with the quotient relations added one by
+    one to an empty IncrementalGB, as before the seed."""
+    degs = [(column_degree(ring, twists, col), j) for j, col in enumerate(columns)]
+    igb = IncrementalGB(ambient_of(ring), twists)
+    for v in quotient_columns(ring, twists):
+        igb.add(v)
+    return [
+        j
+        for _, j in sorted((d, j) for d, j in degs if d is not None)
+        if igb.add(column_to_vec(columns[j]))
+    ]
+
+
+@pytest.mark.parametrize("ring", [two_var_ring(5), three_var_ring(3)], ids=["2var", "3var"])
+def test_seeded_minimal_generators_on_the_catalog(ring):
+    for name, module in catalog_modules(ring).items():
+        pres = module.presentation
+        syz = syzygy_matrix(ring, pres)
+        for twists, cols in (
+            (pres.row_twists, pres.columns()),
+            (syz.row_twists, syz.columns()),
+        ):
+            # redundant copies: the sums of neighbouring columns
+            cols = cols + [
+                [ring_nf(ring, a + b) for a, b in zip(c1, c2)]
+                for c1, c2 in zip(cols, cols[1:])
+                if column_degree(ring, twists, c1) == column_degree(ring, twists, c2)
+            ]
+            want = unseeded_minimal_generator_indices(ring, twists, cols)
+            assert minimal_generator_indices(ring, twists, cols) == want, name
+
+
+def _ci(variables, relations, p, weights=None):
+    amb = PolyRing(variables, field=PrimeField(p), weights=weights)
+    return CIRing(amb, [parse_poly(amb, r) for r in relations])
+
+
+SEED_RINGS = [
+    PolyRing(["x", "y", "z"], field=PrimeField(7)),  # free
+    PolyRing(["x", "y", "z"], field=PrimeField(101), weights=(1, 2, 1)),  # weighted, free
+    _ci(["x", "y", "z"], ["x^2 + 3*y", "z^4 + x*y*z"], 101, weights=(1, 2, 1)),  # weighted CI
+    _ci(["x", "y", "z"], ["x^2 + 58*x*y + 43*y*z", "33*x^2 + 35*x*z + y^2 + 33*z^2"], 101),
+    _ci(
+        ["x", "y", "z"],
+        ["x^3 + 64*x*y^2 + 79*y^2*z", "38*x^3 + 5*x^2*z + 33*x*z^2 + y^3 + 12*z^3"],
+        101,
+    ),
+]
+
+
+@st.composite
+def seed_cases(draw):
+    ring = draw(st.sampled_from(SEED_RINGS))
+    amb = ambient_of(ring)
+    twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(max(twists), max(twists) + 3))
+        v = draw(homogeneous_vectors(amb, twists, degree))
+        cols.append([ring_nf(ring, p) for p in vec_to_column(amb, len(twists), v)])
+    if draw(st.booleans()) and len(cols) > 1:  # a dependent column
+        cols.append([ring_nf(ring, a + b) for a, b in zip(cols[0], cols[-1])])
+    return ring, twists, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed_cases())
+def test_seeded_minimal_generators_on_generated_columns(case):
+    ring, twists, cols = case
+    want = unseeded_minimal_generator_indices(ring, twists, cols)
+    assert minimal_generator_indices(ring, twists, cols) == want
 
 
 # ---------------------------------------------------------------------------
