@@ -270,6 +270,7 @@ class GradedModule:
         self.nrels = presentation.ncols
         self._minimal = None
         self._key = None
+        self._residue = None  # is_residue_field, once asked
 
     @classmethod
     def from_columns(cls, ring, row_twists, columns, col_twists=None):
@@ -383,6 +384,12 @@ def cyclic_module(ring, relation_polys, twist: int = 0) -> GradedModule:
 
 
 def is_residue_field(module: GradedModule) -> bool:
+    if module._residue is None:
+        module._residue = _is_residue_field(module)
+    return module._residue
+
+
+def _is_residue_field(module: GradedModule) -> bool:
     m = module.minimalized()
     if m.ngens != 1:
         return False

@@ -21,6 +21,7 @@ from .cimodule import (
     is_residue_field,
     kernel_modulo,
     restrict_to_ring,
+    ring_key,
     submodule_igb,
 )
 from .field import PrimeField
@@ -32,38 +33,29 @@ from .pmatrix import PolyMatrix
 # hypersurface Tor ranks
 
 
-class HypersurfaceComplex:
-    """Free resolution data over A = Q/(f) built from an ambient resolution.
+class AmbientResolution:
+    """The finite resolution G over Q of a module viewed over Q, with a
+    tracked Groebner basis of each differential's columns for lifting.
 
-    Stores the finite ambient resolution G of the module together with the
-    homotopy system sigma_t (sigma_1 trivializes multiplication by f, the
-    higher ones fix up the squares), which determines a free A-resolution
-    with underlying modules (+)_j G_{m-2j}.
+    Nothing here depends on a hypersurface, so every hypersurface complex of
+    one module shares one (see ambient_resolution).
     """
 
-    def __init__(self, ring_a: CIRing, module: GradedModule):
-        if ring_a.c != 1:
-            raise ValueError("hypersurface complex needs a codimension-1 quotient")
-        self.ring_a = ring_a
-        amb = ring_a.ambient
+    def __init__(self, module: GradedModule):
+        amb = ambient_of(module.ring)
         self.amb = amb
-        self.f = ring_a.fs[0]
-        mq = restrict_to_ring(module, amb).minimalized()
-        self.module_q = mq
-        length = amb.n + 1
+        self.module_q = restrict_to_ring(module, amb).minimalized()
         from .resolution import minimal_resolution
 
-        res = minimal_resolution(amb, mq, length, engine="groebner")
+        res = minimal_resolution(amb, self.module_q, amb.n + 1, engine="groebner")
         pd = res.projective_dimension()
         if pd is None:
             raise AssertionError("ambient resolution did not terminate")
         self.pd = pd
         self.res = res
-        self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
         self._bases = {}  # i -> tracked Groebner basis of the columns of d_i
-        self._build_homotopies()
 
-    def _lift(self, i, col):
+    def lift(self, i, col):
         """Coefficients c with d_i c = col, or None when col is not a boundary."""
         d = self.res.differential(i)
         if i not in self._bases:
@@ -71,6 +63,42 @@ class HypersurfaceComplex:
             self._bases[i] = module_groebner(self.amb, d.row_twists, vectors, track=True)
         coeffs = self._bases[i].express(column_to_vec(col))
         return None if coeffs is None else vec_to_column(self.amb, d.ncols, coeffs)
+
+
+_AMBIENT_CACHE: dict = {}
+
+
+def ambient_resolution(module: GradedModule) -> AmbientResolution:
+    key = module.content_key()
+    amb_res = _AMBIENT_CACHE.get(key)
+    if amb_res is None:
+        amb_res = _AMBIENT_CACHE[key] = AmbientResolution(module)
+    return amb_res
+
+
+class HypersurfaceComplex:
+    """Free resolution data over A = Q/(f) built from an ambient resolution.
+
+    Stores the finite ambient resolution G of the module together with the
+    homotopy system sigma_t (sigma_1 trivializes multiplication by f, the
+    higher ones fix up the squares), which determines a free A-resolution
+    with underlying modules (+)_j G_{m-2j}.  The module may be given over a
+    quotient of A (its ideal containing f): only its presentation over Q is
+    read, and a module over R = Q/(f_1..f_c) gives the same G for every f in
+    the ideal of R.
+    """
+
+    def __init__(self, ring_a: CIRing, module: GradedModule):
+        if ring_a.c != 1:
+            raise ValueError("hypersurface complex needs a codimension-1 quotient")
+        self.ring_a = ring_a
+        self.amb = ring_a.ambient
+        self.f = ring_a.fs[0]
+        self.ambient = ambient_resolution(module)
+        self.pd = self.ambient.pd
+        self.res = self.ambient.res
+        self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
+        self._build_homotopies()
 
     def _zero_matrix(self, rows_twists, cols_twists):
         return PolyMatrix.zero(self.amb, rows_twists, cols_twists)
@@ -115,7 +143,7 @@ class HypersurfaceComplex:
                     if not rhs.is_zero():
                         raise AssertionError("homotopy system inconsistent at the top")
                     continue
-                cols = [self._lift(target, col) for col in rhs.columns()]
+                cols = [self.ambient.lift(target, col) for col in rhs.columns()]
                 if any(col is None for col in cols):
                     raise AssertionError("homotopy right-hand side is not a boundary")
                 self.sigma[(t, i)] = PolyMatrix.from_columns(
@@ -210,9 +238,15 @@ def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int, engine: str = "auto"):
-    """dim_k Ext^i(M, k) for i = 0..upto (the betti numbers of M)."""
+    """dim_k Ext^i(M, k) for i = 0..upto (the betti numbers of M over ring).
+
+    The module may be given over a quotient of ring (its ideal containing
+    that of ring); it is then viewed over ring.
+    """
     if isinstance(ring, CIRing) and ring.c == 1 and ring.dim >= 1:
         return hypersurface_betti(ring, module, upto)
+    if ring_key(module.ring) != ring_key(ring):
+        module = restrict_to_ring(module, ring)
     from .resolution import minimal_resolution
 
     return minimal_resolution(ring, module, upto, engine).betti[: upto + 1]

@@ -16,6 +16,12 @@ _INT64_MAX = 2**63 - 1
 # Job files accept primes below this bound: residue products then fit in int64.
 PRIME_LIMIT = 2**31
 
+# float64 holds every integer below this bound exactly.
+_FLOAT_EXACT = 2**53
+# Fewest multiply-adds (rows x inner x columns) a product needs before it is
+# worth converting to float64; below it the int64 product is as fast.
+_FLOAT_MIN_WORK = 10_000
+
 
 def _safe_terms(p: int) -> int:
     """How many products of residues mod p one int64 sum can hold."""
@@ -28,13 +34,17 @@ def _safe_terms(p: int) -> int:
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for entries in [0, p), exact in int64.
 
-    When inner * (p - 1)^2 could reach 2^63, a is split into base-2^bits
-    limbs small enough that inner * (p - 1) * 2^bits stays below 2^63; the
-    limb products are recombined by Horner steps mod p.  Stacked (3-d)
-    operands broadcast as in numpy's matmul.
+    Products with inner * (p - 1)^2 below 2^53 are exact in float64, where
+    numpy multiplies through BLAS; int64 products have no BLAS path, so
+    larger ones go through float64.  When inner * (p - 1)^2 could reach 2^63,
+    a is split into base-2^bits limbs small enough that inner * (p - 1) *
+    2^bits stays below 2^63; the limb products are recombined by Horner
+    steps mod p.  Stacked (3-d) operands broadcast as in numpy's matmul.
     """
     step = _safe_terms(p)
     inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < _FLOAT_EXACT and a.size * b.shape[-1] >= _FLOAT_MIN_WORK:
+        return (a.astype(np.float64) @ b.astype(np.float64) % p).astype(np.int64)
     if inner <= step:
         return a @ b % p
     bits = ((1 << 63) // (inner * (p - 1))).bit_length() - 1

@@ -44,6 +44,32 @@ class PolyMatrix:
                 raise ValueError("column count mismatch")
 
     @classmethod
+    def from_arrays(cls, ring, row_twists, col_twists, arrays, build_entries):
+        """The matrix sum_m m * C_m given by prime-field arrays {m: C_m}.
+
+        coefficient_arrays returns the arrays as given; the polynomial
+        entries are build_entries() on first use, so a matrix that is only
+        read through its arrays never builds them.  Not to be mutated.
+        """
+        m = cls.__new__(cls)
+        m.ring = ring
+        m.row_twists = tuple(row_twists)
+        m.col_twists = tuple(col_twists)
+        m.nrows = len(m.row_twists)
+        m.ncols = len(m.col_twists)
+        m._arrays = arrays
+        m._build_entries = build_entries
+        return m
+
+    def __getattr__(self, name):
+        # only reached when normal lookup fails: entries of a from_arrays matrix
+        if name != "entries" or "_build_entries" not in self.__dict__:
+            raise AttributeError(name)
+        self.entries = [list(row) for row in self._build_entries()]
+        del self._build_entries
+        return self.entries
+
+    @classmethod
     def zero(cls, ring, row_twists, col_twists):
         return cls(
             ring,
@@ -132,6 +158,8 @@ class PolyMatrix:
 
         Prime-field coefficients only.
         """
+        if "_arrays" in self.__dict__:
+            return self._arrays
         pos = {}
         for r, row in enumerate(self.entries):
             for c, e in enumerate(row):

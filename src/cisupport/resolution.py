@@ -130,6 +130,24 @@ def _coords_to_columns(ring, twists, d, vecs):
     return [[Poly(amb, tuple(t)) for t in col] for col in terms]
 
 
+def _coords_to_arrays(ring, twists, chunks, ncols):
+    """Coefficient arrays {monomial: C_m} of the matrix whose columns are the
+    chunks' coordinate vectors, taken in order; all-zero arrays are left out."""
+    arrays = {}
+    c0 = 0
+    for d, vecs in chunks:
+        k = vecs.shape[1]
+        _, blocks = free_blocks(ring, twists, d)
+        for t, (gens, pos) in blocks.items():
+            for s, m in enumerate(std_monomials(ring, d - t)):
+                a = arrays.get(m)
+                if a is None:
+                    a = arrays[m] = np.zeros((len(twists), ncols), dtype=np.int64)
+                a[gens, c0 : c0 + k] = vecs[pos[:, s]]
+        c0 += k
+    return {m: a for m, a in arrays.items() if a.any()}
+
+
 def _kernel_complement(base: np.ndarray, n_d: np.ndarray, p: int):
     """Indices of the columns of n_d that extend the span of base, as
     complement_pivots(base, n_d, p) chooses them.
@@ -138,9 +156,20 @@ def _kernel_complement(base: np.ndarray, n_d: np.ndarray, p: int):
     the identity at its free rows (column j's free row is its last nonzero
     row), so base[free] holds their coordinates in that basis; the same
     pivots come out with one row per kernel vector, not one per coordinate.
+
+    Unit vector e_j is chosen iff no vector in the span of those coordinates
+    has its last nonzero entry at j.  Those last positions, read from the
+    end, are the pivot columns of the rref of the reversed coordinates as
+    rows, so one elimination of that (base columns x kernel dim) matrix
+    replaces the one of [coordinates | identity].
     """
     free = n_d.shape[0] - 1 - (n_d[::-1] != 0).argmax(axis=0)
-    return modlinalg.complement_pivots(base[free], np.eye(n_d.shape[1], dtype=np.int64), p)
+    k = n_d.shape[1]
+    if base.shape[1] == 0:
+        return list(range(k))
+    _, pivots = modlinalg.rref(base[free][::-1].T, p)
+    last = {k - 1 - c for c in pivots}
+    return [j for j in range(k) if j not in last]
 
 
 def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
@@ -153,7 +182,7 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
     top = max(twists) + ring.top_socle_degree()
     lo = min(twists)
     kernels = {}
-    new_cols = []
+    chunks = []  # (degree, coordinates of the new generators of that degree)
     new_twists = []
     for d in range(lo, top + 1):
         dim_dom = len(free_basis(ring, twists, d))
@@ -178,9 +207,18 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
             else np.zeros((n_d.shape[0], 0), dtype=np.int64)
         )
         chosen = _kernel_complement(base, n_d, p)
-        new_cols.extend(_coords_to_columns(ring, twists, d, n_d[:, chosen]))
-        new_twists.extend([d] * len(chosen))
-    return PolyMatrix.from_columns(amb, twists, new_cols, tuple(new_twists))
+        if chosen:
+            chunks.append((d, n_d[:, chosen] % p))
+            new_twists.extend([d] * len(chosen))
+
+    def build_entries():
+        cols = []
+        for d, vecs in chunks:
+            cols.extend(_coords_to_columns(ring, twists, d, vecs))
+        return PolyMatrix.from_columns(amb, twists, cols, new_twists).entries
+
+    arrays = _coords_to_arrays(ring, twists, chunks, len(new_twists))
+    return PolyMatrix.from_arrays(amb, twists, new_twists, arrays, build_entries)
 
 
 # ---------------------------------------------------------------------------

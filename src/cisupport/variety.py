@@ -160,11 +160,13 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a, engin
                 f = f + ring.fs[i].scale(c)
         work_ring = ring
     hyper = CIRing(amb, [f], validate=False)
-    m_a = restrict_to_ring(module, hyper)
     s = hyper.dim + 2
     if is_residue_field(other):
-        dims = ext_k_dims(hyper, m_a, s + 1)
+        # the module over R is one over A: every direction shares its
+        # resolution over Q
+        dims = ext_k_dims(hyper, module, s + 1)
         return not (dims[s] == 0 and dims[s + 1] == 0)
+    m_a = restrict_to_ring(module, hyper)
     n_a = restrict_to_ring(other, hyper)
     van_s = ext_vanishes(hyper, m_a, n_a, s, engine)
     van_s1 = ext_vanishes(hyper, m_a, n_a, s + 1, engine)
@@ -224,7 +226,8 @@ def annihilator_ideals(ext_module: ExtKModule, degree_bound: int, windows) -> li
     for d, monos, layer in monomial_action_layers(ext, degree_bound):
         echelon = np.zeros((0, len(monos)), dtype=np.int64)
         for n in range(0, ext.window - 2 * d + 1):
-            if ext.dims[n] and layer[0][n].size:
+            # a full-rank echelon stays so, and its nullspace is zero
+            if ext.dims[n] and layer[0][n].size and len(echelon) < len(monos):
                 flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
                 echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
                 echelon = echelon[: len(pivots)].copy()  # a view would pin the whole rref

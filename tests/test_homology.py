@@ -1,13 +1,19 @@
+import itertools
+
+from cisupport.catalog import three_var_ring
 from cisupport.cimodule import (
     CIRing,
     cyclic_module,
     free_module,
     residue_module,
+    restrict_to_ring,
 )
 from cisupport.field import ExtField, PrimeField
 from cisupport.homology import (
     HypersurfaceComplex,
     _ext_vanishes_general,
+    ambient_resolution,
+    ext_k_dims,
     ext_module_ring_coeffs,
     ext_vanishes,
     hypersurface_betti,
@@ -70,6 +76,39 @@ def test_hypersurface_ranks_in_three_variables():
     fast = hypersurface_betti(a, k, 5)
     direct = minimal_resolution(a, k, 5, engine="groebner").betti
     assert fast == direct
+
+
+def test_hypersurfaces_through_a_ring_share_the_module_resolution():
+    ring = three_var_ring(3)
+    q = ring.ambient
+    module = cyclic_module(ring, [parse_poly(q, "x + y")])
+    shared = ambient_resolution(module)
+    for a in itertools.product(range(3), repeat=3):
+        if not any(a):
+            continue
+        f = q.zero()
+        for c, fi in zip(a, ring.fs):
+            f = f + fi.scale(c)
+        hyper = CIRing(q, [f], validate=False)
+        got = hypersurface_betti(hyper, module, 6)
+        # the module presented over the hypersurface itself: its presentation
+        # over Q, and so its resolution there, depends on f
+        direct = HypersurfaceComplex(hyper, restrict_to_ring(module, hyper)).betti_over_a(6)
+        assert got == direct, a
+        assert HypersurfaceComplex(hyper, module).ambient is shared
+
+
+def test_ext_k_dims_views_a_module_over_a_quotient_over_the_ring():
+    q = PolyRing(["x"], field=PrimeField(3))
+    ring = CIRing(q, [parse_poly(q, "x^3")])
+    hyper = CIRing(q, [parse_poly(q, "x^3")], validate=False)
+    m = cyclic_module(ring, [parse_poly(q, "x^2")])
+    assert ext_k_dims(hyper, m, 4) == ext_k_dims(hyper, restrict_to_ring(m, hyper), 4) == [1] * 5
+    q2 = two_var(3)
+    ring2 = CIRing(q2, [parse_poly(q2, "x^2"), parse_poly(q2, "y^2")])
+    hyper2 = CIRing(q2, [parse_poly(q2, "x^2 + 2*y^2")], validate=False)
+    k = residue_module(ring2)
+    assert ext_k_dims(hyper2, k, 4) == ext_k_dims(hyper2, restrict_to_ring(k, hyper2), 4)
 
 
 def test_homotopy_system_identities():

@@ -28,7 +28,7 @@ from cisupport.groebner import Ideal, buchberger, normal_form
 from cisupport.operators import chi_action
 from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly
-from cisupport.resolution import minimal_resolution
+from cisupport.resolution import clear_resolution_cache, minimal_resolution
 from cisupport.variety import annihilator_ideal, monomial_action_layers, variety_of
 
 BIG_P = 2147483647  # the largest prime below 2^31
@@ -106,6 +106,25 @@ def test_matmul_is_exact_near_the_prime_limit():
         assert np.array_equal(got[k].astype(object), (exact(a) @ exact(b[k])) % BIG_P)
 
 
+def test_matmul_float_path_is_exact_at_its_bound():
+    # the largest prime p with 60 * (p - 1)^2 below 2^53 (the next is
+    # 12252349): inner dimension 60 still goes through float64
+    rng = np.random.default_rng(2)
+    p = 12252323
+    assert 60 * (p - 1) ** 2 < 2**53 <= 60 * (12252349 - 1) ** 2
+    for shape_a, shape_b in (((40, 60), (60, 50)), ((3, 40, 60), (60, 7)), ((2, 3), (3, 2))):
+        a = rng.integers(p - 50, p, size=shape_a, dtype=np.int64)
+        b = rng.integers(p - 50, p, size=shape_b, dtype=np.int64)
+        got = modlinalg.matmul(a, b, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got.astype(object), (exact(a) @ exact(b)) % p)
+    # small primes, as in the slice and annihilator steps
+    for p in (2, 3, 5):
+        a = rng.integers(0, p, size=(120, 90), dtype=np.int64)
+        b = rng.integers(0, p, size=(90, 110), dtype=np.int64)
+        assert np.array_equal(modlinalg.matmul(a, b, p), a @ b % p)
+
+
 def test_kron_sum_matches_explicit_kronecker_products():
     rng = np.random.default_rng(1)
     for p in (5, BIG_P):
@@ -157,6 +176,28 @@ def graded_matrices(draw):
             row.append(amb.from_terms(terms))
         entries.append(row)
     return ring, PolyMatrix(amb, entries, row_twists, col_twists)
+
+
+@pytest.mark.parametrize("ring", [two_var_ring(3), three_var_ring(3)], ids=["2var", "3var"])
+def test_slice_differentials_carry_the_arrays_of_their_entries(ring):
+    for name, module in catalog_modules(ring).items():
+        res = minimal_resolution(ring, module, 5, engine="slice")
+        for i in range(2, 6):
+            d = res.differential(i)
+            arrays = d.coefficient_arrays()
+            rebuilt = PolyMatrix(d.ring, d.entries, d.row_twists, d.col_twists)
+            want = rebuilt.coefficient_arrays()
+            assert arrays.keys() == want.keys(), name
+            assert all(np.array_equal(arrays[m], want[m]) for m in want), name
+
+
+def test_chi_action_never_builds_slice_differential_entries():
+    clear_resolution_cache()
+    ring = three_var_ring(3)
+    k = residue_module(ring)
+    chi_action(ring, k, 6)
+    res = minimal_resolution(ring, k, 6)
+    assert not any("entries" in vars(res.differential(i)) for i in range(2, 7))
 
 
 @settings(max_examples=60, deadline=None)
