@@ -1,5 +1,6 @@
 import itertools
 
+from cisupport import homology
 from cisupport.catalog import three_var_ring
 from cisupport.cimodule import (
     CIRing,
@@ -20,7 +21,7 @@ from cisupport.homology import (
 )
 from cisupport.poly import PolyRing, parse_poly
 from cisupport.resolution import minimal_resolution
-from cisupport.variety import variety_of
+from cisupport.variety import membership, variety_of
 from cisupport.groebner import equal_up_to_radical
 
 F5 = PrimeField(5)
@@ -96,6 +97,24 @@ def test_hypersurfaces_through_a_ring_share_the_module_resolution():
         direct = HypersurfaceComplex(hyper, restrict_to_ring(module, hyper)).betti_over_a(6)
         assert got == direct, a
         assert HypersurfaceComplex(hyper, module).ambient is shared
+
+
+def test_membership_builds_one_ambient_resolution_per_module(monkeypatch):
+    built = []
+
+    class Counting(homology.AmbientResolution):
+        def __init__(self, module):
+            built.append(module)
+            super().__init__(module)
+
+    monkeypatch.setattr(homology, "AmbientResolution", Counting)
+    monkeypatch.setattr(homology, "_AMBIENT_CACHE", {})
+    ring = three_var_ring(3)
+    module = cyclic_module(ring, [parse_poly(ring.ambient, "x + 2*z")])
+    k = residue_module(ring)
+    answers = [membership(ring, module, k, a) for a in itertools.product(range(3), repeat=3)]
+    assert len(built) == 1
+    assert any(answers) and not all(answers)
 
 
 def test_ext_k_dims_views_a_module_over_a_quotient_over_the_ring():
