@@ -1,4 +1,5 @@
-"""Content-addressed report cache: versioned header, hash, atomic writes."""
+"""The two caches: the in-process memo, and the content-addressed report
+cache on disk (versioned header, hash, atomic writes)."""
 
 from __future__ import annotations
 
@@ -13,6 +14,24 @@ FORMAT_VERSION = "1"
 # Bumped whenever the engine's computation changes, so reports cached by an
 # earlier engine are never served.
 ENGINE_VERSION = "2"
+
+_MEMO: dict = {}  # table name -> {key: value}
+
+
+def memo(table: str, key, build):
+    """The value under key in the named table, made by build() on first use.
+
+    Values live for the rest of the process, or until clear_memo().
+    """
+    entries = _MEMO.setdefault(table, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
+
+
+def clear_memo():
+    """Forget every memoized value."""
+    _MEMO.clear()
 
 
 def cache_key(job_text: str, command: str, params: dict) -> str:

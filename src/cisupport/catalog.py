@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .cache import memo
 from .cimodule import (
     CIRing,
     cyclic_module,
@@ -14,44 +15,36 @@ from .poly import PolyRing, parse_poly
 from .realize import ConeSpec, mapping_cone_module, realize_cone
 from .resolution import syzygy_module
 
-_RING_CACHE: dict = {}
-_MODULE_CACHE: dict = {}
+
+def _ring(name: str, p: int, variables, relations) -> CIRing:
+    def build():
+        q = PolyRing(variables, field=PrimeField(p))
+        return CIRing(q, [parse_poly(q, s) for s in relations])
+
+    return memo("catalog_ring", (name, p), build)
 
 
 def two_var_ring(p: int) -> CIRing:
     """k[x,y]/(x^2, y^2) over F_p."""
-    key = ("2var", p)
-    if key not in _RING_CACHE:
-        q = PolyRing(["x", "y"], field=PrimeField(p))
-        _RING_CACHE[key] = CIRing(q, [parse_poly(q, "x^2"), parse_poly(q, "y^2")])
-    return _RING_CACHE[key]
+    return _ring("2var", p, ["x", "y"], ("x^2", "y^2"))
 
 
 def three_var_ring(p: int) -> CIRing:
     """k[x,y,z]/(x^2, y^2, z^2) over F_p."""
-    key = ("3var", p)
-    if key not in _RING_CACHE:
-        q = PolyRing(["x", "y", "z"], field=PrimeField(p))
-        _RING_CACHE[key] = CIRing(
-            q, [parse_poly(q, s) for s in ("x^2", "y^2", "z^2")]
-        )
-    return _RING_CACHE[key]
+    return _ring("3var", p, ["x", "y", "z"], ("x^2", "y^2", "z^2"))
 
 
 def dim2_hypersurface_ring(p: int) -> CIRing:
     """k[x,y,z]/(x^2): a non-artinian quotient for regular-element properties."""
-    key = ("dim2", p)
-    if key not in _RING_CACHE:
-        q = PolyRing(["x", "y", "z"], field=PrimeField(p))
-        _RING_CACHE[key] = CIRing(q, [parse_poly(q, "x^2")])
-    return _RING_CACHE[key]
+    return _ring("dim2", p, ["x", "y", "z"], ("x^2",))
 
 
 def catalog_modules(ring: CIRing) -> dict:
     """Named catalog modules over a quadric complete intersection."""
-    key = ring.key()
-    if key in _MODULE_CACHE:
-        return _MODULE_CACHE[key]
+    return memo("catalog_modules", ring.key(), lambda: _build_catalog_modules(ring))
+
+
+def _build_catalog_modules(ring: CIRing) -> dict:
     amb = ring.ambient
     chi = ring.chi_ring()
     mods = {
@@ -77,7 +70,6 @@ def catalog_modules(ring: CIRing) -> dict:
             ring,
             ConeSpec([parse_poly(chi, v) for v in ("chi1", "chi2", "chi3")]),
         )
-    _MODULE_CACHE[key] = mods
     return mods
 
 

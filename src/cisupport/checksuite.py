@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from . import modlinalg
+from .cache import memo
 from .catalog import (
     catalog_modules,
     catalog_ses,
@@ -49,14 +50,10 @@ from .variety import (
     variety_of_pair,
 )
 
-_VARIETY_CACHE: dict = {}
-
 
 def cached_variety(ring: CIRing, module, **kw):
     key = (ring.key(), module.content_key(), tuple(sorted(kw.items())))
-    if key not in _VARIETY_CACHE:
-        _VARIETY_CACHE[key] = variety_of(ring, module, **kw)
-    return _VARIETY_CACHE[key]
+    return memo("variety", key, lambda: variety_of(ring, module, **kw))
 
 
 def _result(name, passed, details=""):

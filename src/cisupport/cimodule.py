@@ -132,10 +132,6 @@ def ring_nf(ring, poly: Poly) -> Poly:
     return ring.nf(poly) if isinstance(ring, CIRing) else poly
 
 
-def ring_dim(ring) -> int:
-    return ring.dim if isinstance(ring, CIRing) else ring.n
-
-
 def ring_key(ring):
     return ring.key()
 
@@ -198,10 +194,6 @@ def submodule_igb(ring, twists, columns) -> IncrementalGB:
     for col in columns:
         igb.add(column_to_vec(col))
     return igb
-
-
-def submodule_contains(ring, twists, columns, vector) -> bool:
-    return submodule_igb(ring, twists, columns).contains(column_to_vec(vector))
 
 
 def kernel_modulo(ring, twists, cols, rel_cols):

@@ -40,19 +40,20 @@ def _build_parser():
         prog="cisupport",
         description="Exact support-variety computations over graded complete intersections",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("resolve", "betti", "operators", "variety", "member", "restrict", "realize", "check"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--input", help="job file (optional for check)")
-        sp.add_argument("--length", type=int)
-        sp.add_argument("--window", type=int)
-        sp.add_argument("--degree-bound", type=int, dest="degree_bound")
-        sp.add_argument("--point")
-        sp.add_argument("--subspace")
-        sp.add_argument("--cone")
-        sp.add_argument("--cache-dir", dest="cache_dir")
-        sp.add_argument("--allow-unstable", action="store_true")
-        sp.add_argument("--json-out", dest="json_out")
+    ap.add_argument(
+        "command",
+        choices=("resolve", "betti", "operators", "variety", "member", "restrict", "realize", "check"),
+    )
+    ap.add_argument("--input", help="job file (optional for check)")
+    ap.add_argument("--length", type=int)
+    ap.add_argument("--window", type=int)
+    ap.add_argument("--degree-bound", type=int, dest="degree_bound")
+    ap.add_argument("--point")
+    ap.add_argument("--subspace")
+    ap.add_argument("--cone")
+    ap.add_argument("--cache-dir", dest="cache_dir")
+    ap.add_argument("--allow-unstable", action="store_true")
+    ap.add_argument("--json-out", dest="json_out")
     return ap
 
 

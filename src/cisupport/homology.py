@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import modlinalg
+from .cache import memo
 from .cimodule import (
     CIRing,
     GradedModule,
@@ -65,15 +66,8 @@ class AmbientResolution:
         return None if coeffs is None else vec_to_column(self.amb, d.ncols, coeffs)
 
 
-_AMBIENT_CACHE: dict = {}
-
-
 def ambient_resolution(module: GradedModule) -> AmbientResolution:
-    key = module.content_key()
-    amb_res = _AMBIENT_CACHE.get(key)
-    if amb_res is None:
-        amb_res = _AMBIENT_CACHE[key] = AmbientResolution(module)
-    return amb_res
+    return memo("ambient", module.content_key(), lambda: AmbientResolution(module))
 
 
 class HypersurfaceComplex:
@@ -99,9 +93,6 @@ class HypersurfaceComplex:
         self.res = self.ambient.res
         self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
         self._build_homotopies()
-
-    def _zero_matrix(self, rows_twists, cols_twists):
-        return PolyMatrix.zero(self.amb, rows_twists, cols_twists)
 
     def _identity_times_f(self, twists):
         m = PolyMatrix.zero(self.amb, twists, tuple(t + self.f.degree() for t in twists))
@@ -225,19 +216,11 @@ class HypersurfaceComplex:
         return out
 
 
-_HYPER_CACHE: dict = {}
-
-
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
-    key = (ring_a.key(), module.content_key())
-    hc = _HYPER_CACHE.get(key)
-    if hc is None:
-        hc = HypersurfaceComplex(ring_a, module)
-        _HYPER_CACHE[key] = hc
-    return hc.betti_over_a(upto)
+    return HypersurfaceComplex(ring_a, module).betti_over_a(upto)
 
 
-def ext_k_dims(ring, module: GradedModule, upto: int, engine: str = "auto"):
+def ext_k_dims(ring, module: GradedModule, upto: int):
     """dim_k Ext^i(M, k) for i = 0..upto (the betti numbers of M over ring).
 
     The module may be given over a quotient of ring (its ideal containing
@@ -249,7 +232,7 @@ def ext_k_dims(ring, module: GradedModule, upto: int, engine: str = "auto"):
         module = restrict_to_ring(module, ring)
     from .resolution import minimal_resolution
 
-    return minimal_resolution(ring, module, upto, engine).betti[: upto + 1]
+    return minimal_resolution(ring, module, upto).betti[: upto + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +274,7 @@ def _hom_map_columns(ring, res, n_min: GradedModule, j: int):
     return cols
 
 
-def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int, engine: str = "auto") -> bool:
+def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int) -> bool:
     """True iff Ext^i over the ring of (module, other) vanishes.
 
     For other = k this is the vanishing of the i-th betti number; in general
@@ -304,15 +287,15 @@ def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int, engine
     if module.ngens == 0:
         return True
     if is_residue_field(other):
-        dims = ext_k_dims(ring, module, i, engine)
+        dims = ext_k_dims(ring, module, i)
         return dims[i] == 0
-    return _ext_vanishes_general(ring, module, other.minimalized(), i, engine)
+    return _ext_vanishes_general(ring, module, other.minimalized(), i)
 
 
-def _ext_vanishes_general(ring, module, n_min, i, engine="auto") -> bool:
+def _ext_vanishes_general(ring, module, n_min, i) -> bool:
     from .resolution import minimal_resolution
 
-    res = minimal_resolution(ring, module, i + 1, engine)
+    res = minimal_resolution(ring, module, i + 1)
     if res.betti[i] == 0:
         return True
     g = n_min.ngens
@@ -336,7 +319,7 @@ def _ext_vanishes_general(ring, module, n_min, i, engine="auto") -> bool:
     return True
 
 
-def ext_module_ring_coeffs(ring, module: GradedModule, m: int, engine: str = "auto") -> GradedModule:
+def ext_module_ring_coeffs(ring, module: GradedModule, m: int) -> GradedModule:
     """Ext^m(M, ring) as a graded module (subquotient of the dual of F_m).
 
     Kernel and image of the transposed differentials are combined through a
@@ -350,7 +333,7 @@ def ext_module_ring_coeffs(ring, module: GradedModule, m: int, engine: str = "au
         from .cimodule import zero_module
 
         return zero_module(ring)
-    res = minimal_resolution(ring, module, m + 1, engine)
+    res = minimal_resolution(ring, module, m + 1)
     if res.betti[m] == 0:
         from .cimodule import zero_module
 

@@ -113,9 +113,6 @@ class JobSpec:
             ring, decl.twists, cols, decl.col_twists
         )
 
-    def module_names(self):
-        return [m.name for m in self.modules]
-
     def default_module(self):
         if self.command and "module" in self.command.params:
             return self.command.params["module"]

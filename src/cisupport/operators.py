@@ -216,7 +216,7 @@ def _span_solver_columns(ring: CIRing, g: int):
     return np.array(cols, dtype=np.int64).T, labels
 
 
-def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "auto") -> ExtKModule:
+def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     """The k[chi]-action on Ext(M, k) over homological degrees [0, window].
 
     Works directly with the scalar parts of the operator decomposition: for
@@ -231,7 +231,7 @@ def chi_action(ring: CIRing, module: GradedModule, window: int, engine: str = "a
     if not isinstance(amb.field, PrimeField):
         raise ValueError("chi actions are computed over prime fields")
     p = amb.field.p
-    res = minimal_resolution(ring, module, window, engine)
+    res = minimal_resolution(ring, module, window)
     dims = list(res.betti[: window + 1])
     fdeg = [f.degree() for f in ring.fs]
     # scalar part of t_i[n] as matrix (b_{n-2} x b_n)
@@ -308,7 +308,6 @@ def evaluate_chi_class(
     module: GradedModule,
     p_chi: Poly,
     window: int = None,
-    engine: str = "auto",
 ):
     """Chain map over R representing a homogeneous class p(chi_1..chi_c).
 
@@ -328,7 +327,7 @@ def evaluate_chi_class(
         window = e
     if window < e:
         raise ValueError("window too short for the class degree")
-    res = minimal_resolution(ring, module, window, engine)
+    res = minimal_resolution(ring, module, window)
     family = operator_family(ring, res)
     amb = ring.ambient
     out = {}

@@ -149,10 +149,6 @@ class PolyMatrix:
         ]
         return PolyMatrix(self.ring, out, self.row_twists, other.col_twists)
 
-    def apply(self, column, reduce=None):
-        """Apply to a column vector of polynomials."""
-        return [_entry(self.ring, zip(row, column), reduce) for row in self.entries]
-
     def coefficient_arrays(self):
         """The matrix as sum_m m * C_m: {monomial: int64 array C_m}.
 

@@ -8,6 +8,8 @@ no zero coefficients and no duplicate monomials.
 
 from __future__ import annotations
 
+from operator import add
+
 from .field import PrimeField
 
 
@@ -116,7 +118,7 @@ class PolyRing:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):

@@ -77,9 +77,7 @@ def _class_twist_shift(ring: CIRing, p_chi: Poly) -> int:
     return shifts.pop()
 
 
-def mapping_cone_module(
-    ring: CIRing, module: GradedModule, p_chi: Poly, engine: str = "auto"
-) -> MappingCone:
+def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> MappingCone:
     """Module with variety = (variety of module) meet Z(p_chi).
 
     The presentation is the block matrix [[-d_e, 0], [P_e, d_1]] mapping
@@ -90,8 +88,8 @@ def mapping_cone_module(
         raise ValueError("the class must be homogeneous of chi-degree >= 1")
     d = p_chi.degree()
     e = 2 * d
-    res = minimal_resolution(ring, module, e, engine)
-    pmap = evaluate_chi_class(ring, module, p_chi, window=e, engine=engine)[e]
+    res = minimal_resolution(ring, module, e)
+    pmap = evaluate_chi_class(ring, module, p_chi, window=e)[e]
     shift = _class_twist_shift(ring, p_chi)
     amb = ambient_of(ring)
     d_e = res.differential(e)
@@ -120,7 +118,7 @@ def mapping_cone_module(
     )
 
 
-def certify_cone_ses(cone: MappingCone, dmax: int = None, engine: str = "auto") -> dict:
+def certify_cone_ses(cone: MappingCone, dmax: int = None) -> dict:
     """Certify 0 -> M -> K_p -> syzygy part -> 0 on the constructed data.
 
     Checks, exactly: Hilbert-series additivity degree by degree, injectivity
@@ -142,7 +140,7 @@ def certify_cone_ses(cone: MappingCone, dmax: int = None, engine: str = "auto") 
 
     # injectivity of M -> K_p: kernel generators are P_e(ker d_e) + im d_1
     e = cone.degree
-    res = minimal_resolution(ring, m_min, e + 1, engine)
+    res = minimal_resolution(ring, m_min, e + 1)
     d_next = res.differential(e + 1)
     img = submodule_igb(ring, m_min.row_twists, res.differential(1).columns())
     injective = True
@@ -152,7 +150,7 @@ def certify_cone_ses(cone: MappingCone, dmax: int = None, engine: str = "auto") 
             injective = False
             break
 
-    syz = syzygy_module(m_min, e - 1, engine).minimalized()
+    syz = syzygy_module(m_min, e - 1).minimalized()
     quot = cone.quotient_part.minimalized()
     shape_match = (
         quot.ngens == syz.ngens
@@ -173,7 +171,7 @@ def certify_cone_ses(cone: MappingCone, dmax: int = None, engine: str = "auto") 
     }
 
 
-def realize_cone(ring: CIRing, spec: ConeSpec, engine: str = "auto") -> GradedModule:
+def realize_cone(ring: CIRing, spec: ConeSpec) -> GradedModule:
     """A module whose support variety is the zero set of the cone generators.
 
     Starts from the residue field (whole space) and applies one mapping cone
@@ -182,7 +180,7 @@ def realize_cone(ring: CIRing, spec: ConeSpec, engine: str = "auto") -> GradedMo
     spec.validate(ring)
     current = residue_module(ring)
     for p in spec.polys:
-        cone = mapping_cone_module(ring, current, p, engine)
+        cone = mapping_cone_module(ring, current, p)
         current = cone.minimal_module()
     return current
 
@@ -267,7 +265,6 @@ def finite_length_form(
     seed: int = 13,
     max_degree: int = 3,
     cap: int = 4096,
-    engine: str = "auto",
 ) -> FiniteLengthResult:
     """Finite-length module with the same variety (syzygy + regular quotients).
 
@@ -283,7 +280,7 @@ def finite_length_form(
     if m.ngens == 0:
         return FiniteLengthResult(m, [], True, "zero module")
     if not m.is_free():
-        m = syzygy_module(m, ring.dim, engine).minimalized()
+        m = syzygy_module(m, ring.dim).minimalized()
         if m.ngens == 0:
             return FiniteLengthResult(m, [], True, "finite projective dimension")
     seq = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import modlinalg
+from .cache import memo
 from .cimodule import (
     CIRing,
     GradedModule,
@@ -278,13 +279,6 @@ class _ResolutionBuilder:
         )
 
 
-_RES_CACHE: dict = {}
-
-
-def clear_resolution_cache():
-    _RES_CACHE.clear()
-
-
 def resolve_engine(ring, engine: str = "auto") -> str:
     if engine != "auto":
         return engine
@@ -297,28 +291,27 @@ def minimal_resolution(ring, module: GradedModule, length: int, engine: str = "a
     """Minimal graded free resolution of the module to the given length.
 
     Results are memoized per (ring, module, engine) and extended in place, so
-    asking for a longer window continues the previous computation.
+    asking for a longer window continues the previous computation.  The
+    engine is picked from the ring (resolve_engine) unless "slice" or
+    "groebner" is forced.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     eng = resolve_engine(ring, engine)
     key = (ring_key(ring), module.content_key(), eng)
-    builder = _RES_CACHE.get(key)
-    if builder is None:
-        builder = _ResolutionBuilder(ring, module, eng)
-        _RES_CACHE[key] = builder
+    builder = memo("resolution", key, lambda: _ResolutionBuilder(ring, module, eng))
     builder.extend_to(length)
     return builder.view(length)
 
 
-def syzygy_module(module: GradedModule, n: int, engine: str = "auto") -> GradedModule:
+def syzygy_module(module: GradedModule, n: int) -> GradedModule:
     """The n-th syzygy of the module (0th syzygy is the module itself)."""
     if n < 0:
         raise ValueError("syzygy index must be >= 0")
     if n == 0:
         return module
     ring = module.ring
-    res = minimal_resolution(ring, module, n + 1, engine)
+    res = minimal_resolution(ring, module, n + 1)
     if res.betti[n] == 0:
         from .cimodule import zero_module
 
@@ -379,10 +372,6 @@ class BettiTable:
         self.by_degree = [dict(d) for d in by_degree]
         if any(r < 0 for r in self.ranks):
             raise ValueError("ranks must be non-negative")
-
-    @property
-    def minimal_generators(self) -> int:
-        return self.ranks[0]
 
     def __getitem__(self, i):
         return self.ranks[i]

@@ -123,7 +123,7 @@ def vanishes_at(ideal: Ideal, coords, fld) -> bool:
 # membership oracle (hypersurface sections)
 
 
-def membership(ring: CIRing, module: GradedModule, other: GradedModule, a, engine: str = "auto") -> bool:
+def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bool:
     """Is the direction a in the support variety of the pair (module, other)?
 
     The zero direction is always inside.  Otherwise f = sum a_i f_i cuts a
@@ -168,8 +168,8 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a, engin
         return not (dims[s] == 0 and dims[s + 1] == 0)
     m_a = restrict_to_ring(module, hyper)
     n_a = restrict_to_ring(other, hyper)
-    van_s = ext_vanishes(hyper, m_a, n_a, s, engine)
-    van_s1 = ext_vanishes(hyper, m_a, n_a, s + 1, engine)
+    van_s = ext_vanishes(hyper, m_a, n_a, s)
+    van_s1 = ext_vanishes(hyper, m_a, n_a, s + 1)
     return not (van_s and van_s1)
 
 
@@ -268,7 +268,6 @@ def variety_of(
     module: GradedModule,
     window: int = None,
     degree_bound: int = None,
-    engine: str = "auto",
 ) -> SupportVariety:
     """Support variety of a module via the annihilator of the chi action.
 
@@ -280,7 +279,7 @@ def variety_of(
     w = window if window is not None else default_window(ring)
     d = degree_bound if degree_bound is not None else default_degree_bound(ring)
     w = max(w, 2 * d + 2, 2)
-    e2 = chi_action(ring, module, w + 2, engine)
+    e2 = chi_action(ring, module, w + 2)
     i1, i2 = annihilator_ideals(e2, d, (w, w + 2))
     stabilized = equal_up_to_radical(i1, i2)
     return SupportVariety(ring, i2, w + 2, stabilized, d)
@@ -292,7 +291,6 @@ def variety_of_pair(
     other: GradedModule,
     window: int = None,
     degree_bound: int = None,
-    engine: str = "auto",
     cross_check_points: int = 3,
     seed: int = 11,
 ) -> SupportVariety:
@@ -304,10 +302,10 @@ def variety_of_pair(
     cross-validated against the membership oracle.
     """
     if is_residue_field(other) or other.content_key() == module.content_key():
-        v = variety_of(ring, module, window, degree_bound, engine)
+        v = variety_of(ring, module, window, degree_bound)
     else:
-        v1 = variety_of(ring, module, window, degree_bound, engine)
-        v2 = variety_of(ring, other, window, degree_bound, engine)
+        v1 = variety_of(ring, module, window, degree_bound)
+        v2 = variety_of(ring, other, window, degree_bound)
         v = SupportVariety(
             ring,
             v1.ideal.sum(v2.ideal),
@@ -317,7 +315,7 @@ def variety_of_pair(
             note="intersection of single-module varieties",
         )
     for coords in sample_points(ring, cross_check_points, seed):
-        oracle = membership(ring, module, other, coords, engine)
+        oracle = membership(ring, module, other, coords)
         annih = vanishes_at(v.ideal, coords, ring.field)
         if oracle != annih:
             raise AssertionError(

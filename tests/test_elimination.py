@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cisupport import modlinalg, resolution
+from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import CIRing, cyclic_module, residue_module
 from cisupport.field import PrimeField
@@ -313,12 +314,12 @@ def test_slice_step_chooses_generators_as_on_full_kernel_vectors(label, monkeypa
         return real(base, n_d, p)
 
     monkeypatch.setattr(resolution, "_kernel_complement", spy)
-    resolution.clear_resolution_cache()
+    clear_memo()
     try:
         for module in modules:
             resolution.minimal_resolution(ring, module, 4, "slice")
     finally:
-        resolution.clear_resolution_cache()
+        clear_memo()
         monkeypatch.undo()
     assert any(base.shape[1] for base, _, _ in seen)
     for base, n_d, p in seen:

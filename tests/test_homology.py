@@ -1,6 +1,7 @@
 import itertools
 
 from cisupport import homology
+from cisupport.cache import clear_memo
 from cisupport.catalog import three_var_ring
 from cisupport.cimodule import (
     CIRing,
@@ -19,6 +20,7 @@ from cisupport.homology import (
     ext_vanishes,
     hypersurface_betti,
 )
+from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly
 from cisupport.resolution import minimal_resolution
 from cisupport.variety import membership, variety_of
@@ -108,7 +110,7 @@ def test_membership_builds_one_ambient_resolution_per_module(monkeypatch):
             super().__init__(module)
 
     monkeypatch.setattr(homology, "AmbientResolution", Counting)
-    monkeypatch.setattr(homology, "_AMBIENT_CACHE", {})
+    clear_memo()  # so this module's ambient resolution is built inside the test
     ring = three_var_ring(3)
     module = cyclic_module(ring, [parse_poly(ring.ambient, "x + 2*z")])
     k = residue_module(ring)
@@ -130,6 +132,11 @@ def test_ext_k_dims_views_a_module_over_a_quotient_over_the_ring():
     assert ext_k_dims(hyper2, k, 4) == ext_k_dims(hyper2, restrict_to_ring(k, hyper2), 4)
 
 
+def apply(mat, column):
+    """The matrix times one polynomial column."""
+    return mat.mul(PolyMatrix.from_columns(mat.ring, mat.col_twists, [column], (0,))).column(0)
+
+
 def test_homotopy_system_identities():
     q = two_var(3)
     a = CIRing(q, [parse_poly(q, "x^2")])
@@ -145,13 +152,13 @@ def test_homotopy_system_identities():
         for u in range(rank):
             col = [q.zero()] * rank
             if s_i is not None:
-                via_up = res.differential(i + 1).apply(s_i.column(u)) if i + 1 <= hc.pd else None
+                via_up = apply(res.differential(i + 1), s_i.column(u)) if i + 1 <= hc.pd else None
                 if via_up is not None:
                     col = via_up
             if i > 0:
                 prev = hc.sigma.get((1, i - 1))
                 if prev is not None:
-                    down = prev.apply(res.differential(i).column(u))
+                    down = apply(prev, res.differential(i).column(u))
                     col = [c1 + c2 for c1, c2 in zip(col, down)]
             lhs_cols.append(col)
         for u in range(rank):

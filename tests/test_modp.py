@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisupport import modlinalg, variety
+from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
@@ -28,7 +29,7 @@ from cisupport.groebner import Ideal, buchberger, normal_form
 from cisupport.operators import chi_action
 from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly
-from cisupport.resolution import clear_resolution_cache, minimal_resolution
+from cisupport.resolution import minimal_resolution
 from cisupport.variety import annihilator_ideal, monomial_action_layers, variety_of
 
 BIG_P = 2147483647  # the largest prime below 2^31
@@ -192,7 +193,7 @@ def test_slice_differentials_carry_the_arrays_of_their_entries(ring):
 
 
 def test_chi_action_never_builds_slice_differential_entries():
-    clear_resolution_cache()
+    clear_memo()
     ring = three_var_ring(3)
     k = residue_module(ring)
     chi_action(ring, k, 6)
@@ -254,9 +255,9 @@ def test_variety_of_computes_one_chi_action(monkeypatch):
     windows = []
     real = variety.chi_action
 
-    def counting(ring, module, window, engine="auto"):
+    def counting(ring, module, window):
         windows.append(window)
-        return real(ring, module, window, engine)
+        return real(ring, module, window)
 
     monkeypatch.setattr(variety, "chi_action", counting)
     ring = three_var_ring(3)

@@ -1,5 +1,8 @@
 from math import comb
 
+from cisupport import cache
+from cisupport.catalog import catalog_modules, two_var_ring
+from cisupport.checksuite import cached_variety
 from cisupport.cimodule import (
     CIRing,
     cyclic_module,
@@ -8,12 +11,14 @@ from cisupport.cimodule import (
     zero_module,
 )
 from cisupport.field import PrimeField
+from cisupport.homology import ambient_resolution
 from cisupport.poly import PolyRing, parse_poly, render_poly
 from cisupport.resolution import (
     check_complex,
     check_exactness,
     check_minimal,
     minimal_resolution,
+    resolve_engine,
     syzygy_module,
 )
 
@@ -70,6 +75,41 @@ def test_engines_agree_on_artinian_rings():
         check_complex(res)
         check_minimal(res)
     check_exactness(b, [1, 2, 3])
+
+
+def test_resolve_engine_picks_slice_only_for_artinian_prime_field_rings():
+    _, artinian = quadric_ring("xy", p=3)
+    q = PolyRing(["x", "y", "z"], field=F5)
+    non_artinian = CIRing(q, [parse_poly(q, "x^2")])
+    assert resolve_engine(artinian) == "slice"
+    assert resolve_engine(q) == "groebner"
+    assert resolve_engine(non_artinian) == "groebner"
+    assert resolve_engine(artinian, "groebner") == "groebner"
+    assert resolve_engine(q, "slice") == "slice"
+
+
+def test_clear_memo_forgets_every_table():
+    ring = two_var_ring(3)
+    module = cyclic_module(ring, [ring.ambient.var_poly(0)])
+
+    def fill():
+        return (
+            minimal_resolution(ring, module, 3).differential(2),
+            ambient_resolution(module),
+            cached_variety(ring, module),
+            catalog_modules(ring),
+            two_var_ring(3),
+        )
+
+    first = fill()
+    tables = set(cache._MEMO)
+    assert tables == {"resolution", "ambient", "variety", "catalog_modules", "catalog_ring"}
+    assert all(a is b for a, b in zip(fill(), first))
+    cache.clear_memo()
+    assert cache._MEMO == {}
+    again = fill()
+    assert all(a is not b for a, b in zip(again, first))
+    assert set(cache._MEMO) == tables
 
 
 def test_resolution_window_extension_is_consistent():
