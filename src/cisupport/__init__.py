@@ -42,7 +42,6 @@ from .operators import (
     OperatorFamily,
     chi_action,
     evaluate_chi_class,
-    lift_to_ambient,
     operator_family,
 )
 from .pmatrix import PolyMatrix

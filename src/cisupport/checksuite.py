@@ -411,7 +411,7 @@ def check_scaling_invariance(ring: CIRing, sample=4, seed=37):
     return _result("membership_scaling_invariance", not bad, "; ".join(bad))
 
 
-def run_check(p_small: int = 3, full_oracle: bool = False):
+def run_check(p_small: int = 3):
     """The full property battery; returns a list of per-property results."""
     rings = [two_var_ring(p_small), three_var_ring(p_small)]
     chi3 = three_var_ring(p_small).chi_ring()
@@ -430,13 +430,13 @@ def run_check(p_small: int = 3, full_oracle: bool = False):
         check_cone_realization(
             three_var_ring(p_small),
             ["chi1*chi2 - chi3^2"],
-            exhaustive=full_oracle,
+            exhaustive=False,
         ),
         check_tensor_split(p_small),
         check_syzygy_ring_independence(p_small),
         check_dimension_equals_complexity(rings),
         check_operator_invariants(rings),
-        check_oracle_agreement(two_var_ring(p_small), exhaustive=full_oracle),
+        check_oracle_agreement(two_var_ring(p_small), exhaustive=False),
         check_scaling_invariance(two_var_ring(p_small)),
     ]
     return results

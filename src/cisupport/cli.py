@@ -75,6 +75,19 @@ def _effective_params(job: JobSpec, args) -> dict:
     return params
 
 
+def _int_param(params: dict, key: str, default, minimum: int):
+    """params[key] as an integer >= minimum, or default when it is absent."""
+    if key not in params:
+        return default
+    try:
+        value = int(params[key])
+    except ValueError:
+        raise JobSpecError(f"{key} must be an integer, got {params[key]!r}")
+    if value < minimum:
+        raise JobSpecError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_point(ring, text: str):
     try:
         coords = tuple(int(t) % ring.field.p for t in text.split(","))
@@ -82,6 +95,8 @@ def _parse_point(ring, text: str):
         raise JobSpecError(f"bad point {text!r}")
     if len(coords) != ring.c:
         raise JobSpecError(f"point needs {ring.c} coordinates")
+    if len({ring.fs[i].degree() for i, c in enumerate(coords) if c}) > 1:
+        raise JobSpecError(f"point {text!r} combines forms of different degrees")
     return coords
 
 
@@ -104,7 +119,10 @@ def _parse_subspace(ring, text: str) -> Subspace:
             raise JobSpecError(f"bad subspace row {row_text!r}")
     if r is not None and (len(rows) != r or any(len(row) != c for row in rows)):
         raise JobSpecError("subspace entries do not match the declared shape")
-    return Subspace(ring, rows)
+    try:
+        return Subspace(ring, rows)
+    except ValueError as exc:
+        raise JobSpecError(f"bad subspace {text!r}: {exc}")
 
 
 def _ideal_report(ideal: Ideal):
@@ -134,7 +152,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         if command in ("resolve", "betti"):
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            length = int(params.get("length", 5))
+            length = _int_param(params, "length", 5, 0)
             res = minimal_resolution(ring, module, length)
             results["module"] = name
             results["betti"] = res.betti
@@ -149,7 +167,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         elif command == "operators":
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            window = int(params.get("window", 6))
+            window = _int_param(params, "window", 6, 0)
             res = minimal_resolution(ring, module, window)
             fam = operator_family(ring, res)
             fam.verify_identity()
@@ -169,8 +187,8 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         elif command == "variety":
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            window = int(params["window"]) if "window" in params else None
-            dbound = int(params["degree-bound"]) if "degree-bound" in params else None
+            window = _int_param(params, "window", None, 0)
+            dbound = _int_param(params, "degree-bound", None, 1)
             v = variety_of(ring, module, window, dbound)
             results["module"] = name
             results["ideal"] = _ideal_report(v.ideal)
@@ -200,8 +218,8 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             if "subspace" not in params:
                 raise JobSpecError("restrict needs a subspace")
             w = _parse_subspace(ring, params["subspace"])
-            window = int(params["window"]) if "window" in params else None
-            dbound = int(params["degree-bound"]) if "degree-bound" in params else None
+            window = _int_param(params, "window", None, 0)
+            dbound = _int_param(params, "degree-bound", None, 1)
             v = variety_of(ring, module, window, dbound)
             restricted = restrict_to_subspace(v, w)
             results["module"] = name
@@ -222,7 +240,11 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
                     polys.append(parse_poly(chi, s))
                 except PolyParseError as exc:
                     raise JobSpecError(f"cone generator {s!r}: {exc.message}")
-            module = realize_cone(ring, ConeSpec(polys))
+            try:
+                spec = ConeSpec(polys).validate(ring)
+            except ValueError as exc:
+                raise JobSpecError(f"bad cone: {exc}")
+            module = realize_cone(ring, spec)
             v = variety_of(ring, module)
             results["cone"] = [render_poly(q) for q in polys]
             results["presentation"] = _matrix_report(module.presentation)

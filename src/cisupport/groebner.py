@@ -6,13 +6,13 @@ the module order is degree-first (twisted), then grevlex on the monomial,
 then component.  S-pairs are processed in increasing degree (normal
 strategy) so runs are deterministic.  Every basis is a GroebnerBasis, and
 every normal form, membership test and witness goes through its one
-division loop, GroebnerBasis.reduce.
+division loop, GroebnerBasis.reduce; every basis grows through its one
+S-pair loop, GroebnerBasis.complete.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .poly import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
@@ -74,6 +74,7 @@ class GroebnerBasis:
         self.leads = []
         self.traces = [] if track else None
         self._by_comp = {}  # component -> [(lead monomial, index)]
+        self._pairs = []  # heap of pending S-pairs (degree, a, b)
 
     def insert(self, v: dict, tr: dict = None) -> int:
         """Append v (and its trace) scaled to be monic; returns its index."""
@@ -167,6 +168,47 @@ class GroebnerBasis:
         field = self.ctx.field
         return vp_scale(field, tr, field.neg(field.one))
 
+    def grow(self, v: dict, tr: dict = None) -> dict:
+        """Reduce v (mirroring on tr); a nonzero remainder joins the basis
+        and its S-pairs join the queue.  Returns the remainder, so an empty
+        one leaves tr a syzygy of the inputs."""
+        rem = self.reduce(v, tr)
+        if rem:
+            b = self.insert(rem, tr)
+            for _, a in self._by_comp[self.leads[b][0]][:-1]:
+                heapq.heappush(self._pairs, (self.pair_degree(a, b), a, b))
+        return rem
+
+    def complete(self, degree=None) -> list:
+        """Grow by the queued S-vectors in (degree, a, b) order, those of
+        degree <= degree when it is given; the one S-pair loop.  Returns the
+        nonzero traces of the S-vectors that reduced to zero."""
+        pairs = self._pairs
+        zeros = []
+        while pairs and (degree is None or pairs[0][0] <= degree):
+            _, a, b = heapq.heappop(pairs)
+            s, tr = self.spair(a, b)
+            if not self.grow(s, tr) and tr:
+                zeros.append(tr)
+        return zeros
+
+
+def _grow_and_complete(ring: PolyRing, twists, vectors, track: bool):
+    """Grow a basis by each input in turn, then complete it.
+
+    Returns the basis and the traces (when tracked) of the inputs and
+    S-vectors that reduced to zero; a zero input gives its unit vector.
+    """
+    gb = GroebnerBasis(ModuleCtx(ring, twists), track)
+    one = ring.field.one
+    zeros = []
+    for j, v in enumerate(vectors):
+        tr = {(j, ring.zero_mono): one} if track else None
+        if not gb.grow(v, tr) and tr:
+            zeros.append(tr)
+    zeros += gb.complete()
+    return gb, zeros
+
 
 def module_groebner(ring: PolyRing, twists, vectors, track: bool = False) -> GroebnerBasis:
     """Groebner basis of the submodule generated by the given vectors.
@@ -174,74 +216,39 @@ def module_groebner(ring: PolyRing, twists, vectors, track: bool = False) -> Gro
     vectors: list of dict {(comp, mono): coeff}; zero vectors are allowed and
     skipped (their indices still count for traces).
     """
-    field = ring.field
-    gb = GroebnerBasis(ModuleCtx(ring, twists), track)
-    pairs = []  # heap of (degree, i, j)
-
-    def add(v, tr):
-        rem = gb.reduce(v, tr)
-        if rem:
-            b = gb.insert(rem, tr)
-            for a in range(b):
-                if gb.leads[a][0] == gb.leads[b][0]:
-                    heapq.heappush(pairs, (gb.pair_degree(a, b), a, b))
-
-    for j, v in enumerate(vectors):
-        if v:
-            add(v, {(j, ring.zero_mono): field.one} if track else None)
-    while pairs:
-        _, a, b = heapq.heappop(pairs)
-        add(*gb.spair(a, b))
-    return gb
+    return _grow_and_complete(ring, twists, vectors, track)[0]
 
 
 def module_syzygies(ring: PolyRing, twists, vectors):
     """Generators of the syzygy module of the given vectors over the free ring.
 
     Returns a list of dicts over components 0..len(vectors)-1 (coefficients of
-    the input vectors).  Standard two-pass construction: a tracked Groebner
-    basis, then the relation expressing each input through the basis plus one
-    syzygy per S-pair of basis elements; each is the trace of a reduction to
-    zero.
+    the input vectors), read off the one tracked Buchberger run: the trace of
+    each input and each S-vector that reduces to zero.  By Schreyer's theorem
+    these, over all inputs and S-pairs of the finished basis, generate the
+    syzygies; an input or S-vector that leaves a remainder becomes a basis
+    element instead, and its relation pulls back to zero.
     """
-    field = ring.field
-    gb = module_groebner(ring, twists, vectors, track=True)
-    n = len(gb.elements)
-    pairs = sorted(
-        (gb.pair_degree(a, b), a, b)
-        for b in range(n)
-        for a in range(b)
-        if gb.leads[a][0] == gb.leads[b][0]
-    )
-    inputs = ((v, {(j, ring.zero_mono): field.one}) for j, v in enumerate(vectors))
-    spairs = (gb.spair(a, b) for _, a, b in pairs)
-    syzygies = []
-    for v, syz in itertools.chain(inputs, spairs):
-        if gb.reduce(v, syz):
-            raise AssertionError("vector does not reduce to zero against its own basis")
-        if syz:
-            syzygies.append(syz)
-    return syzygies
+    return _grow_and_complete(ring, twists, vectors, True)[1]
 
 
 class IncrementalGB(GroebnerBasis):
     """Groebner basis that accepts elements one at a time, without traces.
 
     Used for greedy minimal-generator selection and membership filters.  The
-    basis is finished only as far as a question needs: S-pairs wait on a heap
-    keyed (degree, a, b), and `add` or `contains` of a homogeneous vector of
-    degree d first reduces the pairs of degree <= d (the normal strategy,
-    truncated at d).  For homogeneous input every element and S-vector is
-    homogeneous and reduction keeps the degree, so that basis decides
-    membership in degree d exactly.  Once an inhomogeneous vector is seen,
-    every question first reduces all pending pairs.  Elements given to
-    `insert` before the first `add` (a seed that is already a Groebner basis)
-    get no pairs among themselves, only with the elements added after them.
+    basis is finished only as far as a question needs: `add` or `contains`
+    of a homogeneous vector of degree d first reduces the pending S-pairs of
+    degree <= d (the normal strategy, truncated at d).  For homogeneous
+    input every element and S-vector is homogeneous and reduction keeps the
+    degree, so that basis decides membership in degree d exactly.  Once an
+    inhomogeneous vector is seen, every question first reduces all pending
+    pairs.  Elements given to `insert` before the first `add` (a seed that
+    is already a Groebner basis) get no pairs among themselves, only with
+    the elements added after them.
     """
 
     def __init__(self, ring: PolyRing, twists):
         super().__init__(ModuleCtx(ring, twists))
-        self._pairs = []  # heap of (degree, a, b)
         self._homogeneous = True
 
     def _degree(self, v: dict):
@@ -260,23 +267,9 @@ class IncrementalGB(GroebnerBasis):
 
     def _complete_to(self, v: dict):
         """Reduce the pending S-pairs that the answer for v depends on."""
-        if not v:
-            return
-        d = self._degree(v)
-        pairs = self._pairs
-        while pairs and (not self._homogeneous or pairs[0][0] <= d):
-            _, a, b = heapq.heappop(pairs)
-            self._grow(self.spair(a, b)[0])
-
-    def _grow(self, v: dict) -> bool:
-        """Insert the normal form of v if it is nonzero and queue its pairs."""
-        w = self.reduce(v)
-        if not w:
-            return False
-        b = self.insert(w)
-        for _, a in self._by_comp[self.leads[b][0]][:-1]:
-            heapq.heappush(self._pairs, (self.pair_degree(a, b), a, b))
-        return True
+        if v:
+            d = self._degree(v)
+            self.complete(d if self._homogeneous else None)
 
     def contains(self, v: dict) -> bool:
         self._complete_to(v)
@@ -285,7 +278,7 @@ class IncrementalGB(GroebnerBasis):
     def add(self, v: dict) -> bool:
         """Add a vector; returns True if it enlarged the module."""
         self._complete_to(v)
-        return self._grow(v)
+        return bool(self.grow(v))
 
 
 # ---------------------------------------------------------------------------

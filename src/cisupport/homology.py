@@ -131,9 +131,7 @@ class HypersurfaceComplex:
                 if rhs is None or rhs.is_zero():
                     continue
                 if target > pd:
-                    if not rhs.is_zero():
-                        raise AssertionError("homotopy system inconsistent at the top")
-                    continue
+                    raise AssertionError("homotopy system inconsistent at the top")
                 cols = [self.ambient.lift(target, col) for col in rhs.columns()]
                 if any(col is None for col in cols):
                     raise AssertionError("homotopy right-hand side is not a boundary")

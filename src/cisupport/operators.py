@@ -20,17 +20,6 @@ from .poly import Poly, mono_mul
 from .resolution import FreeResolution, minimal_resolution
 
 
-def lift_to_ambient(res: FreeResolution):
-    """Entry-wise ambient preimages of the differentials.
-
-    Entries of a resolution over a quotient are stored as normal forms
-    modulo the quotient's Groebner basis, which are already canonical
-    representatives in the ambient ring, so the lift is the identity on
-    entry data.
-    """
-    return [res.differential(i) for i in range(1, res.length + 1)]
-
-
 class OperatorFamily:
     """Chain maps t_i[n]: F_n -> F_{n-2} over the ambient ring.
 

@@ -32,7 +32,8 @@ from .resolution import minimal_resolution, syzygy_module
 
 @dataclass
 class ConeSpec:
-    """A cone given by homogeneous chi-polynomials of degree >= 1."""
+    """A cone given by homogeneous chi-polynomials of degree >= 1, each of one
+    internal degree."""
 
     polys: list
 
@@ -43,6 +44,7 @@ class ConeSpec:
                 raise ValueError("cone generators must live in the chi ring")
             if p.is_zero() or not p.is_homogeneous() or p.degree() < 1:
                 raise ValueError("cone generators must be homogeneous of degree >= 1")
+            _class_twist_shift(ring, p)
         return self
 
 

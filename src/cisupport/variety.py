@@ -142,23 +142,16 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
             "mixed-degree directions are outside the graded model; "
             "combine forms of one degree at a time"
         )
+    work_ring = ring
     if isinstance(fld, ExtField):
-        ring_ext = base_change_ring(ring, fld)
-        module = base_change_module(module, ring_ext)
-        other = base_change_module(other, ring_ext)
-        amb = ring_ext.ambient
-        f = amb.zero()
-        for i, c in enumerate(coords):
-            if c != zero:
-                f = f + ring_ext.fs[i].scale(c)
-        work_ring = ring_ext
-    else:
-        amb = ring.ambient
-        f = amb.zero()
-        for i, c in enumerate(coords):
-            if c != zero:
-                f = f + ring.fs[i].scale(c)
-        work_ring = ring
+        work_ring = base_change_ring(ring, fld)
+        module = base_change_module(module, work_ring)
+        other = base_change_module(other, work_ring)
+    amb = work_ring.ambient
+    f = amb.zero()
+    for i, c in enumerate(coords):
+        if c != zero:
+            f = f + work_ring.fs[i].scale(c)
     hyper = CIRing(amb, [f], validate=False)
     s = hyper.dim + 2
     if is_residue_field(other):
@@ -274,8 +267,11 @@ def variety_of(
     The ideal is computed at window and at window + 2, both from one chi
     action at window + 2 and one annihilator pass; if the two agree up to
     radical the result is flagged stabilized, otherwise it is returned
-    flagged unstable, never silently.
+    flagged unstable, never silently.  The degree bound must be at least 1:
+    below that no annihilator element is ever looked at.
     """
+    if degree_bound is not None and degree_bound < 1:
+        raise ValueError("degree bound must be >= 1")
     w = window if window is not None else default_window(ring)
     d = degree_bound if degree_bound is not None else default_degree_bound(ring)
     w = max(w, 2 * d + 2, 2)

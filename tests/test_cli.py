@@ -146,6 +146,52 @@ def test_seed_job_parameter_is_a_located_parse_error(jobfile, capsys):
     assert ":9:1:" in err and "unknown command parameter 'seed'" in err
 
 
+MIXED = """\
+field 5
+ring x y
+relations x^2 ; y^3
+module k
+residue
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["member", "--point", "1,1"], "different degrees"),
+        (["restrict", "--subspace", "1,1,1"], "row length"),
+        (["restrict", "--subspace", "1,1;2,2"], "full row rank"),
+        (["resolve", "--length", "-1"], "length must be >= 0"),
+        (["operators", "--window", "-1"], "window must be >= 0"),
+        (["realize", "--cone", "1"], "degree >= 1"),
+        (["realize", "--cone", "chi1+chi2"], "mixes internal degrees"),
+    ],
+    ids=["mixed-point", "short-row", "rank-deficient", "negative-length",
+         "negative-window", "constant-cone", "mixed-cone"],
+)
+def test_invalid_option_values_are_parse_errors(jobfile, capsys, argv, reason):
+    code, out, err = run_cli(capsys, argv[:1] + ["--input", jobfile(MIXED)] + argv[1:])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+
+
+def test_non_integer_length_in_the_job_file_is_a_parse_error(jobfile, capsys):
+    code, out, err = run_cli(capsys, ["betti", "--input", jobfile(EX54.replace("length 5", "length five"))])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "length must be an integer" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_degree_bound_below_one_is_a_parse_error(capsys, bound):
+    job = os.path.join(os.path.dirname(__file__), "golden", "readme_variety.job")
+    code, out, err = run_cli(capsys, ["variety", "--input", job, "--degree-bound", bound])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "degree-bound must be >= 1" in err
+
+
 def strip_wall(out):
     report = json.loads(out)
     report.pop("wall_time_ms", None)

@@ -3,9 +3,15 @@ relations helper.
 
 GroebnerBasis.reduce and normal_form are compared with the plain division
 loop that takes max(work) each step, buchberger with sympy's Groebner bases
-mod p, the degree-truncated IncrementalGB with a basis finished after every
-vector, and kernel_modulo with Groebner containment in the relation span.
+mod p, module_groebner and module_syzygies with the separate S-pair loop and
+the second pass over the finished basis that they replaced, the
+degree-truncated IncrementalGB with a basis finished after every vector and
+with its own S-pair loop, and kernel_modulo with Groebner containment in the
+relation span.
 """
+
+import heapq
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +37,7 @@ from cisupport.groebner import (
     ModuleCtx,
     buchberger,
     module_groebner,
+    module_syzygies,
     normal_form,
     vec_to_column,
     vp_axpy,
@@ -170,6 +177,146 @@ def test_normal_form_matches_the_max_based_loop(data):
 
 
 # ---------------------------------------------------------------------------
+# module bases and syzygies from the one tracked run
+
+
+def reference_module_groebner(ring, twists, vectors, track=False):
+    """module_groebner with its own S-pair loop, as before GroebnerBasis
+    owned the queue."""
+    field = ring.field
+    gb = GroebnerBasis(ModuleCtx(ring, twists), track)
+    pairs = []
+
+    def add(v, tr):
+        rem = gb.reduce(v, tr)
+        if rem:
+            b = gb.insert(rem, tr)
+            for a in range(b):
+                if gb.leads[a][0] == gb.leads[b][0]:
+                    heapq.heappush(pairs, (gb.pair_degree(a, b), a, b))
+
+    for j, v in enumerate(vectors):
+        if v:
+            add(v, {(j, ring.zero_mono): field.one} if track else None)
+    while pairs:
+        _, a, b = heapq.heappop(pairs)
+        add(*gb.spair(a, b))
+    return gb
+
+
+def reference_module_syzygies(ring, twists, vectors):
+    """The two-pass construction: a tracked basis, then every input and every
+    S-pair of the finished basis reduced again, keeping the nonzero traces."""
+    field = ring.field
+    gb = reference_module_groebner(ring, twists, vectors, track=True)
+    n = len(gb.elements)
+    pairs = sorted(
+        (gb.pair_degree(a, b), a, b)
+        for b in range(n)
+        for a in range(b)
+        if gb.leads[a][0] == gb.leads[b][0]
+    )
+    inputs = ((v, {(j, ring.zero_mono): field.one}) for j, v in enumerate(vectors))
+    spairs = (gb.spair(a, b) for _, a, b in pairs)
+    syzygies = []
+    for v, syz in itertools.chain(inputs, spairs):
+        assert not gb.reduce(v, syz)
+        if syz:
+            syzygies.append(syz)
+    return syzygies
+
+
+def is_syzygy(ring, vectors, syz):
+    total = {}
+    for (j, m), c in syz.items():
+        vp_axpy(ring.field, total, vectors[j], m, c)
+    return not total
+
+
+@st.composite
+def homogeneous_module_cases(draw):
+    """Homogeneous inputs of mixed degrees, often zero, sometimes the sum of
+    two earlier ones of the same degree."""
+    ring = draw(st.sampled_from(RINGS))
+    twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
+    degrees, inputs = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        degree = draw(st.integers(max(twists), max(twists) + 3))
+        same = [v for d, v in zip(degrees, inputs) if d == degree]
+        if len(same) > 1 and not draw(st.integers(0, 3)):
+            v = dict(same[0])
+            vp_axpy(ring.field, v, same[-1], ring.zero_mono, ring.field.one)
+        else:
+            v = draw(homogeneous_vectors(ring, twists, degree))
+            vp_axpy(ring.field, v, draw(homogeneous_vectors(ring, twists, degree)),
+                    ring.zero_mono, ring.field.one)
+        degrees.append(degree)
+        inputs.append(v)
+    return ring, twists, inputs
+
+
+@st.composite
+def small_module_cases(draw):
+    """Small, usually inhomogeneous inputs, with zero vectors mixed in: the
+    references apply no criteria and blow up on larger ones."""
+    ring = draw(st.sampled_from(RINGS))
+    ncomp = draw(st.integers(1, 2))
+    twists = tuple(draw(st.integers(0, 2)) for _ in range(ncomp))
+    inputs = []
+    for _ in range(draw(st.integers(1, 4))):
+        inputs.append({
+            (comp, m): c
+            for comp in range(ncomp)
+            for m, c in draw(polys(ring, max_deg=2, max_terms=2)).terms
+        })
+    return ring, twists, inputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_module_cases())
+def test_syzygies_on_homogeneous_input_equal_the_two_pass_list(case):
+    ring, twists, inputs = case
+    syzygies = module_syzygies(ring, twists, inputs)
+    assert syzygies == reference_module_syzygies(ring, twists, inputs)
+    assert all(is_syzygy(ring, inputs, syz) for syz in syzygies)
+
+
+def as_multiset(syzygies):
+    return sorted(sorted(syz.items()) for syz in syzygies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_module_cases())
+def test_syzygies_on_inhomogeneous_input_equal_the_two_pass_multiset(case):
+    ring, twists, inputs = case
+    syzygies = module_syzygies(ring, twists, inputs)
+    assert as_multiset(syzygies) == as_multiset(reference_module_syzygies(ring, twists, inputs))
+    assert all(is_syzygy(ring, inputs, syz) for syz in syzygies)
+
+
+def test_a_zero_input_gives_its_unit_syzygy():
+    ring = RINGS[0]
+    x = {(0, (1, 0)): 1}
+    assert module_syzygies(ring, (0,), [x, {}, x]) == [
+        {(1, (0, 0)): 1},
+        {(0, (0, 0)): 4, (2, (0, 0)): 1},
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(homogeneous_module_cases(), small_module_cases()), st.booleans())
+def test_module_groebner_keeps_elements_leads_and_traces(case, track):
+    ring, twists, inputs = case
+    inputs = inputs[:1] + [{}] + inputs[1:]  # a zero input still takes an index
+    gb = module_groebner(ring, twists, inputs, track=track)
+    ref = reference_module_groebner(ring, twists, inputs, track=track)
+    assert gb.elements == ref.elements
+    assert gb.leads == ref.leads
+    assert gb.traces == ref.traces
+    assert not gb._pairs
+
+
+# ---------------------------------------------------------------------------
 # the degree-truncated incremental basis
 
 
@@ -271,6 +418,89 @@ def test_truncated_basis_leaves_higher_pairs_pending():
     # x * (y^2 + x z) - y * (x y) = x^2 z lies in the span
     assert igb.contains({(0, (2, 0, 1)): 1})
     assert not igb._pairs or igb._pairs[0][0] > 3
+
+
+class ReferenceTruncatedGB(GroebnerBasis):
+    """IncrementalGB with its own S-pair heap and loop, as before
+    GroebnerBasis owned them."""
+
+    def __init__(self, ring, twists):
+        super().__init__(ModuleCtx(ring, twists))
+        self.queue = []
+        self._homogeneous = True
+
+    def _degree(self, v):
+        degrees = {self.ctx.ring.wdeg(m) + self.ctx.twists[comp] for comp, m in v}
+        if len(degrees) > 1:
+            self._homogeneous = False
+            return None
+        return degrees.pop()
+
+    def insert(self, v, tr=None):
+        self._degree(v)
+        return super().insert(v, tr)
+
+    def _complete_to(self, v):
+        if not v:
+            return
+        d = self._degree(v)
+        while self.queue and (not self._homogeneous or self.queue[0][0] <= d):
+            _, a, b = heapq.heappop(self.queue)
+            self._grow(self.spair(a, b)[0])
+
+    def _grow(self, v):
+        w = self.reduce(v)
+        if not w:
+            return False
+        b = self.insert(w)
+        for _, a in self._by_comp[self.leads[b][0]][:-1]:
+            heapq.heappush(self.queue, (self.pair_degree(a, b), a, b))
+        return True
+
+    def contains(self, v):
+        self._complete_to(v)
+        return not self.reduce(v)
+
+    def add(self, v):
+        self._complete_to(v)
+        return self._grow(v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(incremental_cases())
+def test_incremental_basis_grows_as_with_its_own_pair_loop(case):
+    ring, twists, seeds, calls = case
+    igb = IncrementalGB(ring, twists)
+    ref = ReferenceTruncatedGB(ring, twists)
+    for g in module_groebner(ring, twists, seeds).elements:
+        igb.insert(g)
+        ref.insert(g)
+    for op, v in calls:
+        assert getattr(igb, op)(v) == getattr(ref, op)(v)
+        assert igb.elements == ref.elements
+        assert sorted(igb._pairs) == sorted(ref.queue)
+
+
+def reference_minimal_generator_indices(ring, twists, columns):
+    """minimal_generator_indices on ReferenceTruncatedGB."""
+    degs = [(column_degree(ring, twists, col), j) for j, col in enumerate(columns)]
+    ref = ReferenceTruncatedGB(ambient_of(ring), twists)
+    for v in quotient_columns(ring, twists):
+        ref.insert(v)
+    return [
+        j
+        for _, j in sorted((d, j) for d, j in degs if d is not None)
+        if ref.add(column_to_vec(columns[j]))
+    ]
+
+
+@pytest.mark.parametrize("ring", [two_var_ring(5), three_var_ring(3)], ids=["2var", "3var"])
+def test_minimal_generators_are_those_of_the_own_pair_loop(ring):
+    for name, module in catalog_modules(ring).items():
+        for mat in (module.presentation, syzygy_matrix(ring, module.presentation)):
+            twists, cols = mat.row_twists, mat.columns()
+            want = reference_minimal_generator_indices(ring, twists, cols)
+            assert minimal_generator_indices(ring, twists, cols) == want, name
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,14 @@ def test_variety_examples():
     assert vx.stabilized
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_degree_bound_below_one_is_rejected(bound):
+    ring = two_var_ring(5)
+    module = cyclic_module(ring, [P(ring.ambient, "x")])
+    with pytest.raises(ValueError, match="degree bound"):
+        variety_of(ring, module, degree_bound=bound)
+
+
 def test_variety_of_zero_module_is_origin():
     ring = two_var_ring(3)
     v = variety_of(ring, zero_module(ring))
