@@ -54,13 +54,7 @@ from .realize import (
     mapping_cone_module,
     realize_cone,
 )
-from .resolution import (
-    BettiTable,
-    FreeResolution,
-    betti_table,
-    minimal_resolution,
-    syzygy_module,
-)
+from .resolution import FreeResolution, minimal_resolution, syzygy_module
 from .variety import (
     PointK,
     Subspace,
@@ -76,7 +70,3 @@ from .variety import (
     variety_of,
     variety_of_pair,
 )
-
-def union_and_intersection(v1: SupportVariety, v2: SupportVariety):
-    """(union, intersection) of two support varieties, at radical level."""
-    return union_variety(v1, v2), intersection_variety(v1, v2)

@@ -92,6 +92,14 @@ class CIRing:
             d += 1
         return top
 
+    def form(self, a) -> Poly:
+        """f_a = sum_i a_i f_i for coefficients a_i in the ring's field."""
+        f = self.ambient.zero()
+        for c, fi in zip(a, self.fs):
+            if c != self.field.zero:
+                f = f + fi.scale(c)
+        return f
+
     def chi_ring(self) -> PolyRing:
         """Coordinate ring of the space of defining forms: k[chi1..chic]."""
         return PolyRing([f"chi{i + 1}" for i in range(self.c)], field=self.field)
@@ -423,25 +431,6 @@ def free_blocks(ring, twists, d: int):
         gens = np.array(gens, dtype=np.int64)
         blocks[t] = (gens, offsets[gens][:, None] + np.arange(sizes[gens[0]]))
     return int(offsets[-1]), blocks
-
-
-def poly_coords(ring, poly: Poly, d: int, basis_monos=None):
-    """Coordinates of a (normal-form) element of degree d in the monomial basis."""
-    if basis_monos is None:
-        basis_monos = std_monomials(ring, d)
-    idx = {m: i for i, m in enumerate(basis_monos)}
-    v = [0] * len(basis_monos)
-    for m, c in poly.terms:
-        v[idx[m]] = c
-    return v
-
-def column_coords(ring, twists, col, d: int):
-    """Coordinates of a homogeneous degree-d column in the free-module basis."""
-    out = []
-    for j, t in enumerate(twists):
-        monos = std_monomials(ring, d - t)
-        out.extend(poly_coords(ring, col[j], d - t, monos))
-    return out
 
 
 def var_mult_matrix(ring, var: int, d: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from .cache import cache_key, read_cache, write_cache
 from .checksuite import run_check
 from .cimodule import residue_module
 from .groebner import Ideal
-from .jobspec import JobSpec, JobSpecError, parse_input, render
+from .jobspec import COMMANDS, PARAMS, JobSpec, JobSpecError, parse_input, render
 from .operators import chi_action_from_family, operator_family
 from .poly import PolyParseError, parse_poly, render_poly
 from .realize import ConeSpec, realize_cone
@@ -40,52 +40,34 @@ def _build_parser():
         prog="cisupport",
         description="Exact support-variety computations over graded complete intersections",
     )
-    ap.add_argument(
-        "command",
-        choices=("resolve", "betti", "operators", "variety", "member", "restrict", "realize", "check"),
-    )
+    ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--input", help="job file (optional for check)")
-    ap.add_argument("--length", type=int)
-    ap.add_argument("--window", type=int)
-    ap.add_argument("--degree-bound", type=int, dest="degree_bound")
-    ap.add_argument("--point")
-    ap.add_argument("--subspace")
-    ap.add_argument("--cone")
+    for name, spec in PARAMS.items():
+        if spec.flag and spec.kind != "switch":
+            ap.add_argument(f"--{name}", type=int if spec.kind == "int" else None)
     ap.add_argument("--cache-dir", dest="cache_dir")
-    ap.add_argument("--allow-unstable", action="store_true")
+    for name, spec in PARAMS.items():
+        if spec.flag and spec.kind == "switch":
+            ap.add_argument(f"--{name}", action="store_true")
     ap.add_argument("--json-out", dest="json_out")
     return ap
 
 
 def _effective_params(job: JobSpec, args) -> dict:
+    """The job file's command parameters, overridden by the valued flags."""
     params = {}
     if job is not None and job.command is not None:
         params.update(job.command.params)
-    for cli_name, key in (
-        ("length", "length"),
-        ("window", "window"),
-        ("degree_bound", "degree-bound"),
-        ("point", "point"),
-        ("subspace", "subspace"),
-        ("cone", "cone"),
-    ):
-        v = getattr(args, cli_name, None)
-        if v is not None:
-            params[key] = str(v)
+    for name, spec in PARAMS.items():
+        v = getattr(args, name.replace("-", "_"), None)
+        if spec.flag and spec.kind != "switch" and v is not None:
+            params[name] = str(v)
     return params
 
 
-def _int_param(params: dict, key: str, default, minimum: int):
-    """params[key] as an integer >= minimum, or default when it is absent."""
-    if key not in params:
-        return default
-    try:
-        value = int(params[key])
-    except ValueError:
-        raise JobSpecError(f"{key} must be an integer, got {params[key]!r}")
-    if value < minimum:
-        raise JobSpecError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def _read_int(params: dict, name: str, default):
+    """params[name] read as its integer parameter, or default when absent."""
+    return PARAMS[name].value(name, params[name]) if name in params else default
 
 
 def _parse_point(ring, text: str):
@@ -152,7 +134,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         if command in ("resolve", "betti"):
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            length = _int_param(params, "length", 5, 0)
+            length = _read_int(params, "length", 5)
             res = minimal_resolution(ring, module, length)
             results["module"] = name
             results["betti"] = res.betti
@@ -167,7 +149,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         elif command == "operators":
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            window = _int_param(params, "window", 6, 0)
+            window = _read_int(params, "window", 6)
             res = minimal_resolution(ring, module, window)
             fam = operator_family(ring, res)
             fam.verify_identity()
@@ -187,8 +169,8 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         elif command == "variety":
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
-            window = _int_param(params, "window", None, 0)
-            dbound = _int_param(params, "degree-bound", None, 1)
+            window = _read_int(params, "window", None)
+            dbound = _read_int(params, "degree-bound", None)
             v = variety_of(ring, module, window, dbound)
             results["module"] = name
             results["ideal"] = _ideal_report(v.ideal)
@@ -218,8 +200,8 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             if "subspace" not in params:
                 raise JobSpecError("restrict needs a subspace")
             w = _parse_subspace(ring, params["subspace"])
-            window = _int_param(params, "window", None, 0)
-            dbound = _int_param(params, "degree-bound", None, 1)
+            window = _read_int(params, "window", None)
+            dbound = _read_int(params, "degree-bound", None)
             v = variety_of(ring, module, window, dbound)
             restricted = restrict_to_subspace(v, w)
             results["module"] = name
@@ -308,9 +290,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     cache_dir = args.cache_dir or os.environ.get("CISUPPORT_CACHE")
+    params = _effective_params(job, args)
     t0 = time.monotonic()
     try:
-        params = _effective_params(job, args)
         payload, hit = run_job(job, command, params, cache_dir)
     except JobSpecError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
@@ -331,7 +313,7 @@ def main(argv=None) -> int:
         print("# cache hit", file=sys.stderr)
 
     flags = report.get("flags", {})
-    if flags.get("stabilized") is False and not args.allow_unstable:
+    if flags.get("stabilized") is False and not (args.allow_unstable or "allow-unstable" in params):
         print("warning: variety computation did not stabilize", file=sys.stderr)
         return EXIT_UNSTABLE
     results = report.get("results", {})

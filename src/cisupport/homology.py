@@ -19,15 +19,19 @@ from .cimodule import (
     GradedModule,
     ambient_of,
     column_to_vec,
+    free_module,
     is_residue_field,
     kernel_modulo,
     restrict_to_ring,
     ring_key,
     submodule_igb,
+    subquotient_presentation,
+    zero_module,
 )
 from .field import PrimeField
 from .groebner import module_groebner, vec_to_column
 from .pmatrix import PolyMatrix
+from .resolution import minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +50,6 @@ class AmbientResolution:
         amb = ambient_of(module.ring)
         self.amb = amb
         self.module_q = restrict_to_ring(module, amb).minimalized()
-        from .resolution import minimal_resolution
-
         res = minimal_resolution(amb, self.module_q, amb.n + 1, engine="groebner")
         pd = res.projective_dimension()
         if pd is None:
@@ -228,8 +230,6 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
         return hypersurface_betti(ring, module, upto)
     if ring_key(module.ring) != ring_key(ring):
         module = restrict_to_ring(module, ring)
-    from .resolution import minimal_resolution
-
     return minimal_resolution(ring, module, upto).betti[: upto + 1]
 
 
@@ -272,6 +272,21 @@ def _hom_map_columns(ring, res, n_min: GradedModule, j: int):
     return cols
 
 
+def _hom_complex(ring, res, n_min: GradedModule, i: int):
+    """Hom(F, N) at spot i, with N presented by A^g / (relations).
+
+    Returns the twists of Hom(F_i, A^g), generators of the kernel of
+    Hom(d_{i+1}, N) (the vectors mapped into the relations at spot i + 1)
+    and the columns spanning the image: the relations at spot i together
+    with the columns of Hom(d_i, A^g).  Ext^i(M, N) is kernel / image.
+    """
+    twists, rels = _hom_spot_data(ring, res, n_min, i)
+    next_twists, next_rels = _hom_spot_data(ring, res, n_min, i + 1)
+    kernel = kernel_modulo(ring, next_twists, _hom_map_columns(ring, res, n_min, i), next_rels)
+    image = rels + (_hom_map_columns(ring, res, n_min, i - 1) if i >= 1 else [])
+    return twists, kernel, image
+
+
 def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int) -> bool:
     """True iff Ext^i over the ring of (module, other) vanishes.
 
@@ -291,57 +306,21 @@ def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int) -> boo
 
 
 def _ext_vanishes_general(ring, module, n_min, i) -> bool:
-    from .resolution import minimal_resolution
-
     res = minimal_resolution(ring, module, i + 1)
-    if res.betti[i] == 0:
+    if res.betti[i] == 0 or n_min.ngens == 0:
         return True
-    g = n_min.ngens
-    if g == 0:
-        return True
-    spot_tw, spot_rels = _hom_spot_data(ring, res, n_min, i)
-    next_tw, next_rels = _hom_spot_data(ring, res, n_min, i + 1)
-    d_cols = _hom_map_columns(ring, res, n_min, i)
-
-    # kernel generators: vectors v with D(v) inside the relation submodule
-    kernel_gens = kernel_modulo(ring, next_tw, d_cols, next_rels)
-
-    # image submodule: Hom(d_i, N) columns plus the relations at spot i
-    image_cols = list(spot_rels)
-    if i >= 1:
-        image_cols += _hom_map_columns(ring, res, n_min, i - 1)
-    igb = submodule_igb(ring, spot_tw, image_cols)
-    for col in kernel_gens:
-        if not igb.contains(column_to_vec(col)):
-            return False
-    return True
+    twists, kernel, image = _hom_complex(ring, res, n_min, i)
+    igb = submodule_igb(ring, twists, image)
+    return all(igb.contains(column_to_vec(col)) for col in kernel)
 
 
 def ext_module_ring_coeffs(ring, module: GradedModule, m: int) -> GradedModule:
-    """Ext^m(M, ring) as a graded module (subquotient of the dual of F_m).
-
-    Kernel and image of the transposed differentials are combined through a
-    syzygy computation; m = 0 gives Hom(M, ring).
-    """
-    from .cimodule import subquotient_presentation, syzygy_matrix
-    from .resolution import minimal_resolution
-
+    """Ext^m(M, ring) as a graded module: the Hom complex into the free
+    module of rank one at spot m; m = 0 gives Hom(M, ring)."""
     module = module.minimalized()
     if module.ngens == 0:
-        from .cimodule import zero_module
-
         return zero_module(ring)
     res = minimal_resolution(ring, module, m + 1)
     if res.betti[m] == 0:
-        from .cimodule import zero_module
-
         return zero_module(ring)
-    d_next_t = res.differential(m + 1).transpose()
-    ker = syzygy_matrix(ring, d_next_t)
-    ker_cols = ker.columns()
-    im_cols = []
-    if m >= 1:
-        im_cols = res.differential(m).transpose().columns()
-    # kernel vectors live in the dual of F_m, whose twists are the columns
-    twists = d_next_t.col_twists
-    return subquotient_presentation(ring, twists, ker_cols, im_cols)
+    return subquotient_presentation(ring, *_hom_complex(ring, res, free_module(ring), m))

@@ -14,6 +14,10 @@ Sections, one directive per line (blank lines and # comments ignored):
     length 5
     module M
 
+The command parameters, and which of them the CLI also takes as flags, are
+listed once in PARAMS; each value is checked against its kind and least value
+where it is read, so a bad job-file value is a located error.
+
 Rendering is canonical (re-rendered polynomials, normalized spacing, sorted
 command parameters), so render(parse(text)) is idempotent and
 parse(render(job)) == job.
@@ -122,19 +126,47 @@ class JobSpec:
         raise JobSpecError("ambiguous target module; set 'module' in the command")
 
 
-VALID_COMMANDS = (
-    "resolve",
-    "betti",
-    "operators",
-    "variety",
-    "member",
-    "restrict",
-    "realize",
-    "check",
-)
+COMMANDS = ("resolve", "betti", "operators", "variety", "member", "restrict", "realize", "check")
 
-_INT_PARAMS = ("length", "window", "degree-bound")
-_STR_PARAMS = ("module", "module2", "point", "subspace", "cone", "allow-unstable")
+
+@dataclass(frozen=True)
+class Param:
+    """A command parameter: an integer >= minimum, text, or a switch that
+    takes no value; flag says whether the CLI also accepts it as --name."""
+
+    kind: str  # "int" | "text" | "switch"
+    minimum: int = 0
+    flag: bool = True
+
+    def value(self, name: str, text: str, line: int = 0, col: int = 0):
+        """text read as this parameter; JobSpecError, located when line is
+        given, when it is not a value of this kind."""
+        if self.kind == "switch":
+            if text:
+                raise JobSpecError(f"{name} takes no value, got {text!r}", line, col)
+            return True
+        if self.kind == "text":
+            return text
+        try:
+            value = int(text)
+        except ValueError:
+            raise JobSpecError(f"{name} must be an integer, got {text!r}", line, col)
+        if value < self.minimum:
+            raise JobSpecError(f"{name} must be >= {self.minimum}, got {value}", line, col)
+        return value
+
+
+PARAMS = {
+    "length": Param("int"),
+    "window": Param("int"),
+    "degree-bound": Param("int", minimum=1),
+    "point": Param("text"),
+    "subspace": Param("text"),
+    "cone": Param("text"),
+    "module": Param("text", flag=False),
+    "module2": Param("text", flag=False),
+    "allow-unstable": Param("switch"),
+}
 
 
 def parse_input(text: str) -> JobSpec:
@@ -156,12 +188,8 @@ def parse_input(text: str) -> JobSpec:
         word = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
 
-        if mode == "command" and (word in _INT_PARAMS or word in _STR_PARAMS):
-            if word in _INT_PARAMS:
-                try:
-                    int(rest)
-                except ValueError:
-                    raise JobSpecError(f"{word} must be an integer", lineno, len(word) + 2)
+        if mode == "command" and word in PARAMS:
+            PARAMS[word].value(word, rest, lineno, len(word) + 2)
             command.params[word] = rest
         elif word == "field":
             if p is not None:
@@ -178,17 +206,22 @@ def parse_input(text: str) -> JobSpec:
         elif word == "ring":
             if variables:
                 raise JobSpecError("duplicate ring section", lineno, 1)
+            pos = len(word)
             for tok in rest.split():
-                if ":" in tok:
-                    name, _, w = tok.partition(":")
-                    try:
-                        weight = int(w)
-                    except ValueError:
-                        raise JobSpecError(f"bad weight {w!r}", lineno, line.find(tok) + 1)
-                else:
-                    name, weight = tok, 1
+                pos = line.index(tok, pos)
+                col = pos + 1
+                pos += len(tok)
+                name, colon, w = tok.partition(":")
+                try:
+                    weight = int(w) if colon else 1
+                except ValueError:
+                    raise JobSpecError(f"bad weight {w!r}", lineno, col)
+                if weight < 1:
+                    raise JobSpecError(f"weight must be positive, got {weight}", lineno, col)
                 if not name.isidentifier():
-                    raise JobSpecError(f"bad variable name {name!r}", lineno, line.find(tok) + 1)
+                    raise JobSpecError(f"bad variable name {name!r}", lineno, col)
+                if any(name == v for v, _ in variables):
+                    raise JobSpecError(f"duplicate variable {name!r}", lineno, col)
                 variables.append((name, weight))
             if not variables:
                 raise JobSpecError("ring needs at least one variable", lineno, 1)
@@ -210,9 +243,9 @@ def parse_input(text: str) -> JobSpec:
         elif word == "command":
             if command is not None:
                 raise JobSpecError("duplicate command section", lineno, 1)
-            if rest not in VALID_COMMANDS:
+            if rest not in COMMANDS:
                 raise JobSpecError(
-                    f"unknown command {rest!r} (expected one of {', '.join(VALID_COMMANDS)})",
+                    f"unknown command {rest!r} (expected one of {', '.join(COMMANDS)})",
                     lineno,
                     9,
                 )

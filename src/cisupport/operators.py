@@ -39,13 +39,8 @@ class OperatorFamily:
     def scalar_t(self, i: int, n: int):
         """Reduction of t_i[n] modulo the irrelevant ideal, as a k-matrix."""
         m = self.ops[i][n]
-        a = np.zeros((m.nrows, m.ncols), dtype=np.int64)
-        for r in range(m.nrows):
-            for c in range(m.ncols):
-                e = m.entries[r][c]
-                if not e.is_zero():
-                    a[r, c] = e.constant_coeff()
-        return a
+        a = m.coefficient_arrays().get(self.ring.ambient.zero_mono)
+        return np.zeros((m.nrows, m.ncols), dtype=np.int64) if a is None else a
 
     def verify_identity(self):
         """d~ d~ = sum f_i t_i, entry-exact over the ambient ring."""
@@ -223,8 +218,7 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     res = minimal_resolution(ring, module, window)
     dims = list(res.betti[: window + 1])
     fdeg = [f.degree() for f in ring.fs]
-    # scalar part of t_i[n] as matrix (b_{n-2} x b_n)
-    scalar_t = [dict() for _ in range(ring.c)]
+    scalar_t = {}  # (i, n) -> scalar part of t_i[n], a b_{n-2} x b_n matrix
     span_cache = {}
     for n in range(2, window + 1):
         rows_tw = np.array(res.twists(n - 2), dtype=np.int64)
@@ -268,28 +262,24 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
                     if fdeg[i] == g and m == amb.zero_mono:
                         tmats[i][rr, cc] = sol[lbl_idx]
         for i in range(ring.c):
-            scalar_t[i][n] = tmats[i]
-    chi_maps = []
-    for i in range(ring.c):
-        maps = {}
-        for n in range(0, window - 1):
-            maps[n] = scalar_t[i][n + 2].T % p
-        chi_maps.append(maps)
-    return ExtKModule(ring, dims, chi_maps, window)
+            scalar_t[i, n] = tmats[i]
+    return _ext_k_module(ring, dims, lambda i, n: scalar_t[i, n], window)
 
 
 def chi_action_from_family(family: OperatorFamily) -> ExtKModule:
     """Action induced by an explicitly computed operator family."""
-    ring = family.ring
-    p = ring.field.p
     dims = list(family.res.betti[: family.window + 1])
-    chi_maps = []
-    for i in range(ring.c):
-        maps = {}
-        for n in range(0, family.window - 1):
-            maps[n] = family.scalar_t(i, n + 2).T % p
-        chi_maps.append(maps)
-    return ExtKModule(ring, dims, chi_maps, family.window)
+    return _ext_k_module(family.ring, dims, family.scalar_t, family.window)
+
+
+def _ext_k_module(ring: CIRing, dims, scalar_t, window: int) -> ExtKModule:
+    """Ext(M, k) with chi_i acting from Ext^n as the transpose of the scalar
+    part scalar_t(i, n + 2) of t_i: F_{n+2} -> F_n."""
+    p = ring.field.p
+    chi_maps = [
+        {n: scalar_t(i, n + 2).T % p for n in range(window - 1)} for i in range(ring.c)
+    ]
+    return ExtKModule(ring, dims, chi_maps, window)
 
 
 def evaluate_chi_class(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import PolyRing, mono_mul, render_poly
+from .poly import Poly, PolyRing, mono_mul, render_poly
 
 
 def _entry(ring, pairs, reduce=None):
@@ -44,12 +44,12 @@ class PolyMatrix:
                 raise ValueError("column count mismatch")
 
     @classmethod
-    def from_arrays(cls, ring, row_twists, col_twists, arrays, build_entries):
+    def from_arrays(cls, ring, row_twists, col_twists, arrays):
         """The matrix sum_m m * C_m given by prime-field arrays {m: C_m}.
 
         coefficient_arrays returns the arrays as given; the polynomial
-        entries are build_entries() on first use, so a matrix that is only
-        read through its arrays never builds them.  Not to be mutated.
+        entries are built on first use, so a matrix that is only read
+        through its arrays never builds them.  Not to be mutated.
         """
         m = cls.__new__(cls)
         m.ring = ring
@@ -58,15 +58,21 @@ class PolyMatrix:
         m.nrows = len(m.row_twists)
         m.ncols = len(m.col_twists)
         m._arrays = arrays
-        m._build_entries = build_entries
         return m
 
     def __getattr__(self, name):
-        # only reached when normal lookup fails: entries of a from_arrays matrix
-        if name != "entries" or "_build_entries" not in self.__dict__:
+        # only reached when normal lookup fails: entries of a from_arrays
+        # matrix.  Monomials are visited in descending order, the order Poly
+        # keeps its terms in, so no entry needs sorting.
+        if name != "entries" or "_arrays" not in self.__dict__:
             raise AttributeError(name)
-        self.entries = [list(row) for row in self._build_entries()]
-        del self._build_entries
+        terms = [[[] for _ in range(self.ncols)] for _ in range(self.nrows)]
+        for m in sorted(self._arrays, key=self.ring.mono_key, reverse=True):
+            a = self._arrays[m]
+            rows, cols = np.nonzero(a)
+            for r, c, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+                terms[r][c].append((m, v))
+        self.entries = [[Poly(self.ring, tuple(t)) for t in row] for row in terms]
         return self.entries
 
     @classmethod
@@ -82,13 +88,6 @@ class PolyMatrix:
     def from_columns(cls, ring, row_twists, columns, col_twists):
         entries = [[col[i] for col in columns] for i in range(len(row_twists))]
         return cls(ring, entries, row_twists, col_twists)
-
-    @classmethod
-    def identity(cls, ring, twists):
-        m = cls.zero(ring, twists, twists)
-        for i in range(len(twists)):
-            m.entries[i][i] = ring.one()
-        return m
 
     def check_homogeneous(self):
         """Verify the twist/degree invariant on every nonzero entry."""

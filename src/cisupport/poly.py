@@ -199,13 +199,6 @@ class Poly:
             return Poly(self.ring, ())
         return Poly(self.ring, tuple((m, f.mul(cc, c)) for m, cc in self.terms))
 
-    def term_mul(self, mono, c):
-        """Multiply by the single term c * x^mono."""
-        f = self.ring.field
-        if c == f.zero:
-            return Poly(self.ring, ())
-        return Poly(self.ring, tuple((mono_mul(m, mono), f.mul(cc, c)) for m, cc in self.terms))
-
     def monic(self):
         if not self.terms:
             return self

@@ -36,7 +36,6 @@ from .cimodule import (
 )
 from .field import PrimeField
 from .pmatrix import PolyMatrix
-from .poly import Poly
 
 
 class FreeResolution:
@@ -67,10 +66,6 @@ class FreeResolution:
 
     def betti_by_degree(self):
         return [dict(_count(self.twists(i))) for i in range(self.length + 1)]
-
-    def terminated(self) -> bool:
-        """True when the window already reached a zero module."""
-        return any(b == 0 for b in self.betti[1:])
 
     def projective_dimension(self):
         """Finite pd if visible inside the window, else None."""
@@ -108,27 +103,6 @@ def _free_mult(ring, twists, var: int, d: int, vecs: np.ndarray, p: int) -> np.n
         prod = modlinalg.matmul(var_mult_matrix(ring, var, d - t), block, p)
         out[dst[t][1].reshape(-1)] = prod.reshape(-1, k)
     return out
-
-
-def _coords_to_columns(ring, twists, d, vecs):
-    """Inverse of column_coords for each column of vecs: polynomial columns.
-
-    Standard monomials come in descending term order, the order Poly keeps
-    its terms in, so each entry is built without sorting.
-    """
-    amb = ambient_of(ring)
-    monos = []
-    owner = []
-    for j, t in enumerate(twists):
-        block = std_monomials(ring, d - t)
-        monos.extend(block)
-        owner.extend([j] * len(block))
-    vals = vecs.T % amb.field.p
-    terms = [[[] for _ in twists] for _ in range(vals.shape[0])]
-    cols, pos = np.nonzero(vals)  # row-major: ascending positions per column
-    for k, i, c in zip(cols.tolist(), pos.tolist(), vals[cols, pos].tolist()):
-        terms[k][owner[i]].append((monos[i], c))
-    return [[Poly(amb, tuple(t)) for t in col] for col in terms]
 
 
 def _coords_to_arrays(ring, twists, chunks, ncols):
@@ -212,14 +186,8 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
             chunks.append((d, n_d[:, chosen] % p))
             new_twists.extend([d] * len(chosen))
 
-    def build_entries():
-        cols = []
-        for d, vecs in chunks:
-            cols.extend(_coords_to_columns(ring, twists, d, vecs))
-        return PolyMatrix.from_columns(amb, twists, cols, new_twists).entries
-
     arrays = _coords_to_arrays(ring, twists, chunks, len(new_twists))
-    return PolyMatrix.from_arrays(amb, twists, new_twists, arrays, build_entries)
+    return PolyMatrix.from_arrays(amb, twists, new_twists, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +330,3 @@ def check_exactness(res: FreeResolution, spots=None):
             if not kernel_igb.contains(column_to_vec(col)):
                 raise AssertionError(f"image not inside kernel at spot {i}")
     return True
-
-
-class BettiTable:
-    """Ranks by homological degree, with internal degrees on request."""
-
-    def __init__(self, ranks, by_degree):
-        self.ranks = list(ranks)
-        self.by_degree = [dict(d) for d in by_degree]
-        if any(r < 0 for r in self.ranks):
-            raise ValueError("ranks must be non-negative")
-
-    def __getitem__(self, i):
-        return self.ranks[i]
-
-    def __len__(self):
-        return len(self.ranks)
-
-    def __eq__(self, other):
-        return isinstance(other, BettiTable) and other.ranks == self.ranks
-
-    def __repr__(self):
-        return f"BettiTable({self.ranks})"
-
-
-def betti_table(res: FreeResolution) -> BettiTable:
-    return BettiTable(res.betti, res.betti_by_degree())

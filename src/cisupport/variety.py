@@ -45,9 +45,6 @@ class SupportVariety:
     degree_bound: int = 0
     note: str = ""
 
-    def dimension(self) -> int:
-        return self.ideal.dimension()
-
 
 class Subspace:
     """A full-row-rank r x c matrix over k; row j spans g_j = sum_i A[j][i] f_i."""
@@ -66,15 +63,7 @@ class Subspace:
 
     def forms(self):
         """The elements g_j = sum_i A[j][i] f_i of the ambient ring."""
-        amb = self.ring.ambient
-        out = []
-        for row in self.rows:
-            g = amb.zero()
-            for i, coef in enumerate(row):
-                if coef:
-                    g = g + self.ring.fs[i].scale(coef)
-            out.append(g)
-        return out
+        return [self.ring.form(row) for row in self.rows]
 
     def intermediate_ring(self) -> CIRing:
         return CIRing(self.ring.ambient, self.forms())
@@ -147,12 +136,7 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
         work_ring = base_change_ring(ring, fld)
         module = base_change_module(module, work_ring)
         other = base_change_module(other, work_ring)
-    amb = work_ring.ambient
-    f = amb.zero()
-    for i, c in enumerate(coords):
-        if c != zero:
-            f = f + work_ring.fs[i].scale(c)
-    hyper = CIRing(amb, [f], validate=False)
+    hyper = CIRing(work_ring.ambient, [work_ring.form(coords)], validate=False)
     s = hyper.dim + 2
     if is_residue_field(other):
         # the module over R is one over A: every direction shares its

@@ -307,6 +307,31 @@ def test_unstable_variety_exit_code(jobfile, capsys, monkeypatch):
     assert json.loads(out)["flags"]["stabilized"] is False
     code2, _, _ = run_cli(capsys, ["variety", "--input", path, "--allow-unstable"])
     assert code2 == EXIT_OK
+    # a bare allow-unstable line in the job file acts as the flag
+    switch = jobfile(TWOVAR + "command variety\nallow-unstable\n", "switch.job")
+    code3, out3, err3 = run_cli(capsys, ["variety", "--input", switch])
+    assert code3 == EXIT_OK and "did not stabilize" not in err3
+    assert json.loads(out3)["flags"]["stabilized"] is False
+
+
+@pytest.mark.parametrize(
+    "old, new, where, reason",
+    [
+        ("length 5", "allow-unstable yes", ":7:16:", "allow-unstable takes no value"),
+        ("length 5", "length -1", ":7:8:", "length must be >= 0, got -1"),
+        ("ring x y z", "ring x:0 y z", ":2:6:", "weight must be positive, got 0"),
+        ("ring x y z", "ring x y:-1 z", ":2:8:", "weight must be positive, got -1"),
+        ("ring x y z", "ring x y x", ":2:10:", "duplicate variable 'x'"),
+    ],
+    ids=["allow-unstable-value", "negative-length", "zero-weight", "negative-weight",
+         "duplicate-variable"],
+)
+def test_job_file_values_are_located_parse_errors(jobfile, capsys, old, new, where, reason):
+    path = jobfile(EX54.replace(old, new))
+    code, out, err = run_cli(capsys, ["betti", "--input", path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(path + where) and reason in err
 
 
 def test_resolve_command_includes_differentials(jobfile, capsys):

@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
+
 from cisupport import homology
 from cisupport.cache import clear_memo
-from cisupport.catalog import three_var_ring
+from cisupport.catalog import dim2_hypersurface_ring, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
     cyclic_module,
@@ -222,3 +224,38 @@ def test_ext_module_of_zero_and_free():
     assert ext_module_ring_coeffs(r, free_module(r), 1).is_zero()
     hom = ext_module_ring_coeffs(r, free_module(r), 0).minimalized()
     assert hom.ngens == 1 and hom.is_free()
+
+
+def reference_ext_module_ring_coeffs(ring, module, m):
+    """The route ext_module_ring_coeffs took before it read the Hom complex:
+    the kernel of the transposed differential by a syzygy computation."""
+    from cisupport.cimodule import subquotient_presentation, syzygy_matrix, zero_module
+
+    module = module.minimalized()
+    if module.ngens == 0:
+        return zero_module(ring)
+    res = minimal_resolution(ring, module, m + 1)
+    if res.betti[m] == 0:
+        return zero_module(ring)
+    d_next_t = res.differential(m + 1).transpose()
+    ker_cols = syzygy_matrix(ring, d_next_t).columns()
+    im_cols = res.differential(m).transpose().columns() if m >= 1 else []
+    return subquotient_presentation(ring, d_next_t.col_twists, ker_cols, im_cols)
+
+
+def _ext_ring_cases():
+    r = two_var_ring(3)
+    for name, module in (("k", residue_module(r)), ("R/(x)", cyclic_module(r, [r.ambient.var_poly(0)]))):
+        for m in range(4):
+            yield f"{name}-m{m}", r, module, m
+    d2 = dim2_hypersurface_ring(3)
+    yield "dim2-k", d2, residue_module(d2), d2.dim
+
+
+@pytest.mark.parametrize("case", list(_ext_ring_cases()), ids=lambda c: c[0])
+def test_ext_into_the_ring_equals_the_transpose_route(case):
+    _, ring, module, m = case
+    got = ext_module_ring_coeffs(ring, module, m)
+    want = reference_ext_module_ring_coeffs(ring, module, m)
+    assert got.presentation == want.presentation
+    assert got.row_twists == want.row_twists

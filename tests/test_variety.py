@@ -341,19 +341,6 @@ def test_cross_oracle_agreement_exhaustive_two_var_p2():
             assert oracle == vanishes_at(v.ideal, a, ring.field), (name, a)
 
 
-def test_union_and_intersection_wrapper():
-    import cisupport
-
-    ring = two_var_ring(3)
-    q = ring.ambient
-    vx = variety_of(ring, cyclic_module(ring, [P(q, "x")]))
-    vy = variety_of(ring, cyclic_module(ring, [P(q, "y")]))
-    uni, inter = cisupport.union_and_intersection(vx, vy)
-    chi = ring.chi_ring()
-    assert equal_up_to_radical(uni.ideal, Ideal(chi, [P(chi, "chi1*chi2")]))
-    assert equal_up_to_radical(inter.ideal, Ideal(chi, [P(chi, "chi1"), P(chi, "chi2")]))
-
-
 def test_mixed_degree_defining_forms():
     # forms of degrees 3 and 2: operator internal degrees differ
     q = PolyRing(["x", "y"], field=PrimeField(5))
