@@ -536,29 +536,9 @@ def tensor_over_base(m1: GradedModule, m2: GradedModule, target) -> GradedModule
         raise ValueError("tensor factors must be presented over the ambient ring")
     if r1.key() != amb.key() or r2.key() != amb.key():
         raise ValueError("tensor factors must share the target's ambient ring")
-    g1, g2 = m1.ngens, m2.ngens
-    row_twists = []
-    for i in range(g1):
-        for j in range(g2):
-            row_twists.append(m1.row_twists[i] + m2.row_twists[j])
-    cols = []
-    col_twists = []
     p1, p2 = m1.presentation, m2.presentation
-    for s in range(m1.nrels):
-        for j in range(g2):
-            col = [amb.zero()] * (g1 * g2)
-            for i in range(g1):
-                col[i * g2 + j] = p1.entries[i][s]
-            cols.append(col)
-            col_twists.append(p1.col_twists[s] + m2.row_twists[j])
-    for i in range(g1):
-        for t in range(m2.nrels):
-            col = [amb.zero()] * (g1 * g2)
-            for j in range(g2):
-                col[i * g2 + j] = p2.entries[j][t]
-            cols.append(col)
-            col_twists.append(m1.row_twists[i] + p2.col_twists[t])
-    return GradedModule(target, PolyMatrix.from_columns(amb, row_twists, cols, col_twists))
+    i1, i2 = PolyMatrix.identity(amb, m1.row_twists), PolyMatrix.identity(amb, m2.row_twists)
+    return GradedModule(target, PolyMatrix.block(amb, [[p1.kron(i2), i1.kron(p2)]]))
 
 
 def quotient_by_element(module: GradedModule, x: Poly):

@@ -54,10 +54,14 @@ def _build_parser():
 
 
 def _effective_params(job: JobSpec, args) -> dict:
-    """The job file's command parameters, overridden by the valued flags."""
+    """The job file's valued command parameters, overridden by the valued
+    flags.  Switches change no result, so they stay out of the report and
+    its cache key."""
     params = {}
     if job is not None and job.command is not None:
-        params.update(job.command.params)
+        params.update(
+            (k, v) for k, v in job.command.params.items() if PARAMS[k].kind != "switch"
+        )
     for name, spec in PARAMS.items():
         v = getattr(args, name.replace("-", "_"), None)
         if spec.flag and spec.kind != "switch" and v is not None:
@@ -313,7 +317,10 @@ def main(argv=None) -> int:
         print("# cache hit", file=sys.stderr)
 
     flags = report.get("flags", {})
-    if flags.get("stabilized") is False and not (args.allow_unstable or "allow-unstable" in params):
+    allow_unstable = args.allow_unstable or (
+        job is not None and job.command is not None and "allow-unstable" in job.command.params
+    )
+    if flags.get("stabilized") is False and not allow_unstable:
         print("warning: variety computation did not stabilize", file=sys.stderr)
         return EXIT_UNSTABLE
     results = report.get("results", {})

@@ -96,22 +96,17 @@ class HypersurfaceComplex:
         self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
         self._build_homotopies()
 
-    def _identity_times_f(self, twists):
-        m = PolyMatrix.zero(self.amb, twists, tuple(t + self.f.degree() for t in twists))
-        for i in range(len(twists)):
-            m.entries[i][i] = self.f
-        return m
-
     def _build_homotopies(self):
         res, pd = self.res, self.pd
         fdeg = self.f.degree()
+        f_times = PolyMatrix(self.amb, [[self.f]], (0,), (fdeg,))
         t = 1
         while t <= pd + 1:
             for i in range(0, pd + 1):
                 target = i + 2 * t - 1
                 # rhs: G_i -> G_{i + 2t - 2}
                 if t == 1:
-                    rhs = self._identity_times_f(res.twists(i))
+                    rhs = PolyMatrix.identity(self.amb, res.twists(i)).kron(f_times)
                 else:
                     rhs = None
                     for u in range(1, t):
@@ -145,75 +140,57 @@ class HypersurfaceComplex:
                 )
             t += 1
 
-    def rank_of(self, m: int) -> int:
-        if m < 0:
-            return 0
-        return sum(
-            self.res.betti[m - 2 * j]
-            for j in range((m // 2) + 1)
-            if m - 2 * j <= self.pd
-        )
+    def differential(self, m: int) -> PolyMatrix:
+        """d: F_m -> F_{m-1} over Q as one graded block matrix.
 
-    def _components(self, m: int):
-        return [
-            (m - 2 * j, j)
-            for j in range((m // 2) + 1)
-            if 0 <= m - 2 * j <= self.pd
-        ]
+        Component (i, j) of F_m is G_i twisted by j deg f, for j = 0, 1, ...
+        in turn; d_i maps it to (i-1, j) and sigma_t to (i+2t-1, j-t).
+        """
+        fdeg = self.f.degree()
 
-    def scalar_differential(self, m: int):
-        """Mod-irrelevant-ideal matrix of d: F_m -> F_{m-1} (field elements)."""
-        field = self.amb.field
-        src = self._components(m)
-        dst = self._components(m - 1)
-        dst_offsets = {}
-        off = 0
-        for comp in dst:
-            dst_offsets[comp] = off
-            off += self.res.betti[comp[0]]
-        rows = off
-        cols = sum(self.res.betti[i] for i, _ in src)
-        a = [[field.zero] * cols for _ in range(rows)]
+        def components(n):
+            return [(n - 2 * j, j) for j in range(n // 2 + 1) if n - 2 * j <= self.pd]
 
-        def put(mat: PolyMatrix, r0: int, c0: int):
-            for u in range(mat.nrows):
-                row = mat.entries[u]
-                for v in range(mat.ncols):
-                    e = row[v]
-                    if not e.is_zero():
-                        a[r0 + u][c0 + v] = e.constant_coeff()
+        def twists(i, j):
+            return tuple(t + j * fdeg for t in self.res.twists(i))
 
-        coff = 0
-        for i, j in src:
-            w = self.res.betti[i]
-            # t = 0 block: the ambient differential
-            if i >= 1 and (i - 1, j) in dst_offsets:
-                put(self.res.differential(i), dst_offsets[(i - 1, j)], coff)
-            for t in range(1, j + 1):
+        def part(i, j, k, l):
+            t = j - l
+            mat = None
+            if t == 0 and k == i - 1:
+                mat = self.res.differential(i)
+            elif t >= 1 and k == i + 2 * t - 1:
                 mat = self.sigma.get((t, i))
-                if mat is None:
-                    continue
-                key = (i + 2 * t - 1, j - t)
-                if key in dst_offsets:
-                    put(mat, dst_offsets[key], coff)
-            coff += w
-        return a
+            if mat is None:
+                return PolyMatrix.zero(self.amb, twists(k, l), twists(i, j))
+            return mat.twisted(l * fdeg)
 
-    def _rank(self, rows) -> int:
-        field = self.amb.field
-        if not rows or not rows[0]:
-            return 0
-        if isinstance(field, PrimeField):
-            return modlinalg.rank(np.array(rows, dtype=np.int64), field.p)
-        return modlinalg.field_rank(field, rows)
+        src, dst = components(m), components(m - 1)
+        if not src or not dst:
+            return PolyMatrix.zero(
+                self.amb,
+                [t for c in dst for t in twists(*c)],
+                [t for c in src for t in twists(*c)],
+            )
+        return PolyMatrix.block(self.amb, [[part(*s, *d) for s in src] for d in dst])
 
     def betti_over_a(self, upto: int):
-        """Tor ranks of the module over A for homological degrees 0..upto."""
-        out = []
-        ranks = {m: self._rank(self.scalar_differential(m)) for m in range(upto + 2)}
-        for m in range(upto + 1):
-            out.append(self.rank_of(m) - ranks[m] - ranks[m + 1])
-        return out
+        """Tor ranks of the module over A for homological degrees 0..upto:
+        the ranks of F_m less those of the differentials mod the irrelevant
+        ideal."""
+        field = self.amb.field
+        ds = [self.differential(m) for m in range(upto + 2)]
+        ranks = []
+        for d in ds:
+            if not d.nrows or not d.ncols:
+                ranks.append(0)
+                continue
+            rows = [[e.constant_coeff() if e.terms else field.zero for e in row] for row in d.entries]
+            if isinstance(field, PrimeField):
+                ranks.append(modlinalg.rank(np.array(rows, dtype=np.int64), field.p))
+            else:
+                ranks.append(modlinalg.field_rank(field, rows))
+        return [ds[m].ncols - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
 
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
@@ -237,54 +214,30 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
 # general Ext vanishing via the Hom complex
 
 
-def _hom_spot_data(ring, res, n_min: GradedModule, j: int):
-    """Twists of Hom(F_j, A^g) and the relation columns at that spot."""
-    amb = ambient_of(ring)
-    g = n_min.ngens
-    tN = n_min.row_twists
-    fj = res.twists(j)
-    twists = tuple(tN[s] - fj[u] for u in range(len(fj)) for s in range(g))
-    rel_cols = []
-    pres = n_min.presentation
-    for u in range(len(fj)):
-        for c in range(pres.ncols):
-            col = [amb.zero()] * (len(fj) * g)
-            for s in range(g):
-                col[u * g + s] = pres.entries[s][c]
-            rel_cols.append(col)
-    return twists, rel_cols
-
-
-def _hom_map_columns(ring, res, n_min: GradedModule, j: int):
-    """Columns of Hom(d_{j+1}, N): Hom(F_j, A^g) -> Hom(F_{j+1}, A^g)."""
-    amb = ambient_of(ring)
-    g = n_min.ngens
-    fj = res.twists(j)
-    fj1 = res.twists(j + 1)
-    d = res.differential(j + 1)
-    cols = []
-    for u in range(len(fj)):
-        for s in range(g):
-            col = [amb.zero()] * (len(fj1) * g)
-            for v in range(len(fj1)):
-                col[v * g + s] = d.entries[u][v]
-            cols.append(col)
-    return cols
-
-
 def _hom_complex(ring, res, n_min: GradedModule, i: int):
-    """Hom(F, N) at spot i, with N presented by A^g / (relations).
+    """Hom(F, N) at spot i, with N presented by A^g / (relations P).
 
-    Returns the twists of Hom(F_i, A^g), generators of the kernel of
-    Hom(d_{i+1}, N) (the vectors mapped into the relations at spot i + 1)
-    and the columns spanning the image: the relations at spot i together
-    with the columns of Hom(d_i, A^g).  Ext^i(M, N) is kernel / image.
+    Hom(F_j, A^g) is A^g per basis vector of F_j, so its relations are
+    id (x) P, and Hom(d_j, A^g) is d_j^T (x) id.  Returns the twists of
+    Hom(F_i, A^g), generators of the kernel of Hom(d_{i+1}, N) (the vectors
+    mapped into the relations at spot i + 1) and the columns spanning the
+    image: the relations at spot i together with the columns of
+    Hom(d_i, A^g).  Ext^i(M, N) is kernel / image.
     """
-    twists, rels = _hom_spot_data(ring, res, n_min, i)
-    next_twists, next_rels = _hom_spot_data(ring, res, n_min, i + 1)
-    kernel = kernel_modulo(ring, next_twists, _hom_map_columns(ring, res, n_min, i), next_rels)
-    image = rels + (_hom_map_columns(ring, res, n_min, i - 1) if i >= 1 else [])
-    return twists, kernel, image
+    amb = ambient_of(ring)
+    ident = PolyMatrix.identity(amb, n_min.row_twists)
+
+    def relations(j):
+        dual = PolyMatrix.identity(amb, tuple(-t for t in res.twists(j)))
+        return dual.kron(n_min.presentation)
+
+    def hom_map(j):
+        return res.differential(j).transpose().kron(ident)
+
+    rels, next_rels = relations(i), relations(i + 1)
+    kernel = kernel_modulo(ring, next_rels.row_twists, hom_map(i + 1).columns(), next_rels.columns())
+    image = rels.columns() + (hom_map(i).columns() if i >= 1 else [])
+    return rels.row_twists, kernel, image
 
 
 def ext_vanishes(ring, module: GradedModule, other: GradedModule, i: int) -> bool:

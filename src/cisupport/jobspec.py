@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .cimodule import CIRing, GradedModule, residue_module
 from .field import PrimeField, is_prime
-from .groebner import is_regular_sequence
 from .modlinalg import PRIME_LIMIT
 from .poly import PolyParseError, PolyRing, parse_poly, render_poly
 
@@ -70,6 +69,7 @@ class JobSpec:
     relations: tuple  # canonical polynomial strings
     modules: tuple  # tuple of ModuleDecl, in declaration order
     command: CommandDecl = None
+    ring: CIRing = field(default=None, repr=False)  # built while parsing; not in key()
 
     def key(self):
         return (
@@ -93,8 +93,10 @@ class JobSpec:
         )
 
     def ci_ring(self) -> CIRing:
-        amb = self.ambient_ring()
-        return CIRing(amb, [parse_poly(amb, s) for s in self.relations])
+        if self.ring is None:
+            amb = self.ambient_ring()
+            self.ring = CIRing(amb, [parse_poly(amb, s) for s in self.relations])
+        return self.ring
 
     def build_module(self, name: str, ring: CIRing) -> GradedModule:
         for decl in self.modules:
@@ -291,11 +293,8 @@ def parse_input(text: str) -> JobSpec:
         raise JobSpecError("missing relations section")
 
     # semantic validation: ring, relations, modules
-    amb = PolyRing(
-        [v for v, _ in variables],
-        field=PrimeField(p),
-        weights=[w for _, w in variables],
-    )
+    job = JobSpec(p=p, variables=tuple(variables), relations=(), modules=(), command=command)
+    amb = job.ambient_ring()
     rel_polys = []
     for s in relations:
         try:
@@ -305,15 +304,15 @@ def parse_input(text: str) -> JobSpec:
     for s, q in zip(relations, rel_polys):
         if not q.is_homogeneous():
             raise JobSpecError(f"relation {s!r} is not homogeneous", relations_line, 1)
-    reg = is_regular_sequence(rel_polys, amb) if rel_polys else None
-    if rel_polys and not reg:
+    try:
+        job.ring = CIRing(amb, rel_polys)
+    except ValueError:
         raise JobSpecError(
             "relations are not a regular sequence of forms of degree >= 2",
             relations_line,
             1,
         )
-    canonical_rels = tuple(render_poly(q) for q in rel_polys)
-    ring = CIRing(amb, rel_polys) if rel_polys else None
+    job.relations = tuple(render_poly(q) for q in rel_polys)
 
     canon_modules = []
     for decl in modules:
@@ -343,21 +342,14 @@ def parse_input(text: str) -> JobSpec:
             cols.append(tuple(parsed))
         md = ModuleDecl(decl.name, False, decl.twists, tuple(cols), decl.col_twists)
         canon_modules.append(md)
+    job.modules = tuple(canon_modules)
 
-    job = JobSpec(
-        p=p,
-        variables=tuple(variables),
-        relations=canonical_rels,
-        modules=tuple(canon_modules),
-        command=command,
-    )
     # degree-consistency of module presentations (raises with module context)
-    if ring is not None:
-        for decl in canon_modules:
-            try:
-                job.build_module(decl.name, ring)
-            except ValueError as exc:
-                raise JobSpecError(f"module {decl.name!r}: {exc}")
+    for decl in canon_modules:
+        try:
+            job.build_module(decl.name, job.ring)
+        except ValueError as exc:
+            raise JobSpecError(f"module {decl.name!r}: {exc}")
     return job
 
 

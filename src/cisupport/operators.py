@@ -46,18 +46,11 @@ class OperatorFamily:
         """d~ d~ = sum f_i t_i, entry-exact over the ambient ring."""
         res = self.res
         for n in range(2, self.window + 1):
-            prod = res.differential(n - 1).mul(res.differential(n))
-            acc = PolyMatrix.zero(prod.ring, prod.row_twists, prod.col_twists)
-            for i, f in enumerate(self.ring.fs):
-                t = self.ops[i][n]
-                for r in range(prod.nrows):
-                    for c in range(prod.ncols):
-                        if not t.entries[r][c].is_zero():
-                            acc.entries[r][c] = acc.entries[r][c] + f * t.entries[r][c]
-            for r in range(prod.nrows):
-                for c in range(prod.ncols):
-                    if prod.entries[r][c] - acc.entries[r][c] != prod.ring.zero():
-                        raise AssertionError(f"operator identity fails at n={n}")
+            diff = -res.differential(n - 1).mul(res.differential(n))
+            for f, ops in zip(self.ring.fs, self.ops):
+                diff = diff + ops[n].map_entries(lambda e: f * e)
+            if not diff.is_zero():
+                raise AssertionError(f"operator identity fails at n={n}")
         return True
 
     def verify_chain_property(self):
@@ -66,18 +59,10 @@ class OperatorFamily:
         res = self.res
         for i in range(ring.c):
             for n in range(3, self.window + 1):
-                left = res.differential(n - 2).mul(
-                    self.ops[i][n], reduce=lambda q: ring.nf(q)
-                )
-                right = self.ops[i][n - 1].mul(
-                    res.differential(n), reduce=lambda q: ring.nf(q)
-                )
-                for r in range(left.nrows):
-                    for c in range(left.ncols):
-                        if left.entries[r][c] != right.entries[r][c]:
-                            raise AssertionError(
-                                f"chain property fails for t_{i+1} at n={n}"
-                            )
+                left = res.differential(n - 2).mul(self.ops[i][n], reduce=ring.nf)
+                right = self.ops[i][n - 1].mul(res.differential(n), reduce=ring.nf)
+                if not (left + -right).is_zero():
+                    raise AssertionError(f"chain property fails for t_{i+1} at n={n}")
         return True
 
 

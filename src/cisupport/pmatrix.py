@@ -77,12 +77,16 @@ class PolyMatrix:
 
     @classmethod
     def zero(cls, ring, row_twists, col_twists):
-        return cls(
-            ring,
-            [[ring.zero() for _ in col_twists] for _ in row_twists],
-            row_twists,
-            col_twists,
-        )
+        z = ring.zero()  # polynomials are immutable, so one zero serves every entry
+        return cls(ring, [[z] * len(col_twists) for _ in row_twists], row_twists, col_twists)
+
+    @classmethod
+    def identity(cls, ring, twists):
+        m = cls.zero(ring, twists, twists)
+        one = ring.one()
+        for i in range(m.nrows):
+            m.entries[i][i] = one
+        return m
 
     @classmethod
     def from_columns(cls, ring, row_twists, columns, col_twists):
@@ -115,6 +119,35 @@ class PolyMatrix:
             [[self.entries[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             tuple(-t for t in self.col_twists),
             tuple(-t for t in self.row_twists),
+        )
+
+    def twisted(self, s):
+        """The same entries with every row and column twist shifted by s."""
+        return PolyMatrix(
+            self.ring,
+            self.entries,
+            tuple(t + s for t in self.row_twists),
+            tuple(t + s for t in self.col_twists),
+        )
+
+    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Kronecker product: entry (i*other.nrows + k, j*other.ncols + l) is
+        self[i][j] * other[k][l], and the twists of each pair add."""
+        z = self.ring.zero()
+        entries = [
+            [
+                a * b if not (a.is_zero() or b.is_zero()) else z
+                for a in row
+                for b in other_row
+            ]
+            for row in self.entries
+            for other_row in other.entries
+        ]
+        return PolyMatrix(
+            self.ring,
+            entries,
+            [r + s for r in self.row_twists for s in other.row_twists],
+            [c + s for c in self.col_twists for s in other.col_twists],
         )
 
     def scale(self, c):

@@ -96,16 +96,12 @@ def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> Mapp
     amb = ambient_of(ring)
     d_e = res.differential(e)
     d_1 = res.differential(1)
-    top_rows = tuple(t - shift for t in d_e.row_twists)
-    top_cols = tuple(t - shift for t in d_e.col_twists)
-    neg_de = PolyMatrix(amb, (-d_e).entries, top_rows, top_cols)
-    zero_blk = PolyMatrix.zero(amb, top_rows, d_1.col_twists)
-    p_blk = PolyMatrix(amb, pmap.entries, pmap.row_twists, top_cols)
-    cone = PolyMatrix.block(amb, [[neg_de, zero_blk], [p_blk, d_1]])
+    top = d_e.twisted(-shift)
+    zero_blk = PolyMatrix.zero(amb, top.row_twists, d_1.col_twists)
+    p_blk = PolyMatrix(amb, pmap.entries, pmap.row_twists, top.col_twists)
+    cone = PolyMatrix.block(amb, [[-top, zero_blk], [p_blk, d_1]])
     km = GradedModule(ring, cone)
-    quotient_part = GradedModule(
-        ring, PolyMatrix(amb, d_e.entries, top_rows, top_cols)
-    )
+    quotient_part = GradedModule(ring, top)
     return MappingCone(
         ring=ring,
         module=km,

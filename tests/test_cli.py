@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -312,6 +313,17 @@ def test_unstable_variety_exit_code(jobfile, capsys, monkeypatch):
     code3, out3, err3 = run_cli(capsys, ["variety", "--input", switch])
     assert code3 == EXIT_OK and "did not stabilize" not in err3
     assert json.loads(out3)["flags"]["stabilized"] is False
+    # the switch changes no result: the job-file run and the flag run print
+    # one report and share one cache entry
+    cache = os.path.join(os.path.dirname(path), "cache")
+    flag_run = run_cli(capsys, ["variety", "--input", path, "--allow-unstable", "--cache-dir", cache])
+    file_run = run_cli(capsys, ["variety", "--input", switch, "--cache-dir", cache])
+    assert flag_run[0] == file_run[0] == EXIT_OK
+    wall = re.compile(r',\n  "wall_time_ms": -?\d+(?=\n\}\n$)')
+    assert wall.sub("", flag_run[1]) == wall.sub("", file_run[1])
+    assert "allow-unstable" not in json.loads(file_run[1])["parameters"]
+    assert "# cache hit" in file_run[2]
+    assert len(os.listdir(cache)) == 1
 
 
 @pytest.mark.parametrize(
@@ -344,3 +356,18 @@ def test_resolve_command_includes_differentials(jobfile, capsys):
     assert len(diffs) == 3
     assert diffs[0]["entries"] == [["x"]]
     assert report["results"]["betti"] == [1, 1, 1, 1]
+
+
+def test_a_job_checks_its_relations_once(jobfile, capsys, monkeypatch):
+    import cisupport.cimodule as cimodule
+
+    calls = []
+    real = cimodule.is_regular_sequence
+
+    def counting(fs, ring=None):
+        calls.append(fs)
+        return real(fs, ring)
+
+    monkeypatch.setattr(cimodule, "is_regular_sequence", counting)
+    code, _, _ = run_cli(capsys, ["betti", "--input", jobfile(EX54)])
+    assert code == EXIT_OK and len(calls) == 1

@@ -1,14 +1,17 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from cisupport import homology
+from cisupport import homology, modlinalg
 from cisupport.cache import clear_memo
-from cisupport.catalog import dim2_hypersurface_ring, three_var_ring, two_var_ring
+from cisupport.catalog import catalog_modules, dim2_hypersurface_ring, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
+    ambient_of,
     cyclic_module,
     free_module,
+    kernel_modulo,
     residue_module,
     restrict_to_ring,
 )
@@ -259,3 +262,214 @@ def test_ext_into_the_ring_equals_the_transpose_route(case):
     want = reference_ext_module_ring_coeffs(ring, module, m)
     assert got.presentation == want.presentation
     assert got.row_twists == want.row_twists
+
+
+# ---------------------------------------------------------------------------
+# the Shamash differential and the Hom complex as block matrices, against the
+# hand-indexed routes they replaced
+
+
+def reference_betti_over_a(hc, upto):
+    """Tor ranks the way betti_over_a read them before the differential was
+    one block matrix: constant coefficients placed by an offset table."""
+    field = hc.amb.field
+
+    def components(m):
+        return [(m - 2 * j, j) for j in range((m // 2) + 1) if 0 <= m - 2 * j <= hc.pd]
+
+    def rank_of(m):
+        return 0 if m < 0 else sum(hc.res.betti[i] for i, _ in components(m))
+
+    def scalar_differential(m):
+        src, dst = components(m), components(m - 1)
+        dst_offsets = {}
+        off = 0
+        for comp in dst:
+            dst_offsets[comp] = off
+            off += hc.res.betti[comp[0]]
+        a = [[field.zero] * sum(hc.res.betti[i] for i, _ in src) for _ in range(off)]
+
+        def put(mat, r0, c0):
+            for u in range(mat.nrows):
+                for v in range(mat.ncols):
+                    e = mat.entries[u][v]
+                    if not e.is_zero():
+                        a[r0 + u][c0 + v] = e.constant_coeff()
+
+        coff = 0
+        for i, j in src:
+            if i >= 1 and (i - 1, j) in dst_offsets:
+                put(hc.res.differential(i), dst_offsets[(i - 1, j)], coff)
+            for t in range(1, j + 1):
+                mat = hc.sigma.get((t, i))
+                if mat is not None and (i + 2 * t - 1, j - t) in dst_offsets:
+                    put(mat, dst_offsets[(i + 2 * t - 1, j - t)], coff)
+            coff += hc.res.betti[i]
+        return a
+
+    def rank(rows):
+        if not rows or not rows[0]:
+            return 0
+        if isinstance(field, PrimeField):
+            return modlinalg.rank(np.array(rows, dtype=np.int64), field.p)
+        return modlinalg.field_rank(field, rows)
+
+    ranks = [rank(scalar_differential(m)) for m in range(upto + 2)]
+    return [rank_of(m) - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
+
+
+def f_times_shift(hc, m):
+    """f times the map F_m -> F_{m-2} that sends component (i, j) to
+    (i, j-1) by the identity, laid out by hand: the square of the Shamash
+    differential over Q."""
+
+    def offsets(n):
+        out, off = {}, 0
+        for j in range(n // 2 + 1):
+            if n - 2 * j <= hc.pd:
+                out[n - 2 * j, j] = off
+                off += hc.res.betti[n - 2 * j]
+        return out
+
+    src, dst = offsets(m), offsets(m - 2)
+    want = PolyMatrix.zero(
+        hc.amb, hc.differential(m - 1).row_twists, hc.differential(m).col_twists
+    )
+    for (i, j), c0 in src.items():
+        if (i, j - 1) in dst:
+            for u in range(hc.res.betti[i]):
+                want.entries[dst[i, j - 1] + u][c0 + u] = hc.f
+    return want
+
+
+def cubic_ring():
+    """The p = 101 ring of the member_cubic_* golden jobs."""
+    q = PolyRing(["x", "y", "z"], field=PrimeField(101))
+    return CIRing(q, [
+        parse_poly(q, "x^3 + 64*x*y^2 + 79*y^2*z"),
+        parse_poly(q, "38*x^3 + 5*x^2*z + 33*x*z^2 + y^3 + 12*z^3"),
+    ])
+
+
+def _directions(ring):
+    p = ring.field.p
+    for a in itertools.product(range(p), repeat=ring.c):
+        if any(a):
+            yield a
+
+
+def _catalog_complexes():
+    for name, ring in (("2var_p3", two_var_ring(3)), ("3var_p3", three_var_ring(3))):
+        for mod_name, module in catalog_modules(ring).items():
+            yield f"{name}-{mod_name}", ring, module, list(_directions(ring))
+    cubic = cubic_ring()
+    q = cubic.ambient
+    for mod_name, module in (
+        ("k", residue_module(cubic)),
+        ("M", cyclic_module(cubic, [parse_poly(q, "31*x + 90*y + 41*z")])),
+        ("N", cyclic_module(cubic, [parse_poly(q, "x*y + 98*z^2")])),
+    ):
+        # every point of the projective line over F_101
+        yield f"cubic_p101-{mod_name}", cubic, module, [(0, 1)] + [(1, t) for t in range(101)]
+
+
+@pytest.mark.parametrize("case", list(_catalog_complexes()), ids=lambda c: c[0])
+def test_block_differential_tor_ranks_equal_the_offset_table(case):
+    _, ring, module, directions = case
+    for a in directions:
+        hc = HypersurfaceComplex(CIRing(ring.ambient, [ring.form(a)], validate=False), module)
+        assert hc.betti_over_a(6) == reference_betti_over_a(hc, 6), a
+
+
+def test_block_differential_tor_ranks_over_an_extension_field():
+    f4 = ExtField(2, 2)
+    q = PolyRing(["x", "y"], field=f4)
+    a_ring = CIRing(q, [q.from_terms([((2, 0), f4.one)])], validate=False)
+    module = cyclic_module(a_ring, [q.from_terms([((1, 0), f4.one)])])
+    hc = HypersurfaceComplex(a_ring, module)
+    assert hc.betti_over_a(4) == reference_betti_over_a(hc, 4) == [1, 1, 1, 1, 1]
+    ds = [hc.differential(m).check_homogeneous() for m in range(7)]
+    for m in range(1, 7):
+        square = ds[m - 1].mul(ds[m])
+        assert square.map_entries(a_ring.nf).is_zero() and square == f_times_shift(hc, m)
+
+
+@pytest.mark.parametrize("case", list(_catalog_complexes()), ids=lambda c: c[0])
+def test_block_differential_is_graded_and_squares_to_zero_mod_f(case):
+    _, ring, module, directions = case
+    for a in directions:
+        hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+        hc = HypersurfaceComplex(hyper, module)
+        ds = [hc.differential(m).check_homogeneous() for m in range(7)]
+        for m in range(1, 7):
+            square = ds[m - 1].mul(ds[m])
+            assert square.map_entries(hyper.nf).is_zero(), (a, m)
+            assert square == f_times_shift(hc, m), (a, m)
+
+
+def reference_hom_complex(ring, res, n_min, i):
+    """_hom_complex as it was before Hom was built by Kronecker products:
+    relation and map columns placed by hand at index u*g + s."""
+    amb = ambient_of(ring)
+    g = n_min.ngens
+    pres = n_min.presentation
+
+    def spot_data(j):
+        fj = res.twists(j)
+        twists = tuple(n_min.row_twists[s] - fj[u] for u in range(len(fj)) for s in range(g))
+        rel_cols = []
+        for u in range(len(fj)):
+            for c in range(pres.ncols):
+                col = [amb.zero()] * (len(fj) * g)
+                for s in range(g):
+                    col[u * g + s] = pres.entries[s][c]
+                rel_cols.append(col)
+        return twists, rel_cols
+
+    def map_columns(j):
+        fj, fj1 = res.twists(j), res.twists(j + 1)
+        d = res.differential(j + 1)
+        cols = []
+        for u in range(len(fj)):
+            for s in range(g):
+                col = [amb.zero()] * (len(fj1) * g)
+                for v in range(len(fj1)):
+                    col[v * g + s] = d.entries[u][v]
+                cols.append(col)
+        return cols
+
+    twists, rels = spot_data(i)
+    next_twists, next_rels = spot_data(i + 1)
+    kernel = kernel_modulo(ring, next_twists, map_columns(i), next_rels)
+    image = rels + (map_columns(i - 1) if i >= 1 else [])
+    return twists, kernel, image
+
+
+def _hom_cases():
+    r = two_var_ring(3)
+    q = r.ambient
+    mods = catalog_modules(r)
+    for m_name, n_name in (("R/(x)", "R/(x)"), ("k", "R/(y)"), ("syz1(k)", "R/(x)"),
+                           ("cone(chi1*chi2)", "syz1(k)"), ("R/(y)", "R")):
+        yield f"2var_p3-{m_name}-{n_name}", r, mods[m_name], mods[n_name]
+    yield "2var_p3-R/(x)-free", r, mods["R/(x)"], free_module(r)
+    d2 = dim2_hypersurface_ring(3)
+    yield "dim2-k-free", d2, residue_module(d2), free_module(d2)
+    cubic = cubic_ring()
+    hyper = CIRing(cubic.ambient, [cubic.form((2, 5))], validate=False)
+    m = cyclic_module(cubic, [parse_poly(cubic.ambient, "31*x + 90*y + 41*z")])
+    n = cyclic_module(cubic, [parse_poly(cubic.ambient, "x*y + 98*z^2")])
+    yield "cubic_p101-M-N", hyper, restrict_to_ring(m, hyper), restrict_to_ring(n, hyper)
+
+
+@pytest.mark.parametrize("case", list(_hom_cases()), ids=lambda c: c[0])
+def test_kronecker_hom_complex_equals_the_hand_placed_columns(case):
+    _, ring, module, other = case
+    module, n_min = module.minimalized(), other.minimalized()
+    res = minimal_resolution(ring, module, 4)
+    for i in range(4):
+        twists, kernel, image = homology._hom_complex(ring, res, n_min, i)
+        want_twists, want_kernel, want_image = reference_hom_complex(ring, res, n_min, i)
+        assert twists == want_twists
+        assert image == want_image
+        assert kernel == want_kernel

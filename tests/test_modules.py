@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,45 @@ def test_polymatrix_mul_and_apply_match_the_old_loop(case):
     for j in range(b.ncols):
         column = PolyMatrix.from_columns(b.ring, b.row_twists, [b.column(j)], b.col_twists[j : j + 1])
         assert a.mul(column, reduce=reduce).column(0) == want.column(j)
+
+
+@st.composite
+def kron_cases(draw):
+    """Two small matrices over F_5[x, y] with arbitrary twists."""
+    q, _ = ring2()
+    monos = [(0, 0), (1, 0), (0, 1), (2, 0)]
+
+    def matrix():
+        n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        entries = [
+            [q.from_terms(draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(0, 4)), max_size=2)))
+             for _ in range(m)]
+            for _ in range(n)
+        ]
+        twists = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        return PolyMatrix(q, entries, draw(twists), draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+
+    return matrix(), matrix(), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_cases())
+def test_kron_places_each_product_at_the_paired_index(case):
+    a, b, s = case
+    k = a.kron(b)
+    assert (k.nrows, k.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
+    for i, j, u, v in itertools.product(range(a.nrows), range(a.ncols), range(b.nrows), range(b.ncols)):
+        assert k.entries[i * b.nrows + u][j * b.ncols + v] == a.entries[i][j] * b.entries[u][v]
+    assert k.row_twists == tuple(r + t for r in a.row_twists for t in b.row_twists)
+    assert k.col_twists == tuple(c + t for c in a.col_twists for t in b.col_twists)
+    ident = PolyMatrix.identity(a.ring, a.row_twists)
+    assert ident.mul(a) == a and ident.kron(PolyMatrix.identity(b.ring, b.row_twists)) == (
+        PolyMatrix.identity(a.ring, k.row_twists)
+    )
+    shifted = a.twisted(s)
+    assert shifted.entries == a.entries
+    assert shifted.row_twists == tuple(t + s for t in a.row_twists)
+    assert shifted.col_twists == tuple(t + s for t in a.col_twists)
 
 
 def test_polymatrix_mul_cancels_to_the_zero_polynomial():
@@ -217,6 +258,52 @@ def test_tensor_idempotent_for_equal_annihilators():
     t = tensor_over_base(m1, m1, q).minimalized()
     assert t.ngens == 1
     assert [render_poly(e) for e in t.presentation.entries[0]] == ["x"]
+
+
+def reference_tensor_presentation(m1, m2):
+    """tensor_over_base's presentation as it was built before Kronecker
+    products: each relation column placed by hand at index i*g2 + j."""
+    amb = m1.ring
+    g1, g2 = m1.ngens, m2.ngens
+    row_twists = [m1.row_twists[i] + m2.row_twists[j] for i in range(g1) for j in range(g2)]
+    cols, col_twists = [], []
+    p1, p2 = m1.presentation, m2.presentation
+    for s in range(m1.nrels):
+        for j in range(g2):
+            col = [amb.zero()] * (g1 * g2)
+            for i in range(g1):
+                col[i * g2 + j] = p1.entries[i][s]
+            cols.append(col)
+            col_twists.append(p1.col_twists[s] + m2.row_twists[j])
+    for i in range(g1):
+        for t in range(m2.nrels):
+            col = [amb.zero()] * (g1 * g2)
+            for j in range(g2):
+                col[i * g2 + j] = p2.entries[j][t]
+            cols.append(col)
+            col_twists.append(m1.row_twists[i] + p2.col_twists[t])
+    return PolyMatrix.from_columns(amb, row_twists, cols, col_twists)
+
+
+def _tensor_factors():
+    q, _ = ring2()
+    x, y = parse_poly(q, "x"), parse_poly(q, "y")
+    return {
+        "cyclic": cyclic_module(q, [x, parse_poly(q, "y^2")]),
+        "two-gen": GradedModule.from_columns(q, (0, 1), [[x, parse_poly(q, "3")], [y, q.zero()], [q.zero(), x]]),
+        "free-twisted": GradedModule.from_columns(q, (0, 2), [], ()),
+        "zero": GradedModule.from_columns(q, (), [], ()),
+    }
+
+
+@pytest.mark.parametrize("left", sorted(_tensor_factors()))
+@pytest.mark.parametrize("right", sorted(_tensor_factors()))
+def test_tensor_presentation_equals_the_hand_placed_columns(left, right):
+    factors = _tensor_factors()
+    m1, m2 = factors[left], factors[right]
+    q = m1.ring
+    got = tensor_over_base(m1, m2, q)
+    assert got.presentation == GradedModule(q, reference_tensor_presentation(m1, m2)).presentation
 
 
 def test_tensor_presentation_shape_law():
