@@ -74,23 +74,16 @@ class CIRing:
             ]
         return self._std_cache[d]
 
-    def top_socle_degree(self, limit: int = 200) -> int:
-        """Largest degree with a nonzero piece; only valid when artinian."""
+    def top_socle_degree(self) -> int:
+        """Largest degree with a nonzero piece; only valid when artinian.
+
+        The Hilbert series prod(1 - t^deg f_i) / prod(1 - t^w_j) of an
+        artinian complete intersection is a polynomial with leading
+        coefficient 1, of degree sum deg f_i - sum w_j.
+        """
         if not self.is_artinian:
             raise ValueError("socle degree only defined for artinian quotients")
-        top = 0
-        d = 0
-        empty_run = 0
-        while d <= limit:
-            if self.std_monomials(d):
-                top = d
-                empty_run = 0
-            else:
-                empty_run += 1
-                if empty_run > max(self.ambient.weights):
-                    break
-            d += 1
-        return top
+        return sum(f.degree() for f in self.fs) - sum(self.ambient.weights)
 
     def form(self, a) -> Poly:
         """f_a = sum_i a_i f_i for coefficients a_i in the ring's field."""

@@ -135,12 +135,13 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         results["passed"] = all(r["passed"] for r in results["properties"])
     else:
         ring = job.ci_ring()
-        if command in ("resolve", "betti"):
+        if command != "realize":
             name = params.get("module") or job.default_module()
             module = job.build_module(name, ring)
+            results["module"] = name
+        if command in ("resolve", "betti"):
             length = _read_int(params, "length", 5)
             res = minimal_resolution(ring, module, length)
-            results["module"] = name
             results["betti"] = res.betti
             results["betti_by_degree"] = [
                 {str(d): c for d, c in sorted(bd.items())} for bd in res.betti_by_degree()
@@ -151,8 +152,6 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
                     _matrix_report(res.differential(i)) for i in range(1, length + 1)
                 ]
         elif command == "operators":
-            name = params.get("module") or job.default_module()
-            module = job.build_module(name, ring)
             window = _read_int(params, "window", 6)
             res = minimal_resolution(ring, module, window)
             fam = operator_family(ring, res)
@@ -160,7 +159,6 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             fam.verify_chain_property()
             ext = chi_action_from_family(fam)
             ext.verify_commutativity()
-            results["module"] = name
             results["window"] = window
             results["operators"] = {
                 f"t{i + 1}": {
@@ -171,20 +169,15 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             results["identity_verified"] = True
             results["commutes_on_ext"] = True
         elif command == "variety":
-            name = params.get("module") or job.default_module()
-            module = job.build_module(name, ring)
             window = _read_int(params, "window", None)
             dbound = _read_int(params, "degree-bound", None)
             v = variety_of(ring, module, window, dbound)
-            results["module"] = name
             results["ideal"] = _ideal_report(v.ideal)
             results["dimension"] = dimension(v)
             results["window_used"] = v.window_used
             results["degree_bound"] = v.degree_bound
             flags["stabilized"] = v.stabilized
         elif command == "member":
-            name = params.get("module") or job.default_module()
-            module = job.build_module(name, ring)
             if "point" not in params:
                 raise JobSpecError("member needs a point")
             coords = _parse_point(ring, params["point"])
@@ -194,13 +187,10 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
                 if other_name
                 else residue_module(ring)
             )
-            results["module"] = name
             results["module2"] = other_name or "k"
             results["point"] = list(coords)
             results["member"] = membership(ring, module, other, coords)
         elif command == "restrict":
-            name = params.get("module") or job.default_module()
-            module = job.build_module(name, ring)
             if "subspace" not in params:
                 raise JobSpecError("restrict needs a subspace")
             w = _parse_subspace(ring, params["subspace"])
@@ -208,7 +198,6 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             dbound = _read_int(params, "degree-bound", None)
             v = variety_of(ring, module, window, dbound)
             restricted = restrict_to_subspace(v, w)
-            results["module"] = name
             results["subspace"] = [list(r) for r in w.rows]
             results["variety_ideal"] = _ideal_report(v.ideal)
             results["restricted_ideal"] = _ideal_report(restricted)

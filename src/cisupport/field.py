@@ -9,6 +9,15 @@ the polynomial layer can stay agnostic about the element representation.
 from __future__ import annotations
 
 
+def digits(code: int, base: int, count: int) -> list:
+    """The count lowest base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(count):
+        code, r = divmod(code, base)
+        out.append(r)
+    return out
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -49,14 +58,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        # extended gcd, kept explicit so it works for any prime
-        r0, r1 = self.p, a % self.p
-        s0, s1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        return s0 % self.p
+        return pow(a, -1, self.p)
 
     def from_int(self, n: int):
         return n % self.p
@@ -115,12 +117,7 @@ def _find_irreducible(p: int, e: int):
     if e > 3:
         raise ValueError("extension degree > 3 not supported")
     for tail in range(p**e):
-        coeffs = []
-        t = tail
-        for _ in range(e):
-            coeffs.append(t % p)
-            t //= p
-        coeffs.append(1)
+        coeffs = digits(tail, p, e) + [1]
         if all(sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p for x in range(p)):
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -176,12 +173,7 @@ class ExtField:
 
     def elements(self):
         for code in range(self.p**self.e):
-            coeffs = []
-            t = code
-            for _ in range(self.e):
-                coeffs.append(t % self.p)
-                t //= self.p
-            yield tuple(coeffs)
+            yield tuple(digits(code, self.p, self.e))
 
     def nonzero_elements(self):
         for a in self.elements():

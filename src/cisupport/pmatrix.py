@@ -10,23 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Poly, PolyRing, mono_mul, render_poly
-
-
-def _entry(ring, pairs, reduce=None):
-    """sum a * b over the (a, b) pairs, collected in one dict and sorted
-    once, then passed through reduce if given."""
-    field = ring.field
-    acc = {}
-    for a, b in pairs:
-        for m1, c1 in a.terms:
-            for m2, c2 in b.terms:
-                m = mono_mul(m1, m2)
-                c = field.mul(c1, c2)
-                prev = acc.get(m)
-                acc[m] = c if prev is None else field.add(prev, c)
-    out = ring.from_terms(acc.items())
-    return reduce(out) if reduce else out
+from .poly import Poly, PolyRing, render_poly, sum_of_products
 
 
 class PolyMatrix:
@@ -176,7 +160,7 @@ class PolyMatrix:
             raise ValueError("shape mismatch in matrix product")
         cols = other.columns()
         out = [
-            [_entry(self.ring, zip(row, col), reduce) for col in cols]
+            [sum_of_products(self.ring, zip(row, col), reduce) for col in cols]
             for row in self.entries
         ]
         return PolyMatrix(self.ring, out, self.row_twists, other.col_twists)

@@ -183,15 +183,7 @@ class Poly:
         return Poly(self.ring, tuple((m, f.neg(c)) for m, c in self.terms))
 
     def __mul__(self, other):
-        f = self.ring.field
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                c = f.mul(c1, c2)
-                prev = acc.get(m)
-                acc[m] = c if prev is None else f.add(prev, c)
-        return self.ring.from_terms(acc.items())
+        return sum_of_products(self.ring, ((self, other),))
 
     def scale(self, c):
         f = self.ring.field
@@ -204,12 +196,14 @@ class Poly:
             return self
         return self.scale(self.ring.field.inv(self.lc()))
 
-    def evaluate(self, point):
-        """Evaluate at a tuple of field elements."""
-        f = self.ring.field
+    def evaluate(self, point, field=None):
+        """Evaluate at a tuple of elements of field (default: the ring's
+        field), into which the coefficients are taken."""
+        f = self.ring.field if field is None else field
+        embed = field is not None and field != self.ring.field
         total = f.zero
         for m, c in self.terms:
-            v = c
+            v = f.from_int(c) if embed else c
             for e, a in zip(m, point):
                 for _ in range(e):
                     v = f.mul(v, a)
@@ -231,6 +225,22 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({render_poly(self)})"
+
+
+def sum_of_products(ring: PolyRing, pairs, reduce=None) -> Poly:
+    """sum a * b over the (a, b) pairs, collected in one dict and sorted
+    once, then passed through reduce if given."""
+    field = ring.field
+    acc = {}
+    for a, b in pairs:
+        for m1, c1 in a.terms:
+            for m2, c2 in b.terms:
+                m = mono_mul(m1, m2)
+                c = field.mul(c1, c2)
+                prev = acc.get(m)
+                acc[m] = c if prev is None else field.add(prev, c)
+    out = ring.from_terms(acc.items())
+    return reduce(out) if reduce else out
 
 
 def render_mono(ring: PolyRing, mono) -> str:

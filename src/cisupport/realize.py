@@ -23,6 +23,7 @@ from .cimodule import (
     residue_module,
     submodule_igb,
 )
+from .field import digits
 from .groebner import module_groebner
 from .operators import evaluate_chi_class
 from .pmatrix import PolyMatrix
@@ -248,12 +249,7 @@ def _candidate_elements(ring: CIRing, degree: int, seed: int, cap: int):
 
 def _code_to_poly(ring, monos, code):
     amb = ring.ambient
-    p = amb.field.p
-    coeffs = []
-    t = code
-    for _ in monos:
-        coeffs.append(t % p)
-        t //= p
+    coeffs = digits(code, amb.field.p, len(monos))
     return ring.nf(amb.from_terms((m, c) for m, c in zip(monos, coeffs) if c))
 
 

@@ -206,47 +206,6 @@ def _groebner_kernel_step(ring, mat: PolyMatrix) -> PolyMatrix:
     return PolyMatrix.from_columns(amb, mat.col_twists, kept_cols, tuple(kept_twists))
 
 
-# ---------------------------------------------------------------------------
-# builder with caching
-
-
-class _ResolutionBuilder:
-    def __init__(self, ring, module: GradedModule, engine: str):
-        self.ring = ring
-        self.module = module
-        self.engine = engine
-        self.min_module = module.minimalized()
-        self.diffs = []
-
-    def extend_to(self, length: int):
-        while len(self.diffs) < length:
-            if not self.diffs:
-                nxt = self.min_module.presentation
-                # enforce deterministic relation order: ascending degree
-                order = sorted(
-                    range(nxt.ncols), key=lambda j: (nxt.col_twists[j], j)
-                )
-                cols = [nxt.column(j) for j in order]
-                twists = [nxt.col_twists[j] for j in order]
-                nxt = PolyMatrix.from_columns(
-                    ambient_of(self.ring), nxt.row_twists, cols, tuple(twists)
-                )
-            elif self.engine == "slice":
-                nxt = _slice_kernel_step(self.ring, self.diffs[-1])
-            else:
-                nxt = _groebner_kernel_step(self.ring, self.diffs[-1])
-            self.diffs.append(nxt)
-
-    def view(self, length: int) -> FreeResolution:
-        return FreeResolution(
-            self.ring,
-            self.min_module,
-            self.diffs[:length],
-            self.min_module.row_twists,
-            length,
-        )
-
-
 def resolve_engine(ring, engine: str = "auto") -> str:
     if engine != "auto":
         return engine
@@ -267,9 +226,17 @@ def minimal_resolution(ring, module: GradedModule, length: int, engine: str = "a
         raise ValueError("length must be >= 0")
     eng = resolve_engine(ring, engine)
     key = (ring_key(ring), module.content_key(), eng)
-    builder = memo("resolution", key, lambda: _ResolutionBuilder(ring, module, eng))
-    builder.extend_to(length)
-    return builder.view(length)
+    min_module, diffs = memo("resolution", key, lambda: (module.minimalized(), []))
+    while len(diffs) < length:
+        if not diffs:
+            # minimal_generator_indices leaves the relations in (degree,
+            # position) order
+            diffs.append(min_module.presentation)
+        elif eng == "slice":
+            diffs.append(_slice_kernel_step(ring, diffs[-1]))
+        else:
+            diffs.append(_groebner_kernel_step(ring, diffs[-1]))
+    return FreeResolution(ring, min_module, diffs[:length], min_module.row_twists, length)
 
 
 def syzygy_module(module: GradedModule, n: int) -> GradedModule:

@@ -27,11 +27,11 @@ from .cimodule import (
     is_residue_field,
     restrict_to_ring,
 )
-from .field import ExtField
-from .groebner import Ideal, IncrementalGB, equal_up_to_radical, poly_to_vec
+from .field import ExtField, digits
+from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
 from .homology import ext_k_dims, ext_vanishes
 from .operators import ExtKModule, chi_action
-from .poly import Poly, PolyRing, mono_mul
+from .poly import Poly, PolyRing
 
 
 @dataclass
@@ -88,24 +88,9 @@ def _as_point(ring: CIRing, a):
     return tuple(a), ring.field
 
 
-def evaluate_at_point(poly: Poly, coords, fld):
-    """Evaluate with coefficients pushed into the point's field."""
-    base = poly.ring.field
-    if fld is base:
-        return poly.evaluate(coords)
-    total = fld.zero
-    for m, c in poly.terms:
-        v = fld.embed(c) if isinstance(fld, ExtField) else fld.from_int(c)
-        for e, av in zip(m, coords):
-            for _ in range(e):
-                v = fld.mul(v, av)
-        total = fld.add(total, v)
-    return total
-
-
 def vanishes_at(ideal: Ideal, coords, fld) -> bool:
     zero = fld.zero
-    return all(evaluate_at_point(g, coords, fld) == zero for g in ideal.gens)
+    return all(g.evaluate(coords, fld) == zero for g in ideal.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +298,7 @@ def sample_points(ring: CIRing, count: int, seed: int = 11):
     seen = set()
     total = p**c - 1
     while len(out) < min(count, total):
-        code = rng.randrange(1, p**c)
-        coords = []
-        t = code
-        for _ in range(c):
-            coords.append(t % p)
-            t //= p
-        coords = tuple(coords)
+        coords = tuple(digits(rng.randrange(1, p**c), p, c))
         if coords in seen:
             continue
         seen.add(coords)
@@ -460,41 +439,10 @@ def _monic_candidates(ring: PolyRing, degree: int):
     for lead in range(len(monos)):
         tail_count = len(monos) - lead - 1
         for code in range(p**tail_count):
-            coeffs = [0] * len(monos)
-            coeffs[lead] = 1
-            t = code
-            for k in range(lead + 1, len(monos)):
-                coeffs[k] = t % p
-                t //= p
+            coeffs = [0] * lead + [1] + digits(code, p, tail_count)
             yield ring.from_terms(
                 (monos[k], coeffs[k]) for k in range(len(monos)) if coeffs[k]
             )
-
-
-def _exact_divide(f: Poly, g: Poly):
-    """h with f = g*h (both homogeneous), or None; solved by linear algebra."""
-    ring = f.ring
-    p = ring.field.p
-    dh = f.degree() - g.degree()
-    if dh < 0:
-        return None
-    monos_h = ring.monomials_of_degree(dh)
-    monos_f = ring.monomials_of_degree(f.degree())
-    idx = {m: i for i, m in enumerate(monos_f)}
-    a = np.zeros((len(monos_f), len(monos_h)), dtype=np.int64)
-    for j, mh in enumerate(monos_h):
-        for mg, cg in g.terms:
-            a[idx[mono_mul(mg, mh)], j] = cg
-    b = np.zeros(len(monos_f), dtype=np.int64)
-    for m, c in f.terms:
-        b[idx[m]] = c
-    sol = modlinalg.solve(a, b, p)
-    if sol is None:
-        return None
-    h = ring.from_terms((monos_h[j], int(sol[j]) % p) for j in range(len(monos_h)))
-    if (g * h - f).is_zero():
-        return h
-    return None
 
 
 class _Budget:
@@ -520,9 +468,9 @@ def _distinct_irreducible_factors(f: Poly, budget: _Budget):
         for e in range(1, work.degree() // 2 + 1):
             for g in _monic_candidates(work.ring, e):
                 budget.spend()
-                h = _exact_divide(work, g)
+                h = member_witness(work, [g])
                 if h is not None:
-                    hit = (g, h)
+                    hit = (g, h[0])
                     break
             if hit:
                 break
@@ -533,10 +481,10 @@ def _distinct_irreducible_factors(f: Poly, budget: _Budget):
         found.append(g)
         work = h.monic()
         while True:
-            h2 = _exact_divide(work, g)
+            h2 = member_witness(work, [g])
             if h2 is None or work.degree() == 0:
                 break
-            work = h2.monic()
+            work = h2[0].monic()
     uniq = {tuple(q.terms) for q in found if q.degree() and q.degree() >= 1}
     return len(uniq)
 

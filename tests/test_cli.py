@@ -371,3 +371,31 @@ def test_a_job_checks_its_relations_once(jobfile, capsys, monkeypatch):
     monkeypatch.setattr(cimodule, "is_regular_sequence", counting)
     code, _, _ = run_cli(capsys, ["betti", "--input", jobfile(EX54)])
     assert code == EXIT_OK and len(calls) == 1
+
+
+SOCLE_ABOVE_200 = """\
+field 101
+ring x
+relations x^202
+module k
+residue
+"""
+
+
+def test_a_socle_degree_above_200_gives_the_same_answer_on_every_route(jobfile, capsys):
+    # k over k[x]/(x^202) has the 2-periodic resolution with differentials
+    # x, x^201, x, ...; every direction of k^1 is in its variety
+    path = jobfile(SOCLE_ABOVE_200)
+    code, out, _ = run_cli(capsys, ["betti", "--input", path, "--length", "4"])
+    results = json.loads(out)["results"]
+    assert code == EXIT_OK
+    assert results["betti"] == [1, 1, 1, 1, 1]
+    assert results["betti_by_degree"] == [{"0": 1}, {"1": 1}, {"202": 1}, {"203": 1}, {"404": 1}]
+    code, out, _ = run_cli(capsys, ["variety", "--input", path])
+    report = json.loads(out)
+    assert code == EXIT_OK
+    assert report["results"]["ideal"] == [] and report["results"]["dimension"] == 1
+    assert report["flags"]["stabilized"] is True
+    code, out, _ = run_cli(capsys, ["member", "--input", path, "--point", "1"])
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["member"] is True

@@ -1,4 +1,4 @@
-from cisupport.field import ExtField, PrimeField, is_prime
+from cisupport.field import ExtField, PrimeField, digits, is_prime
 
 import pytest
 
@@ -46,3 +46,23 @@ def test_ext_field_has_new_elements():
     f = ExtField(3, 2)
     base = {f.embed(x) for x in range(3)}
     assert sum(1 for a in f.elements() if a not in base) == 6
+
+
+def test_digits_are_least_significant_first():
+    assert digits(2 + 3 * 5 + 4 * 25, 5, 3) == [2, 3, 4]
+    assert digits(2 + 3 * 5 + 4 * 25, 5, 2) == [2, 3]  # higher digits dropped
+    assert digits(1, 7, 4) == [1, 0, 0, 0]
+    assert digits(0, 2, 0) == []
+    assert list(ExtField(2, 2).elements()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert ExtField(2, 2).modulus == (1, 1, 1)  # first irreducible tail in code order
+    assert ExtField(3, 2).modulus == (1, 0, 1)
+
+
+def test_prime_field_inverse_matches_the_extended_gcd():
+    for p in (2, 3, 101, 32003, 2**31 - 1):
+        f = PrimeField(p)
+        for a in (1, 2, p - 1, p + 3, -5, 12345):
+            if a % p:
+                assert f.inv(a) * (a % p) % p == 1 and 0 <= f.inv(a) < p
+        with pytest.raises(ZeroDivisionError):
+            f.inv(p)

@@ -260,3 +260,93 @@ def test_slice_entries_equal_the_coordinate_builder(monkeypatch, name):
             checked += 1
     cache.clear_memo()
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# socle degree and the order of the first differential
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_jobs():
+    """(name, parsed job) of every golden job whose ring parses."""
+    out = []
+    for name in sorted(f for f in os.listdir(GOLDEN) if f.endswith(".job")):
+        with open(os.path.join(GOLDEN, name)) as fh:
+            try:
+                out.append((name, parse_input(fh.read())))
+            except ValueError:  # prime_too_large is a located parse error
+                continue
+    return out
+
+
+def reference_top_socle_degree(ring, limit=200):
+    """The degree scan top_socle_degree used to run: the last nonempty
+    degree before more than max(weights) empty ones, up to limit."""
+    top = 0
+    d = 0
+    empty_run = 0
+    while d <= limit:
+        if ring.std_monomials(d):
+            top = d
+            empty_run = 0
+        else:
+            empty_run += 1
+            if empty_run > max(ring.ambient.weights):
+                break
+        d += 1
+    return top
+
+
+WEIGHTED_JOBS = [
+    "field 5\nring x:2 y z\nrelations x^2 ; y^4 ; z^4\n",
+    "field 3\nring x:2 y:3\nrelations x^3 ; y^2\n",
+    "field 7\nring x:3 y\nrelations x^2 ; y^5\n",
+    "field 5\nring x:2 y\nrelations x^2 ; y^3\n",
+    "field 101\nring x y z\nrelations x^3 ; y^2 + x*z ; z^4\n",
+]
+
+
+def socle_rings():
+    rings = [two_var_ring(p) for p in (2, 3, 5)] + [three_var_ring(p) for p in (2, 3)]
+    rings += [job.ci_ring() for _, job in golden_jobs()]
+    rings += [parse_input(text + "module k\nresidue\n").ci_ring() for text in WEIGHTED_JOBS]
+    return [r for r in rings if r.is_artinian]
+
+
+def test_closed_form_socle_degree_equals_the_degree_scan():
+    rings = socle_rings()
+    assert len(rings) >= 10
+    for ring in rings:
+        assert ring.top_socle_degree() == reference_top_socle_degree(ring, limit=1000), ring
+
+
+def test_socle_degree_above_200():
+    q = PolyRing(["x"], field=PrimeField(101))
+    ring = CIRing(q, [parse_poly(q, "x^202")])
+    assert ring.top_socle_degree() == 201
+    assert reference_top_socle_degree(ring) == 200  # the old cap
+    assert reference_top_socle_degree(ring, limit=1000) == 201
+    res = minimal_resolution(ring, residue_module(ring), 4)
+    assert res.betti == [1, 1, 1, 1, 1]
+    assert [res.twists(i) for i in range(5)] == [(0,), (1,), (202,), (203,), (404,)]
+    assert [res.differential(i).render() for i in range(1, 5)] == [[["x"]], [["x^201"]]] * 2
+
+
+def test_first_differential_relations_come_in_degree_order():
+    cases = [(r, list(catalog_modules(r).values())) for r in (two_var_ring(3), three_var_ring(3))]
+    for _, job in golden_jobs():
+        ring = job.ci_ring()
+        cases.append((ring, [job.build_module(m.name, ring) for m in job.modules]))
+    # relations given in descending degree, so the order must come from the
+    # minimal presentation, not from the input
+    q, r = quadric_ring("xyz", p=3)
+    cases.append((r, [cyclic_module(r, [parse_poly(q, s) for s in gens])
+                      for gens in (["y*z", "x"], ["x*y*z", "y*z", "x"], ["y*z", "x*z", "y"])]))
+    mixed = 0
+    for ring, modules in cases:
+        for module in modules:
+            twists = list(minimal_resolution(ring, module, 1).differential(1).col_twists)
+            assert twists == sorted(twists)
+            mixed += len(set(twists)) > 1
+    assert mixed >= 3

@@ -1,7 +1,12 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cisupport import modlinalg
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
@@ -11,14 +16,15 @@ from cisupport.cimodule import (
     zero_module,
 )
 from cisupport.field import ExtField, PrimeField
-from cisupport.groebner import Ideal, equal_up_to_radical
+from cisupport.groebner import Ideal, equal_up_to_radical, member_witness
 from cisupport.operators import chi_action
-from cisupport.poly import PolyRing, parse_poly, render_poly
+from cisupport.poly import PolyRing, mono_mul, parse_poly, render_poly
 from cisupport.resolution import minimal_resolution
 from cisupport.variety import (
     PointK,
     Subspace,
     SupportVariety,
+    _monic_candidates,
     annihilator_ideal,
     complexity_estimate,
     dimension,
@@ -279,13 +285,109 @@ def test_irreducible_budget_exhaustion_is_flagged():
     assert out.verdict == "unknown"
 
 
+def reference_exact_divide(f, g):
+    """h with f = g*h (both homogeneous), or None: the linear system over
+    monomial coefficients the irreducibility search used to solve."""
+    ring = f.ring
+    p = ring.field.p
+    dh = f.degree() - g.degree()
+    if dh < 0:
+        return None
+    monos_h = ring.monomials_of_degree(dh)
+    monos_f = ring.monomials_of_degree(f.degree())
+    idx = {m: i for i, m in enumerate(monos_f)}
+    a = np.zeros((len(monos_f), len(monos_h)), dtype=np.int64)
+    for j, mh in enumerate(monos_h):
+        for mg, cg in g.terms:
+            a[idx[mono_mul(mg, mh)], j] = cg
+    b = np.zeros(len(monos_f), dtype=np.int64)
+    for m, c in f.terms:
+        b[idx[m]] = c
+    sol = modlinalg.solve(a, b, p)
+    if sol is None:
+        return None
+    h = ring.from_terms((monos_h[j], int(sol[j]) % p) for j in range(len(monos_h)))
+    if (g * h - f).is_zero():
+        return h
+    return None
+
+
 def test_quadric_brute_force_oracle_over_f5():
     # independent check: no linear form divides the rank-3 quadric over F_5
     chi = PolyRing(["chi1", "chi2", "chi3"], field=PrimeField(5))
     quad = P(chi, "chi1*chi2 - chi3^2")
-    from cisupport.variety import _exact_divide, _monic_candidates
+    assert all(reference_exact_divide(quad, g) is None for g in _monic_candidates(chi, 1))
+    assert all(member_witness(quad, [g]) is None for g in _monic_candidates(chi, 1))
 
-    assert all(_exact_divide(quad, g) is None for g in _monic_candidates(chi, 1))
+
+@st.composite
+def homogeneous_polys(draw, ring, degree):
+    monos = ring.monomials_of_degree(degree)
+    p = ring.field.p
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos), max_size=len(monos)))
+    return ring.from_terms(zip(monos, coeffs))
+
+
+@st.composite
+def division_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    ring = PolyRing(["chi1", "chi2", "chi3"][: draw(st.integers(2, 3))], field=PrimeField(p))
+    dg = draw(st.integers(1, 2))
+    g = draw(homogeneous_polys(ring, dg))
+    h = draw(homogeneous_polys(ring, draw(st.integers(0, 2))))
+    other = draw(homogeneous_polys(ring, dg + draw(st.integers(0, 2))))
+    return g, h, other
+
+
+@settings(max_examples=60, deadline=None)
+@given(division_cases())
+def test_member_witness_quotient_equals_the_linear_algebra_divider(case):
+    g, h, other = case
+    if g.is_zero():
+        return
+    for f in (g * h, other):
+        if f.is_zero():
+            continue
+        want = reference_exact_divide(f, g)
+        got = member_witness(f, [g])
+        if want is None:
+            assert got is None
+        else:
+            assert got == [want]
+    if not h.is_zero():
+        assert member_witness(g * h, [g]) == [h]
+
+
+def reference_evaluate_at_point(poly, coords, fld):
+    """The evaluator Poly.evaluate(point, field) replaced."""
+    base = poly.ring.field
+    if fld is base:
+        return poly.evaluate(coords)
+    total = fld.zero
+    for m, c in poly.terms:
+        v = fld.embed(c) if isinstance(fld, ExtField) else fld.from_int(c)
+        for e, av in zip(m, coords):
+            for _ in range(e):
+                v = fld.mul(v, av)
+        total = fld.add(total, v)
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_evaluate_in_an_extension_field_equals_the_old_evaluator(data):
+    for p, exts in ((2, (ExtField(2, 2), ExtField(2, 3))), (3, (ExtField(3, 2),))):
+        chi = PolyRing(["chi1", "chi2"], field=PrimeField(p))
+        check_evaluate(data, chi, exts)
+
+
+def check_evaluate(data, chi, exts):
+    f = data.draw(homogeneous_polys(chi, data.draw(st.integers(0, 4))))
+    for fld in exts:
+        points = list(itertools.product(list(fld.elements()), repeat=2))
+        for point in data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=8)):
+            assert f.evaluate(point, fld) == reference_evaluate_at_point(f, point, fld)
+        assert f.evaluate((fld.one, fld.one), fld) == fld.from_int(sum(c for _, c in f.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +399,33 @@ def test_sample_points_deterministic_and_nonzero():
     a = sample_points(ring, 6, seed=9)
     b = sample_points(ring, 6, seed=9)
     assert a == b and all(any(c for c in pt) for pt in a)
+
+
+def reference_sample_points(ring, count, seed):
+    """sample_points with its base-p decoding unrolled, as it was written."""
+    p = ring.field.p
+    c = ring.c
+    out = []
+    rng = random.Random(seed)
+    seen = set()
+    while len(out) < min(count, p**c - 1):
+        t = rng.randrange(1, p**c)
+        coords = []
+        for _ in range(c):
+            coords.append(t % p)
+            t //= p
+        coords = tuple(coords)
+        if coords not in seen:
+            seen.add(coords)
+            out.append(coords)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_sample_points_draw_in_the_same_order_as_before(p):
+    for ring in (two_var_ring(p), three_var_ring(p)):
+        for seed in (0, 11, 65536):
+            assert sample_points(ring, 7, seed) == reference_sample_points(ring, 7, seed)
 
 
 def test_sample_points_returns_for_every_seed():
