@@ -198,31 +198,36 @@ def submodule_igb(ring, twists, columns) -> IncrementalGB:
 
 
 def kernel_modulo(ring, twists, cols, rel_cols):
-    """Generators of {a : sum_j a_j cols_j lies in span(rel_cols)} over the ring.
+    """Generators of {a : sum_j a_j cols_j lies in span(rel_cols)} over the ring,
+    and the tracked Groebner basis their syzygy run built.
 
     cols and rel_cols are columns of the free module with the given twists.
     The kernel comes from the syzygies of [cols | rel_cols | quotient
-    relations] in the ambient ring, projected onto the cols block; returns the
+    relations] in the ambient ring, projected onto the cols block: the
     nonzero normal forms of those projections (columns of length len(cols)).
+    The basis is that of the same vectors, in that order.
     """
     amb = ambient_of(ring)
     vectors = [column_to_vec(col) for col in list(cols) + list(rel_cols)]
     vectors += quotient_columns(ring, twists)
     n = len(cols)
     out = []
-    for s in module_syzygies(amb, twists, vectors):
+    syzygies, basis = module_syzygies(amb, twists, vectors)
+    for s in syzygies:
         proj = {(j, m): c for (j, m), c in s.items() if j < n}
         col = [ring_nf(ring, p) for p in vec_to_column(amb, n, proj)]
         if any(not p.is_zero() for p in col):
             out.append(col)
-    return out
+    return out, basis
 
 
-def syzygy_matrix(ring, matrix: PolyMatrix) -> PolyMatrix:
-    """Generators of the kernel of the graded map defined by the matrix."""
-    cols = kernel_modulo(ring, matrix.row_twists, matrix.columns(), [])
+def syzygy_matrix(ring, matrix: PolyMatrix):
+    """Generators of the kernel of the graded map defined by the matrix, and
+    the tracked Groebner basis of its columns (and, over a quotient, of the
+    quotient relations after them) that the one syzygy run built."""
+    cols, basis = kernel_modulo(ring, matrix.row_twists, matrix.columns(), [])
     twists = [column_degree(ring, matrix.col_twists, col) for col in cols]
-    return PolyMatrix.from_columns(ambient_of(ring), matrix.col_twists, cols, twists)
+    return PolyMatrix.from_columns(ambient_of(ring), matrix.col_twists, cols, twists), basis
 
 
 def minimal_generator_indices(ring, twists, columns):
@@ -556,7 +561,7 @@ def quotient_by_element(module: GradedModule, x: Poly):
     rel_igb = submodule_igb(ring, module.row_twists, pres.columns())
     regular = all(
         rel_igb.contains(column_to_vec(col))
-        for col in kernel_modulo(ring, module.row_twists, mult_cols, pres.columns())
+        for col in kernel_modulo(ring, module.row_twists, mult_cols, pres.columns())[0]
     )
     new_cols = pres.columns() + mult_cols
     new_twists = list(pres.col_twists) + [t + x.degree() for t in module.row_twists]
@@ -577,7 +582,7 @@ def submodule_and_quotient(module: GradedModule, gens):
     gens = [col for col in gens if any(not p.is_zero() for p in col)]
     gen_twists = [column_degree(ring, module.row_twists, col) for col in gens]
     pres = module.presentation
-    rel_cols = kernel_modulo(ring, module.row_twists, gens, pres.columns())
+    rel_cols, _ = kernel_modulo(ring, module.row_twists, gens, pres.columns())
     sub = GradedModule.from_columns(ring, gen_twists, rel_cols)
     q_cols = pres.columns() + gens
     q_twists = list(pres.col_twists) + gen_twists
@@ -615,18 +620,16 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
 def base_change_ring(ring, new_field):
     amb = ambient_of(ring).with_field(new_field)
     if isinstance(ring, CIRing):
-        embed = new_field.embed
-        fs = [f.map_coefficients(embed, amb) for f in ring.fs]
+        fs = [f.map_coefficients(new_field.from_int, amb) for f in ring.fs]
         return CIRing(amb, fs, validate=False)
     return amb
 
 
 def base_change_module(module: GradedModule, new_ring) -> GradedModule:
     amb = ambient_of(new_ring)
-    embed = amb.field.embed
     pres = module.presentation
     entries = [
-        [pres.entries[i][j].map_coefficients(embed, amb) for j in range(pres.ncols)]
+        [pres.entries[i][j].map_coefficients(amb.field.from_int, amb) for j in range(pres.ncols)]
         for i in range(pres.nrows)
     ]
     return GradedModule(
@@ -638,5 +641,5 @@ def subquotient_presentation(ring, twists, ker_cols, im_cols) -> GradedModule:
     """Presentation of (span of ker_cols) / (span of im_cols) inside a free module."""
     ker_cols = [col for col in ker_cols if any(not p.is_zero() for p in col)]
     gen_twists = [column_degree(ring, twists, col) for col in ker_cols]
-    rel_cols = kernel_modulo(ring, twists, ker_cols, im_cols)
+    rel_cols, _ = kernel_modulo(ring, twists, ker_cols, im_cols)
     return GradedModule.from_columns(ring, gen_twists, rel_cols)

@@ -23,6 +23,7 @@ from .realize import ConeSpec, realize_cone
 from .resolution import minimal_resolution
 from .variety import (
     Subspace,
+    default_degree_bound,
     dimension,
     membership,
     restrict_to_subspace,
@@ -220,7 +221,10 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             except ValueError as exc:
                 raise JobSpecError(f"bad cone: {exc}")
             module = realize_cone(ring, spec)
-            v = variety_of(ring, module)
+            # annihilators are only sought up to the degree bound, and a cone
+            # generator of higher degree would go unseen
+            dbound = max([default_degree_bound(ring)] + [q.degree() for q in polys])
+            v = variety_of(ring, module, None, dbound)
             results["cone"] = [render_poly(q) for q in polys]
             results["presentation"] = _matrix_report(module.presentation)
             results["row_twists"] = list(module.row_twists)

@@ -167,10 +167,6 @@ class ExtField:
     def from_int(self, n: int):
         return tuple([n % self.p] + [0] * (self.e - 1))
 
-    def embed(self, a_int: int):
-        """Image of a prime-field element under F_p -> F_{p^e}."""
-        return self.from_int(a_int)
-
     def elements(self):
         for code in range(self.p**self.e):
             yield tuple(digits(code, self.p, self.e))

@@ -220,16 +220,19 @@ def module_groebner(ring: PolyRing, twists, vectors, track: bool = False) -> Gro
 
 
 def module_syzygies(ring: PolyRing, twists, vectors):
-    """Generators of the syzygy module of the given vectors over the free ring.
+    """Generators of the syzygy module of the given vectors over the free ring,
+    and the tracked Groebner basis of the vectors that gave them.
 
-    Returns a list of dicts over components 0..len(vectors)-1 (coefficients of
-    the input vectors), read off the one tracked Buchberger run: the trace of
-    each input and each S-vector that reduces to zero.  By Schreyer's theorem
-    these, over all inputs and S-pairs of the finished basis, generate the
-    syzygies; an input or S-vector that leaves a remainder becomes a basis
-    element instead, and its relation pulls back to zero.
+    The syzygies are a list of dicts over components 0..len(vectors)-1
+    (coefficients of the input vectors), read off the one tracked Buchberger
+    run: the trace of each input and each S-vector that reduces to zero.  By
+    Schreyer's theorem these, over all inputs and S-pairs of the finished
+    basis, generate the syzygies; an input or S-vector that leaves a
+    remainder becomes a basis element instead, and its relation pulls back
+    to zero.  The basis is module_groebner(ring, twists, vectors, track=True).
     """
-    return _grow_and_complete(ring, twists, vectors, True)[1]
+    gb, zeros = _grow_and_complete(ring, twists, vectors, True)
+    return zeros, gb
 
 
 class IncrementalGB(GroebnerBasis):

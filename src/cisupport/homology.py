@@ -29,9 +29,9 @@ from .cimodule import (
     zero_module,
 )
 from .field import PrimeField
-from .groebner import module_groebner, vec_to_column
+from .groebner import vec_to_column
 from .pmatrix import PolyMatrix
-from .resolution import minimal_resolution
+from .resolution import FreeResolution, groebner_kernel_step, minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +39,11 @@ from .resolution import minimal_resolution
 
 
 class AmbientResolution:
-    """The finite resolution G over Q of a module viewed over Q, with a
-    tracked Groebner basis of each differential's columns for lifting.
+    """The finite minimal resolution G over Q of a module viewed over Q,
+    with the tracked Groebner basis of each differential's columns.
 
+    One tracked Buchberger run per differential: the run on the columns of
+    d_i yields d_{i+1} (its zero reductions) and the basis that lift reads.
     Nothing here depends on a hypersurface, so every hypersurface complex of
     one module shares one (see ambient_resolution).
     """
@@ -50,22 +52,22 @@ class AmbientResolution:
         amb = ambient_of(module.ring)
         self.amb = amb
         self.module_q = restrict_to_ring(module, amb).minimalized()
-        res = minimal_resolution(amb, self.module_q, amb.n + 1, engine="groebner")
-        pd = res.projective_dimension()
-        if pd is None:
-            raise AssertionError("ambient resolution did not terminate")
-        self.pd = pd
-        self.res = res
-        self._bases = {}  # i -> tracked Groebner basis of the columns of d_i
+        self.diffs = []  # d_1, ..., d_pd
+        self.bases = []  # bases[i - 1]: tracked basis of the columns of d_i
+        d = self.module_q.presentation
+        while d.ncols:
+            if len(self.diffs) == amb.n:  # pd <= n by Hilbert's syzygy theorem
+                raise AssertionError("ambient resolution did not terminate")
+            self.diffs.append(d)
+            d, basis = groebner_kernel_step(amb, d)
+            self.bases.append(basis)
+        self.pd = len(self.diffs)
+        self.res = FreeResolution(amb, self.module_q, self.diffs, self.module_q.row_twists, self.pd)
 
     def lift(self, i, col):
         """Coefficients c with d_i c = col, or None when col is not a boundary."""
-        d = self.res.differential(i)
-        if i not in self._bases:
-            vectors = [column_to_vec(c) for c in d.columns()]
-            self._bases[i] = module_groebner(self.amb, d.row_twists, vectors, track=True)
-        coeffs = self._bases[i].express(column_to_vec(col))
-        return None if coeffs is None else vec_to_column(self.amb, d.ncols, coeffs)
+        coeffs = self.bases[i - 1].express(column_to_vec(col))
+        return None if coeffs is None else vec_to_column(self.amb, self.diffs[i - 1].ncols, coeffs)
 
 
 def ambient_resolution(module: GradedModule) -> AmbientResolution:
@@ -114,16 +116,12 @@ class HypersurfaceComplex:
                         right = self.sigma.get((t - u, i))
                         if left is None or right is None:
                             continue
-                        term = left.mul(right).scale(
-                            self.amb.field.neg(self.amb.field.one)
-                        )
+                        term = -left.mul(right)
                         rhs = term if rhs is None else rhs + term
                 if i > 0:
                     prev = self.sigma.get((t, i - 1))
                     if prev is not None:
-                        corr = prev.mul(res.differential(i)).scale(
-                            self.amb.field.neg(self.amb.field.one)
-                        )
+                        corr = -prev.mul(res.differential(i))
                         rhs = corr if rhs is None else rhs + corr
                 if rhs is None or rhs.is_zero():
                     continue
@@ -235,7 +233,7 @@ def _hom_complex(ring, res, n_min: GradedModule, i: int):
         return res.differential(j).transpose().kron(ident)
 
     rels, next_rels = relations(i), relations(i + 1)
-    kernel = kernel_modulo(ring, next_rels.row_twists, hom_map(i + 1).columns(), next_rels.columns())
+    kernel, _ = kernel_modulo(ring, next_rels.row_twists, hom_map(i + 1).columns(), next_rels.columns())
     image = rels.columns() + (hom_map(i).columns() if i >= 1 else [])
     return rels.row_twists, kernel, image
 

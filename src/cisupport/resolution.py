@@ -194,16 +194,19 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
 # groebner engine
 
 
-def _groebner_kernel_step(ring, mat: PolyMatrix) -> PolyMatrix:
+def groebner_kernel_step(ring, mat: PolyMatrix):
+    """Next differential: minimal generators of ker(mat), and the tracked
+    Groebner basis of mat's columns (then the quotient relations) that the
+    one syzygy run built; the basis is None when mat has no columns."""
     amb = ambient_of(ring)
     if mat.ncols == 0:
-        return PolyMatrix(amb, [], (), ())
-    syz = syzygy_matrix(ring, mat)
+        return PolyMatrix(amb, [], (), ()), None
+    syz, basis = syzygy_matrix(ring, mat)
     cols = syz.columns()
     kept = minimal_generator_indices(ring, syz.row_twists, cols)
     kept_cols = [cols[j] for j in kept]
     kept_twists = [syz.col_twists[j] for j in kept]
-    return PolyMatrix.from_columns(amb, mat.col_twists, kept_cols, tuple(kept_twists))
+    return PolyMatrix.from_columns(amb, mat.col_twists, kept_cols, tuple(kept_twists)), basis
 
 
 def resolve_engine(ring, engine: str = "auto") -> str:
@@ -235,7 +238,7 @@ def minimal_resolution(ring, module: GradedModule, length: int, engine: str = "a
         elif eng == "slice":
             diffs.append(_slice_kernel_step(ring, diffs[-1]))
         else:
-            diffs.append(_groebner_kernel_step(ring, diffs[-1]))
+            diffs.append(groebner_kernel_step(ring, diffs[-1])[0])
     return FreeResolution(ring, min_module, diffs[:length], min_module.row_twists, length)
 
 
@@ -288,7 +291,7 @@ def check_exactness(res: FreeResolution, spots=None):
         d_i = res.differential(i)
         d_next = res.differential(i + 1)
         image_igb = submodule_igb(ring, d_i.col_twists, d_next.columns())
-        syz = syzygy_matrix(ring, d_i)
+        syz, _ = syzygy_matrix(ring, d_i)
         for col in syz.columns():
             if not image_igb.contains(column_to_vec(col)):
                 raise AssertionError(f"kernel not covered by image at spot {i}")

@@ -271,14 +271,7 @@ def variety_of_pair(
     else:
         v1 = variety_of(ring, module, window, degree_bound)
         v2 = variety_of(ring, other, window, degree_bound)
-        v = SupportVariety(
-            ring,
-            v1.ideal.sum(v2.ideal),
-            min(v1.window_used, v2.window_used),
-            v1.stabilized and v2.stabilized,
-            v1.degree_bound,
-            note="intersection of single-module varieties",
-        )
+        v = intersection_variety(v1, v2)
     for coords in sample_points(ring, cross_check_points, seed):
         oracle = membership(ring, module, other, coords)
         annih = vanishes_at(v.ideal, coords, ring.field)
@@ -306,32 +299,28 @@ def sample_points(ring: CIRing, count: int, seed: int = 11):
     return out
 
 
-def union_variety(v1: SupportVariety, v2: SupportVariety) -> SupportVariety:
-    """Union of zero sets: the product ideal (radical-level construction)."""
+def _combine(v1: SupportVariety, v2: SupportVariety, op, note: str) -> SupportVariety:
+    """The variety of op(v1.ideal, v2.ideal), for two varieties over one ring."""
     if v1.ring.key() != v2.ring.key():
         raise ValueError("varieties over different rings")
     return SupportVariety(
         v1.ring,
-        v1.ideal.product(v2.ideal),
+        op(v1.ideal, v2.ideal),
         min(v1.window_used, v2.window_used),
         v1.stabilized and v2.stabilized,
         max(v1.degree_bound, v2.degree_bound),
-        note="radical-level union",
+        note=note,
     )
+
+
+def union_variety(v1: SupportVariety, v2: SupportVariety) -> SupportVariety:
+    """Union of zero sets: the product ideal (radical-level construction)."""
+    return _combine(v1, v2, Ideal.product, "radical-level union")
 
 
 def intersection_variety(v1: SupportVariety, v2: SupportVariety) -> SupportVariety:
     """Intersection of zero sets: the ideal sum (radical-level construction)."""
-    if v1.ring.key() != v2.ring.key():
-        raise ValueError("varieties over different rings")
-    return SupportVariety(
-        v1.ring,
-        v1.ideal.sum(v2.ideal),
-        min(v1.window_used, v2.window_used),
-        v1.stabilized and v2.stabilized,
-        max(v1.degree_bound, v2.degree_bound),
-        note="radical-level intersection",
-    )
+    return _combine(v1, v2, Ideal.sum, "radical-level intersection")
 
 
 # ---------------------------------------------------------------------------

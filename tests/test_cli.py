@@ -6,7 +6,13 @@ import pytest
 
 from cisupport import cache
 from cisupport.cache import HEADER, cache_key, cache_path, read_cache, write_cache
+from cisupport.catalog import two_var_ring
+from cisupport.cimodule import residue_module
 from cisupport.cli import EXIT_OK, EXIT_PARSE, main
+from cisupport.groebner import Ideal, equal_up_to_radical
+from cisupport.poly import parse_poly, render_poly
+from cisupport.realize import ConeSpec, realize_cone
+from cisupport.variety import membership, vanishes_at
 
 EX54 = """\
 field 5
@@ -95,6 +101,37 @@ def test_realize_command(jobfile, capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     assert report["results"]["variety_ideal"] == ["chi1"]
+
+
+TWOVAR_K = """\
+field 5
+ring x y
+relations x^2 ; y^2
+module k
+residue
+"""
+
+
+@pytest.mark.parametrize("d", range(1, 2 * (2 + 2) + 2))  # 1 .. 2(n + c) + 1
+def test_realize_finds_a_cone_of_any_degree(jobfile, capsys, d):
+    # the default degree bound is n + c = 4; a cone generator above it used
+    # to come out as the zero ideal, flagged stable
+    ring = two_var_ring(5)
+    chi = ring.chi_ring()
+    cone = parse_poly(chi, f"chi1^{d} + 2*chi1*chi2^{d - 1} + chi2^{d}")
+    code, out, _ = run_cli(
+        capsys, ["realize", "--input", jobfile(TWOVAR_K), "--cone", render_poly(cone)]
+    )
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["flags"]["stabilized"] is True
+    ideal = Ideal(chi, [parse_poly(chi, g) for g in report["results"]["variety_ideal"]])
+    assert equal_up_to_radical(ideal, Ideal(chi, [cone]))
+    module = realize_cone(ring, ConeSpec([cone]))
+    assert module.presentation.render() == report["results"]["presentation"]["entries"]
+    k = residue_module(ring)
+    for point in [(1, b) for b in range(5)] + [(0, 1)]:  # P^1(F_5)
+        assert membership(ring, module, k, point) == vanishes_at(ideal, point, ring.field), point
 
 
 def test_parse_error_exit_code_and_location(jobfile, capsys):

@@ -56,6 +56,32 @@ def test_golden_jobs_are_found():
     assert len(JOBS) >= 6  # an empty glob would parametrize no test at all
 
 
+def test_realize_golden_above_the_degree_bound_agrees_with_member_everywhere():
+    # its cone has degree 5, above the default degree bound n + c = 4
+    from cisupport.cimodule import GradedModule, residue_module
+    from cisupport.groebner import Ideal
+    from cisupport.jobspec import parse_input
+    from cisupport.pmatrix import PolyMatrix
+    from cisupport.poly import parse_poly
+    from cisupport.variety import membership, vanishes_at
+
+    name = "realize_above_degree_bound"
+    with open(os.path.join(GOLDEN, f"{name}.job"), encoding="utf-8") as fh:
+        ring = parse_input(fh.read()).ci_ring()
+    with open(os.path.join(GOLDEN, f"{name}.expected"), encoding="utf-8") as fh:
+        results = json.loads(json.load(fh)["stdout"])["results"]
+    chi, amb = ring.chi_ring(), ring.ambient
+    ideal = Ideal(chi, [parse_poly(chi, g) for g in results["variety_ideal"]])
+    assert ideal.dimension() == results["dimension"] == 1
+    pres = results["presentation"]
+    entries = [[parse_poly(amb, e) for e in row] for row in pres["entries"]]
+    module = GradedModule(ring, PolyMatrix(amb, entries, pres["row_twists"], pres["col_twists"]))
+    k = residue_module(ring)
+    p = ring.field.p
+    for point in [(1, b) for b in range(p)] + [(0, 1)]:  # P^1(F_101)
+        assert membership(ring, module, k, point) == vanishes_at(ideal, point, ring.field), point
+
+
 if __name__ == "__main__":
     os.environ.pop("CISUPPORT_CACHE", None)
     for name in JOBS:

@@ -1,4 +1,5 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from cisupport.catalog import catalog_modules, dim2_hypersurface_ring, three_var
 from cisupport.cimodule import (
     CIRing,
     ambient_of,
+    column_to_vec,
     cyclic_module,
     free_module,
     kernel_modulo,
     residue_module,
     restrict_to_ring,
+    zero_module,
 )
 from cisupport.field import ExtField, PrimeField
 from cisupport.homology import (
@@ -29,7 +32,8 @@ from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly
 from cisupport.resolution import minimal_resolution
 from cisupport.variety import membership, variety_of
-from cisupport.groebner import equal_up_to_radical
+from cisupport.groebner import equal_up_to_radical, module_groebner, vec_to_column
+from cisupport.jobspec import parse_input
 
 F5 = PrimeField(5)
 
@@ -177,7 +181,7 @@ def test_ext_field_coefficients_supported():
     q = PolyRing(["x", "y"], field=f4)
     omega = None
     for a in f4.elements():
-        if a not in (f4.zero, f4.one) and a != f4.embed(1):
+        if a not in (f4.zero, f4.one) and a != f4.from_int(1):
             omega = a
             break
     x2 = q.from_terms([((2, 0), f4.one)])
@@ -241,7 +245,7 @@ def reference_ext_module_ring_coeffs(ring, module, m):
     if res.betti[m] == 0:
         return zero_module(ring)
     d_next_t = res.differential(m + 1).transpose()
-    ker_cols = syzygy_matrix(ring, d_next_t).columns()
+    ker_cols = syzygy_matrix(ring, d_next_t)[0].columns()
     im_cols = res.differential(m).transpose().columns() if m >= 1 else []
     return subquotient_presentation(ring, d_next_t.col_twists, ker_cols, im_cols)
 
@@ -440,7 +444,7 @@ def reference_hom_complex(ring, res, n_min, i):
 
     twists, rels = spot_data(i)
     next_twists, next_rels = spot_data(i + 1)
-    kernel = kernel_modulo(ring, next_twists, map_columns(i), next_rels)
+    kernel, _ = kernel_modulo(ring, next_twists, map_columns(i), next_rels)
     image = rels + (map_columns(i - 1) if i >= 1 else [])
     return twists, kernel, image
 
@@ -473,3 +477,147 @@ def test_kronecker_hom_complex_equals_the_hand_placed_columns(case):
         assert twists == want_twists
         assert image == want_image
         assert kernel == want_kernel
+
+
+# ---------------------------------------------------------------------------
+# the ambient resolution: one tracked Buchberger run per differential
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+class SeparateBasisAmbient:
+    """The ambient resolution as it was built before its kernel steps kept
+    their bases: G from minimal_resolution over Q on the Groebner engine, and
+    each differential's tracked basis rebuilt by module_groebner on its first
+    lift."""
+
+    def __init__(self, module):
+        amb = ambient_of(module.ring)
+        self.amb = amb
+        self.module_q = restrict_to_ring(module, amb).minimalized()
+        res = minimal_resolution(amb, self.module_q, amb.n + 1, engine="groebner")
+        self.pd = res.projective_dimension()
+        assert self.pd is not None
+        self.res = res
+        self._bases = {}
+
+    def lift(self, i, col):
+        d = self.res.differential(i)
+        if i not in self._bases:
+            vectors = [column_to_vec(c) for c in d.columns()]
+            self._bases[i] = module_groebner(self.amb, d.row_twists, vectors, track=True)
+        coeffs = self._bases[i].express(column_to_vec(col))
+        return None if coeffs is None else vec_to_column(self.amb, d.ncols, coeffs)
+
+
+def golden_member_cases():
+    """(name, ring, module) for every module of the member_* golden jobs."""
+    for name in sorted(os.listdir(GOLDEN)):
+        if not (name.startswith("member_") and name.endswith(".job")):
+            continue
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            job = parse_input(fh.read())
+        ring = job.ci_ring()
+        for decl in job.modules:
+            yield f"{name[:-4]}-{decl.name}", ring, job.build_module(decl.name, ring)
+
+
+def ambient_cases():
+    for ring in (two_var_ring(5), three_var_ring(3)):
+        for name, module in catalog_modules(ring).items():
+            yield f"{ring.ambient.n}var-{name}", ring, module
+    yield from golden_member_cases()
+
+
+def directions(ring):
+    """The coordinate directions and the all-ones direction."""
+    c = ring.c
+    return [tuple(int(i == j) for i in range(c)) for j in range(c)] + [(1,) * c]
+
+
+@pytest.mark.parametrize("case", list(ambient_cases()), ids=lambda c: c[0])
+def test_kept_bases_lift_and_build_homotopies_as_separate_bases_did(case, monkeypatch):
+    _, ring, module = case
+    clear_memo()
+    new = ambient_resolution(module)
+    old = SeparateBasisAmbient(module)
+    assert new.pd == old.pd
+    assert new.module_q.presentation == old.module_q.presentation
+    assert new.diffs == old.res.differentials[: old.pd]
+    for i in range(1, new.pd + 1):
+        d = new.diffs[i - 1]
+        # every column of d_i and every boundary d_i d_{i+1} e_u lifts alike
+        probes = d.columns()
+        if i < new.pd:
+            probes += d.mul(new.diffs[i]).columns()
+        for col in probes:
+            assert new.lift(i, col) == old.lift(i, col)
+    for a in directions(ring):
+        hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+        got = HypersurfaceComplex(hyper, module)
+        monkeypatch.setattr(homology, "ambient_resolution", lambda m: old)
+        want = HypersurfaceComplex(hyper, module)
+        monkeypatch.undo()
+        assert got.sigma == want.sigma, a
+        assert got.betti_over_a(5) == want.betti_over_a(5), a
+
+
+@pytest.mark.parametrize("ring", [two_var_ring(5), three_var_ring(3)], ids=["2var", "3var"])
+def test_each_ambient_differential_gets_one_tracked_buchberger_run(ring, monkeypatch):
+    from cisupport import groebner
+
+    modules = catalog_modules(ring)
+    runs = []
+    real = groebner._grow_and_complete
+
+    def spy(amb, twists, vectors, track):
+        if track:  # untracked runs are the hypersurface rings' own bases
+            runs.append((tuple(twists), list(vectors)))
+        return real(amb, twists, vectors, track)
+
+    for name, module in modules.items():
+        clear_memo()
+        runs.clear()
+        monkeypatch.setattr(groebner, "_grow_and_complete", spy)
+        for a in directions(ring):
+            hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+            hypersurface_betti(hyper, module, 5)
+        monkeypatch.undo()
+        amb_res = ambient_resolution(module)
+        want = [
+            (d.row_twists, [column_to_vec(c) for c in d.columns()]) for d in amb_res.diffs
+        ]
+        assert runs == want, name
+    assert not hasattr(homology, "module_groebner")
+    assert not hasattr(amb_res, "_bases")
+
+
+def test_ambient_loop_on_the_zero_module_never_runs():
+    q = PolyRing(["x", "y", "z"], field=PrimeField(3))
+    a = CIRing(q, [parse_poly(q, "x^2 + y*z")])
+    zero = zero_module(a)
+    amb_res = ambient_resolution(zero)
+    assert (amb_res.pd, amb_res.diffs, amb_res.bases) == (0, [], [])
+    assert hypersurface_betti(a, zero, 5) == minimal_resolution(a, zero, 5, engine="groebner").betti
+
+
+def test_ambient_loop_on_a_free_module_stops_after_its_presentation():
+    # free over A = Q/(f), so of projective dimension 1 over Q
+    q = PolyRing(["x", "y", "z"], field=PrimeField(3))
+    a = CIRing(q, [parse_poly(q, "x^2 + y*z")])
+    free = free_module(a, (0, 2))
+    assert ambient_resolution(free).pd == 1
+    assert hypersurface_betti(a, free, 5) == minimal_resolution(a, free, 5, engine="groebner").betti
+    assert hypersurface_betti(a, free, 5) == [2, 0, 0, 0, 0, 0]
+
+
+def test_ambient_loop_reaches_projective_dimension_n_for_k():
+    # pd_Q k = n, so the homotopies lift through the basis of the top differential
+    q = PolyRing(["x", "y", "z"], field=PrimeField(3))
+    a = CIRing(q, [parse_poly(q, "x^2 + y*z")])
+    k = residue_module(a)
+    amb_res = ambient_resolution(k)
+    assert amb_res.pd == len(amb_res.bases) == q.n
+    hc = HypersurfaceComplex(a, k)
+    assert any(target == q.n for target in (i + 2 * t - 1 for t, i in hc.sigma))
+    assert hypersurface_betti(a, k, 6) == minimal_resolution(a, k, 6, engine="groebner").betti

@@ -276,9 +276,12 @@ def small_module_cases(draw):
 @given(homogeneous_module_cases())
 def test_syzygies_on_homogeneous_input_equal_the_two_pass_list(case):
     ring, twists, inputs = case
-    syzygies = module_syzygies(ring, twists, inputs)
+    syzygies, basis = module_syzygies(ring, twists, inputs)
     assert syzygies == reference_module_syzygies(ring, twists, inputs)
     assert all(is_syzygy(ring, inputs, syz) for syz in syzygies)
+    # the run's basis is the tracked basis of the same inputs
+    ref = module_groebner(ring, twists, inputs, track=True)
+    assert (basis.elements, basis.leads, basis.traces) == (ref.elements, ref.leads, ref.traces)
 
 
 def as_multiset(syzygies):
@@ -289,7 +292,7 @@ def as_multiset(syzygies):
 @given(small_module_cases())
 def test_syzygies_on_inhomogeneous_input_equal_the_two_pass_multiset(case):
     ring, twists, inputs = case
-    syzygies = module_syzygies(ring, twists, inputs)
+    syzygies, _ = module_syzygies(ring, twists, inputs)
     assert as_multiset(syzygies) == as_multiset(reference_module_syzygies(ring, twists, inputs))
     assert all(is_syzygy(ring, inputs, syz) for syz in syzygies)
 
@@ -297,7 +300,7 @@ def test_syzygies_on_inhomogeneous_input_equal_the_two_pass_multiset(case):
 def test_a_zero_input_gives_its_unit_syzygy():
     ring = RINGS[0]
     x = {(0, (1, 0)): 1}
-    assert module_syzygies(ring, (0,), [x, {}, x]) == [
+    assert module_syzygies(ring, (0,), [x, {}, x])[0] == [
         {(1, (0, 0)): 1},
         {(0, (0, 0)): 4, (2, (0, 0)): 1},
     ]
@@ -497,7 +500,7 @@ def reference_minimal_generator_indices(ring, twists, columns):
 @pytest.mark.parametrize("ring", [two_var_ring(5), three_var_ring(3)], ids=["2var", "3var"])
 def test_minimal_generators_are_those_of_the_own_pair_loop(ring):
     for name, module in catalog_modules(ring).items():
-        for mat in (module.presentation, syzygy_matrix(ring, module.presentation)):
+        for mat in (module.presentation, syzygy_matrix(ring, module.presentation)[0]):
             twists, cols = mat.row_twists, mat.columns()
             want = reference_minimal_generator_indices(ring, twists, cols)
             assert minimal_generator_indices(ring, twists, cols) == want, name
@@ -525,7 +528,7 @@ def unseeded_minimal_generator_indices(ring, twists, columns):
 def test_seeded_minimal_generators_on_the_catalog(ring):
     for name, module in catalog_modules(ring).items():
         pres = module.presentation
-        syz = syzygy_matrix(ring, pres)
+        syz, _ = syzygy_matrix(ring, pres)
         for twists, cols in (
             (pres.row_twists, pres.columns()),
             (syz.row_twists, syz.columns()),
@@ -656,7 +659,7 @@ def test_kernel_modulo_maps_into_the_relation_span(case):
     ring, twists, cols, rels = case
     amb = ambient_of(ring)
     span = submodule_igb(ring, twists, rels)
-    for a in kernel_modulo(ring, twists, cols, rels):
+    for a in kernel_modulo(ring, twists, cols, rels)[0]:
         assert any(not p.is_zero() for p in a)
         image = [
             ring_nf(ring, sum((a[j] * col[i] for j, col in enumerate(cols)), amb.zero()))
@@ -672,7 +675,7 @@ def test_kernel_modulo_of_columns_inside_the_span_is_everything(case):
     amb = ambient_of(ring)
     cols = [col for col in cols if any(not p.is_zero() for p in col)]
     degrees = [column_degree(ring, twists, col) for col in cols]
-    kernel = submodule_igb(ring, degrees, kernel_modulo(ring, twists, cols, cols + rels))
+    kernel = submodule_igb(ring, degrees, kernel_modulo(ring, twists, cols, cols + rels)[0])
     for j in range(len(cols)):
         unit = {(j, amb.zero_mono): amb.field.one}
         assert kernel.contains(unit)
@@ -682,6 +685,6 @@ def test_kernel_modulo_uses_the_quotient_relations():
     # the annihilator of x in k[x,y]/(x^2, y^2) is (x), and is 0 over k[x,y]
     ring = two_var_ring(5)
     x = ring.ambient.var_poly(0)
-    kernel = kernel_modulo(ring, (0,), [[x]], [])
+    kernel, _ = kernel_modulo(ring, (0,), [[x]], [])
     assert submodule_igb(ring, (1,), kernel).contains(column_to_vec([x]))
-    assert kernel_modulo(ring.ambient, (0,), [[x]], []) == []
+    assert kernel_modulo(ring.ambient, (0,), [[x]], [])[0] == []

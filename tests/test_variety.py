@@ -365,7 +365,7 @@ def reference_evaluate_at_point(poly, coords, fld):
         return poly.evaluate(coords)
     total = fld.zero
     for m, c in poly.terms:
-        v = fld.embed(c) if isinstance(fld, ExtField) else fld.from_int(c)
+        v = fld.from_int(c)
         for e, av in zip(m, coords):
             for _ in range(e):
                 v = fld.mul(v, av)
