@@ -286,8 +286,9 @@ def check_tensor_split(p=3):
     x2 = parse_poly(q, "x^2")
     y2 = parse_poly(q, "y^2")
     ring = CIRing(q, [x2, y2])
-    m1q = cyclic_module(q, [parse_poly(q, "x")])
-    m2q = cyclic_module(q, [parse_poly(q, "y")])
+    free = CIRing(q, ())
+    m1q = cyclic_module(free, [parse_poly(q, "x")])
+    m2q = cyclic_module(free, [parse_poly(q, "y")])
     tens = tensor_over_base(m1q, m2q, ring)
     v = cached_variety(ring, tens)
     if v.ideal.gens:

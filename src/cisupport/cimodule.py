@@ -1,8 +1,9 @@
 """Complete-intersection rings and finitely generated graded modules.
 
-A ring is either a free PolyRing or a CIRing (graded polynomial ring modulo
-a regular sequence of forms of degree >= 2).  Modules are given by graded
-presentation matrices; entries are kept in normal form modulo the quotient.
+Every module lives over a CIRing: a graded polynomial ring Q modulo a
+regular sequence of forms of degree >= 2, with Q itself as CIRing(Q, ()).
+Modules are given by graded presentation matrices; entries are kept in
+normal form modulo the quotient.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .pmatrix import PolyMatrix
 class CIRing:
     """Quotient of a graded polynomial ring by a regular sequence f_1..f_c.
 
-    Fixes the coordinates of the degree-one slice of the defining ideal: the
+    The empty sequence is regular: CIRing(Q, ()) is the free ring Q.  Fixes
+    the coordinates of the degree-one slice of the defining ideal: the
     i-th coordinate corresponds to f_i, in order.
     """
 
@@ -44,6 +46,7 @@ class CIRing:
         self._reducer = poly_basis(ambient, self.gb)
         self.dim = ambient.n - self.c
         self._std_cache = {}
+        self._mult_cache = {}  # (variable, degree) -> var_mult_matrix
         self._key = (
             "ciring",
             ambient.key(),
@@ -59,7 +62,7 @@ class CIRing:
         return self.dim == 0
 
     def nf(self, poly: Poly) -> Poly:
-        return normal_form(poly, self._reducer)
+        return normal_form(poly, self._reducer) if self.gb else poly
 
     def std_monomials(self, d: int):
         """Monomial basis of the degree-d piece of the quotient ring."""
@@ -118,36 +121,6 @@ class CIRing:
 
 
 # ---------------------------------------------------------------------------
-# ring dispatch helpers: functions below accept a PolyRing or a CIRing
-
-
-def ambient_of(ring) -> PolyRing:
-    return ring.ambient if isinstance(ring, CIRing) else ring
-
-
-def quotient_gb(ring):
-    return ring.gb if isinstance(ring, CIRing) else []
-
-
-def ring_nf(ring, poly: Poly) -> Poly:
-    return ring.nf(poly) if isinstance(ring, CIRing) else poly
-
-
-def ring_key(ring):
-    return ring.key()
-
-
-def std_monomials(ring, d: int):
-    if isinstance(ring, CIRing):
-        return ring.std_monomials(d)
-    return ring.monomials_of_degree(d) if d >= 0 else []
-
-
-def is_artinian(ring) -> bool:
-    return isinstance(ring, CIRing) and ring.is_artinian
-
-
-# ---------------------------------------------------------------------------
 # columns as vectors
 
 
@@ -169,10 +142,9 @@ def column_degree(ring, twists, col):
 
 def quotient_columns(ring, twists):
     """Vectors h * e_i for the quotient relations h; empty for free rings."""
-    gbq = quotient_gb(ring)
     cols = []
     for i in range(len(twists)):
-        for h in gbq:
+        for h in ring.gb:
             cols.append({(i, m): c for m, c in h.terms})
     return cols
 
@@ -183,7 +155,7 @@ def quotient_igb(ring, twists) -> IncrementalGB:
     ring.gb is a reduced Groebner basis, so the relations need no S-pairs
     among themselves and are inserted as they are.
     """
-    igb = IncrementalGB(ambient_of(ring), twists)
+    igb = IncrementalGB(ring.ambient, twists)
     for v in quotient_columns(ring, twists):
         igb.insert(v)
     return igb
@@ -207,7 +179,7 @@ def kernel_modulo(ring, twists, cols, rel_cols):
     nonzero normal forms of those projections (columns of length len(cols)).
     The basis is that of the same vectors, in that order.
     """
-    amb = ambient_of(ring)
+    amb = ring.ambient
     vectors = [column_to_vec(col) for col in list(cols) + list(rel_cols)]
     vectors += quotient_columns(ring, twists)
     n = len(cols)
@@ -215,7 +187,7 @@ def kernel_modulo(ring, twists, cols, rel_cols):
     syzygies, basis = module_syzygies(amb, twists, vectors)
     for s in syzygies:
         proj = {(j, m): c for (j, m), c in s.items() if j < n}
-        col = [ring_nf(ring, p) for p in vec_to_column(amb, n, proj)]
+        col = [ring.nf(p) for p in vec_to_column(amb, n, proj)]
         if any(not p.is_zero() for p in col):
             out.append(col)
     return out, basis
@@ -227,7 +199,7 @@ def syzygy_matrix(ring, matrix: PolyMatrix):
     quotient relations after them) that the one syzygy run built."""
     cols, basis = kernel_modulo(ring, matrix.row_twists, matrix.columns(), [])
     twists = [column_degree(ring, matrix.col_twists, col) for col in cols]
-    return PolyMatrix.from_columns(ambient_of(ring), matrix.col_twists, cols, twists), basis
+    return PolyMatrix.from_columns(ring.ambient, matrix.col_twists, cols, twists), basis
 
 
 def minimal_generator_indices(ring, twists, columns):
@@ -257,10 +229,10 @@ class GradedModule:
     zero module is the case of zero generators.
     """
 
-    def __init__(self, ring, presentation: PolyMatrix, normalize: bool = True):
+    def __init__(self, ring: CIRing, presentation: PolyMatrix, normalize: bool = True):
         self.ring = ring
         if normalize:
-            presentation = presentation.map_entries(lambda p: ring_nf(ring, p))
+            presentation = presentation.map_entries(ring.nf)
         presentation.check_homogeneous()
         self.presentation = presentation
         self.row_twists = presentation.row_twists
@@ -272,7 +244,7 @@ class GradedModule:
 
     @classmethod
     def from_columns(cls, ring, row_twists, columns, col_twists=None):
-        amb = ambient_of(ring)
+        amb = ring.ambient
         if col_twists is None:
             col_twists = []
             for col in columns:
@@ -284,7 +256,7 @@ class GradedModule:
 
     def content_key(self):
         if self._key is None:
-            self._key = ("module", ring_key(self.ring), self.presentation.content_key())
+            self._key = ("module", self.ring.key(), self.presentation.content_key())
         return self._key
 
     def column(self, j):
@@ -309,7 +281,7 @@ class GradedModule:
 
 def _minimalize(module: GradedModule) -> GradedModule:
     ring = module.ring
-    amb = ambient_of(ring)
+    amb = ring.ambient
     field = amb.field
     entries = [row[:] for row in module.presentation.entries]
     row_twists = list(module.row_twists)
@@ -339,7 +311,7 @@ def _minimalize(module: GradedModule) -> GradedModule:
             factor = c.scale(u_inv)
             for r in range(len(row_twists)):
                 prod = pivot_col[r] * factor
-                entries[r][j2] = ring_nf(ring, entries[r][j2] - prod)
+                entries[r][j2] = ring.nf(entries[r][j2] - prod)
         del entries[i]
         del row_twists[i]
         for row in entries:
@@ -361,16 +333,16 @@ def _minimalize(module: GradedModule) -> GradedModule:
 
 
 def zero_module(ring) -> GradedModule:
-    return GradedModule(ring, PolyMatrix(ambient_of(ring), [], (), ()))
+    return GradedModule(ring, PolyMatrix(ring.ambient, [], (), ()))
 
 
 def free_module(ring, twists=(0,)) -> GradedModule:
-    return GradedModule(ring, PolyMatrix(ambient_of(ring), [[] for _ in twists], twists, ()))
+    return GradedModule(ring, PolyMatrix(ring.ambient, [[] for _ in twists], twists, ()))
 
 
 def residue_module(ring, twist: int = 0) -> GradedModule:
     """The residue field k presented by the variables."""
-    amb = ambient_of(ring)
+    amb = ring.ambient
     cols = [[amb.var_poly(i)] for i in range(amb.n)]
     return GradedModule.from_columns(ring, (twist,), cols)
 
@@ -391,10 +363,10 @@ def _is_residue_field(module: GradedModule) -> bool:
     m = module.minimalized()
     if m.ngens != 1:
         return False
-    amb = ambient_of(m.ring)
+    amb = m.ring.ambient
     rel = [m.presentation.entries[0][j] for j in range(m.nrels)]
-    gb1 = buchberger(rel + list(quotient_gb(m.ring)))
-    gb2 = buchberger([amb.var_poly(i) for i in range(amb.n)] + list(quotient_gb(m.ring)))
+    gb1 = buchberger(rel + m.ring.gb)
+    gb2 = buchberger([amb.var_poly(i) for i in range(amb.n)] + m.ring.gb)
     return gb1 == gb2
 
 
@@ -406,7 +378,7 @@ def free_basis(ring, twists, d: int):
     """Basis of the degree-d piece of (+) ring(-t_j): list of (j, monomial)."""
     out = []
     for j, t in enumerate(twists):
-        for m in std_monomials(ring, d - t):
+        for m in ring.std_monomials(d - t):
             out.append((j, m))
     return out
 
@@ -418,7 +390,7 @@ def free_blocks(ring, twists, d: int):
     t_j = t, and the free_basis positions of their blocks as an array of
     shape (len(generators), block size).  Empty blocks are left out.
     """
-    sizes = [len(std_monomials(ring, d - t)) for t in twists]
+    sizes = [len(ring.std_monomials(d - t)) for t in twists]
     offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).astype(np.int64)
     groups = {}
     for j, t in enumerate(twists):
@@ -434,21 +406,18 @@ def free_blocks(ring, twists, d: int):
 def var_mult_matrix(ring, var: int, d: int) -> np.ndarray:
     """Multiplication by a variable from the degree-d piece of the ring to the
     degree d + weight piece, in standard-monomial bases; cached on the ring."""
-    cache = getattr(ring, "_mult_cache", None)
-    if cache is None:
-        cache = {}
-        ring._mult_cache = cache
+    cache = ring._mult_cache
     key = (var, d)
     if key not in cache:
-        amb = ambient_of(ring)
-        src = std_monomials(ring, d)
-        dst = std_monomials(ring, d + amb.weights[var])
+        amb = ring.ambient
+        src = ring.std_monomials(d)
+        dst = ring.std_monomials(d + amb.weights[var])
         idx = {m: i for i, m in enumerate(dst)}
         a = np.zeros((len(dst), len(src)), dtype=np.int64)
         vm = amb.var_mono(var)
         one = amb.field.one
         for j, m in enumerate(src):
-            prod = ring_nf(ring, amb.from_terms([(mono_mul(m, vm), one)]))
+            prod = ring.nf(amb.from_terms([(mono_mul(m, vm), one)]))
             for mm, c in prod.terms:
                 a[idx[mm], j] = c
         cache[key] = a
@@ -464,7 +433,7 @@ def slice_matrix(ring, matrix: PolyMatrix, d: int) -> np.ndarray:
     (columns) of equal twist have equal block sizes, so every band of one row
     twist and one column twist is a single Kronecker sum over the monomials.
     """
-    amb = ambient_of(ring)
+    amb = ring.ambient
     p = amb.field.p
     nrows, row_blocks = free_blocks(ring, matrix.row_twists, d)
     ncols, col_blocks = free_blocks(ring, matrix.col_twists, d)
@@ -481,7 +450,7 @@ def slice_matrix(ring, matrix: PolyMatrix, d: int) -> np.ndarray:
         if (m, s) not in products:
             v = next((i for i, e in enumerate(m) if e), None)
             if v is None:
-                out = np.eye(len(std_monomials(ring, s)), dtype=np.int64)
+                out = np.eye(len(ring.std_monomials(s)), dtype=np.int64)
             else:
                 rest = m[:v] + (m[v] - 1,) + m[v + 1 :]
                 step = var_mult_matrix(ring, v, s + amb.wdeg(rest))
@@ -506,7 +475,7 @@ def slice_matrix(ring, matrix: PolyMatrix, d: int) -> np.ndarray:
 def hilbert_function(module: GradedModule, dmax: int):
     """dim_k of each graded piece of the module for degrees 0..dmax."""
     ring = module.ring
-    p = ambient_of(ring).field.p
+    p = ring.ambient.field.p
     out = []
     for d in range(dmax + 1):
         total = len(free_basis(ring, module.row_twists, d))
@@ -525,15 +494,13 @@ def hilbert_function(module: GradedModule, dmax: int):
 def tensor_over_base(m1: GradedModule, m2: GradedModule, target) -> GradedModule:
     """Presentation of M1 (x) M2 over the common ambient ring, moved to target.
 
+    Both factors live over the free ring CIRing(Q, ()) of the target's Q.
     Generators are pairs; relations are the two blocks rel(M1) (x) id and
     id (x) rel(M2).
     """
-    r1, r2 = m1.ring, m2.ring
-    amb = ambient_of(target)
-    if not isinstance(r1, PolyRing) or not isinstance(r2, PolyRing):
-        raise ValueError("tensor factors must be presented over the ambient ring")
-    if r1.key() != amb.key() or r2.key() != amb.key():
-        raise ValueError("tensor factors must share the target's ambient ring")
+    amb = target.ambient
+    if any(m.ring.c or m.ring.ambient != amb for m in (m1, m2)):
+        raise ValueError("tensor factors must be presented over the target's ambient ring")
     p1, p2 = m1.presentation, m2.presentation
     i1, i2 = PolyMatrix.identity(amb, m1.row_twists), PolyMatrix.identity(amb, m2.row_twists)
     return GradedModule(target, PolyMatrix.block(amb, [[p1.kron(i2), i1.kron(p2)]]))
@@ -546,8 +513,8 @@ def quotient_by_element(module: GradedModule, x: Poly):
     syzygy computation and testing it against the relation submodule.
     """
     ring = module.ring
-    amb = ambient_of(ring)
-    x = ring_nf(ring, x)
+    amb = ring.ambient
+    x = ring.nf(x)
     if x.is_zero() or not x.is_homogeneous() or x.degree() < 1:
         raise ValueError("need a homogeneous element of positive degree")
     g = module.ngens
@@ -577,8 +544,8 @@ def submodule_and_quotient(module: GradedModule, gens):
     sequence.
     """
     ring = module.ring
-    amb = ambient_of(ring)
-    gens = [[ring_nf(ring, p) for p in col] for col in gens]
+    amb = ring.ambient
+    gens = [[ring.nf(p) for p in col] for col in gens]
     gens = [col for col in gens if any(not p.is_zero() for p in col)]
     gen_twists = [column_degree(ring, module.row_twists, col) for col in gens]
     pres = module.presentation
@@ -598,15 +565,14 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
     here: target relations are contained in the source ring's ideal.
     """
     src = module.ring
-    amb_t = ambient_of(target)
-    amb_s = ambient_of(src)
-    if amb_s.key() != amb_t.key():
+    amb_t = target.ambient
+    if src.ambient != amb_t:
         raise ValueError("restriction requires the same ambient ring")
     pres = module.presentation
-    cols = [[ring_nf(target, p) for p in pres.column(j)] for j in range(pres.ncols)]
+    cols = [[target.nf(p) for p in pres.column(j)] for j in range(pres.ncols)]
     twists = list(pres.col_twists)
-    for h in quotient_gb(src):
-        hh = ring_nf(target, h)
+    for h in src.gb:
+        hh = target.nf(h)
         if hh.is_zero():
             continue
         for i in range(module.ngens):
@@ -617,16 +583,13 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
     return GradedModule(target, PolyMatrix.from_columns(amb_t, module.row_twists, cols, twists))
 
 
-def base_change_ring(ring, new_field):
-    amb = ambient_of(ring).with_field(new_field)
-    if isinstance(ring, CIRing):
-        fs = [f.map_coefficients(new_field.from_int, amb) for f in ring.fs]
-        return CIRing(amb, fs, validate=False)
-    return amb
+def base_change_ring(ring: CIRing, new_field) -> CIRing:
+    amb = ring.ambient.with_field(new_field)
+    return CIRing(amb, [f.map_coefficients(new_field.from_int, amb) for f in ring.fs], validate=False)
 
 
 def base_change_module(module: GradedModule, new_ring) -> GradedModule:
-    amb = ambient_of(new_ring)
+    amb = new_ring.ambient
     pres = module.presentation
     entries = [
         [pres.entries[i][j].map_coefficients(amb.field.from_int, amb) for j in range(pres.ncols)]

@@ -54,20 +54,33 @@ def _build_parser():
     return ap
 
 
-def _effective_params(job: JobSpec, args) -> dict:
-    """The job file's valued command parameters, overridden by the valued
-    flags.  Switches change no result, so they stay out of the report and
-    its cache key."""
-    params = {}
+def _given_params(job: JobSpec, command: str, args) -> dict:
+    """The parameters the command reads: those of the job file's command
+    section, overridden by the flags.  A flag the command does not read is
+    an error; a section written for another command only lends the
+    parameters this one reads."""
+    reads = COMMANDS[command]
+    given = {}
     if job is not None and job.command is not None:
-        params.update(
-            (k, v) for k, v in job.command.params.items() if PARAMS[k].kind != "switch"
-        )
+        given.update((k, v) for k, v in job.command.params.items() if k in reads)
     for name, spec in PARAMS.items():
         v = getattr(args, name.replace("-", "_"), None)
-        if spec.flag and spec.kind != "switch" and v is not None:
-            params[name] = str(v)
-    return params
+        if not spec.flag or v is None or v is False:
+            continue
+        if name not in reads:
+            takes = ", ".join(f"--{n}" for n in reads if PARAMS[n].flag) or "no flags"
+            raise JobSpecError(f"{command} does not read --{name} (it takes {takes})")
+        given[name] = "" if spec.kind == "switch" else str(v)
+    return given
+
+
+def _check_cache_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise JobSpecError(f"cache directory {path!r} is unusable: {exc.strerror}")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise JobSpecError(f"cache directory {path!r} is not writable")
 
 
 def _read_int(params: dict, name: str, default):
@@ -287,9 +300,14 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     cache_dir = args.cache_dir or os.environ.get("CISUPPORT_CACHE")
-    params = _effective_params(job, args)
-    t0 = time.monotonic()
     try:
+        given = _given_params(job, command, args)
+        if cache_dir:
+            _check_cache_dir(cache_dir)
+        # switches change no result, so they stay out of the report and its
+        # cache key
+        params = {k: v for k, v in given.items() if PARAMS[k].kind != "switch"}
+        t0 = time.monotonic()
         payload, hit = run_job(job, command, params, cache_dir)
     except JobSpecError as exc:
         print(f"error: {exc.message}", file=sys.stderr)
@@ -302,18 +320,19 @@ def main(argv=None) -> int:
     report = json.loads(payload)
     report["wall_time_ms"] = wall_ms
     out = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(out)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            print(f"error: cannot write {args.json_out!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_PARSE
+    sys.stdout.write(out)
     if hit:
         print("# cache hit", file=sys.stderr)
 
     flags = report.get("flags", {})
-    allow_unstable = args.allow_unstable or (
-        job is not None and job.command is not None and "allow-unstable" in job.command.params
-    )
-    if flags.get("stabilized") is False and not allow_unstable:
+    if flags.get("stabilized") is False and "allow-unstable" not in given:
         print("warning: variety computation did not stabilize", file=sys.stderr)
         return EXIT_UNSTABLE
     results = report.get("results", {})

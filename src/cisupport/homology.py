@@ -17,13 +17,11 @@ from .cache import memo
 from .cimodule import (
     CIRing,
     GradedModule,
-    ambient_of,
     column_to_vec,
     free_module,
     is_residue_field,
     kernel_modulo,
     restrict_to_ring,
-    ring_key,
     submodule_igb,
     subquotient_presentation,
     zero_module,
@@ -49,9 +47,10 @@ class AmbientResolution:
     """
 
     def __init__(self, module: GradedModule):
-        amb = ambient_of(module.ring)
+        amb = module.ring.ambient
+        q = CIRing(amb, ())
         self.amb = amb
-        self.module_q = restrict_to_ring(module, amb).minimalized()
+        self.module_q = restrict_to_ring(module, q).minimalized()
         self.diffs = []  # d_1, ..., d_pd
         self.bases = []  # bases[i - 1]: tracked basis of the columns of d_i
         d = self.module_q.presentation
@@ -59,10 +58,10 @@ class AmbientResolution:
             if len(self.diffs) == amb.n:  # pd <= n by Hilbert's syzygy theorem
                 raise AssertionError("ambient resolution did not terminate")
             self.diffs.append(d)
-            d, basis = groebner_kernel_step(amb, d)
+            d, basis = groebner_kernel_step(q, d)
             self.bases.append(basis)
         self.pd = len(self.diffs)
-        self.res = FreeResolution(amb, self.module_q, self.diffs, self.module_q.row_twists, self.pd)
+        self.res = FreeResolution(q, self.module_q, self.diffs, self.module_q.row_twists, self.pd)
 
     def lift(self, i, col):
         """Coefficients c with d_i c = col, or None when col is not a boundary."""
@@ -201,9 +200,9 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
     The module may be given over a quotient of ring (its ideal containing
     that of ring); it is then viewed over ring.
     """
-    if isinstance(ring, CIRing) and ring.c == 1 and ring.dim >= 1:
+    if ring.c == 1 and ring.dim >= 1:
         return hypersurface_betti(ring, module, upto)
-    if ring_key(module.ring) != ring_key(ring):
+    if module.ring != ring:
         module = restrict_to_ring(module, ring)
     return minimal_resolution(ring, module, upto).betti[: upto + 1]
 
@@ -222,7 +221,7 @@ def _hom_complex(ring, res, n_min: GradedModule, i: int):
     image: the relations at spot i together with the columns of
     Hom(d_i, A^g).  Ext^i(M, N) is kernel / image.
     """
-    amb = ambient_of(ring)
+    amb = ring.ambient
     ident = PolyMatrix.identity(amb, n_min.row_twists)
 
     def relations(j):

@@ -15,8 +15,10 @@ Sections, one directive per line (blank lines and # comments ignored):
     module M
 
 The command parameters, and which of them the CLI also takes as flags, are
-listed once in PARAMS; each value is checked against its kind and least value
-where it is read, so a bad job-file value is a located error.
+listed once in PARAMS, and the ones each command reads in COMMANDS; each
+value is checked against its kind and least value where it is read, and a
+parameter its section's command does not read is refused, so a bad job-file
+line is a located error.
 
 Rendering is canonical (re-rendered polynomials, normalized spacing, sorted
 command parameters), so render(parse(text)) is idempotent and
@@ -128,7 +130,17 @@ class JobSpec:
         raise JobSpecError("ambiguous target module; set 'module' in the command")
 
 
-COMMANDS = ("resolve", "betti", "operators", "variety", "member", "restrict", "realize", "check")
+# command -> the parameters it reads
+COMMANDS = {
+    "resolve": ("module", "length"),
+    "betti": ("module", "length"),
+    "operators": ("module", "window"),
+    "variety": ("module", "window", "degree-bound", "allow-unstable"),
+    "member": ("module", "module2", "point"),
+    "restrict": ("module", "subspace", "window", "degree-bound", "allow-unstable"),
+    "realize": ("cone", "allow-unstable"),
+    "check": (),
+}
 
 
 @dataclass(frozen=True)
@@ -192,6 +204,8 @@ def parse_input(text: str) -> JobSpec:
 
         if mode == "command" and word in PARAMS:
             PARAMS[word].value(word, rest, lineno, len(word) + 2)
+            if word not in COMMANDS[command.name]:
+                raise JobSpecError(f"{command.name} does not read {word}", lineno, 1)
             command.params[word] = rest
         elif word == "field":
             if p is not None:

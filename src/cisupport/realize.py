@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .cimodule import (
     CIRing,
     GradedModule,
-    ambient_of,
     column_to_vec,
     hilbert_function,
     quotient_by_element,
@@ -94,7 +93,7 @@ def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> Mapp
     res = minimal_resolution(ring, module, e)
     pmap = evaluate_chi_class(ring, module, p_chi, window=e)[e]
     shift = _class_twist_shift(ring, p_chi)
-    amb = ambient_of(ring)
+    amb = ring.ambient
     d_e = res.differential(e)
     d_1 = res.differential(1)
     top = d_e.twisted(-shift)
@@ -204,7 +203,7 @@ def is_finite_length(module: GradedModule) -> bool:
     if m.ngens == 0:
         return True
     ring = m.ring
-    amb = ambient_of(ring)
+    amb = ring.ambient
     cols = [column_to_vec(m.presentation.column(j)) for j in range(m.nrels)]
     cols += quotient_columns(ring, m.row_twists)
     gb = module_groebner(amb, m.row_twists, cols)

@@ -1,4 +1,4 @@
-"""Minimal graded free resolutions over a polynomial ring or a quotient.
+"""Minimal graded free resolutions over a complete intersection (or Q itself).
 
 Two engines produce the same contract:
 
@@ -22,15 +22,10 @@ from .cache import memo
 from .cimodule import (
     CIRing,
     GradedModule,
-    ambient_of,
     free_basis,
     free_blocks,
-    is_artinian,
     minimal_generator_indices,
-    ring_key,
-    ring_nf,
     slice_matrix,
-    std_monomials,
     syzygy_matrix,
     var_mult_matrix,
 )
@@ -91,7 +86,7 @@ def _free_mult(ring, twists, var: int, d: int, vecs: np.ndarray, p: int) -> np.n
     """Multiply the columns of vecs, coordinates in the degree-d piece of
     (+) ring(-t_j), by a variable; generators of one twist share one
     variable multiplication matrix."""
-    w = ambient_of(ring).weights[var]
+    w = ring.ambient.weights[var]
     _, src = free_blocks(ring, twists, d)
     dim, dst = free_blocks(ring, twists, d + w)
     k = vecs.shape[1]
@@ -114,7 +109,7 @@ def _coords_to_arrays(ring, twists, chunks, ncols):
         k = vecs.shape[1]
         _, blocks = free_blocks(ring, twists, d)
         for t, (gens, pos) in blocks.items():
-            for s, m in enumerate(std_monomials(ring, d - t)):
+            for s, m in enumerate(ring.std_monomials(d - t)):
                 a = arrays.get(m)
                 if a is None:
                     a = arrays[m] = np.zeros((len(twists), ncols), dtype=np.int64)
@@ -194,11 +189,11 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
 # groebner engine
 
 
-def groebner_kernel_step(ring, mat: PolyMatrix):
+def groebner_kernel_step(ring: CIRing, mat: PolyMatrix):
     """Next differential: minimal generators of ker(mat), and the tracked
     Groebner basis of mat's columns (then the quotient relations) that the
     one syzygy run built; the basis is None when mat has no columns."""
-    amb = ambient_of(ring)
+    amb = ring.ambient
     if mat.ncols == 0:
         return PolyMatrix(amb, [], (), ()), None
     syz, basis = syzygy_matrix(ring, mat)
@@ -209,15 +204,20 @@ def groebner_kernel_step(ring, mat: PolyMatrix):
     return PolyMatrix.from_columns(amb, mat.col_twists, kept_cols, tuple(kept_twists)), basis
 
 
-def resolve_engine(ring, engine: str = "auto") -> str:
+def ring_key(ring: CIRing):
+    """The ring's part of the memo key of minimal_resolution."""
+    return ring.key()
+
+
+def resolve_engine(ring: CIRing, engine: str = "auto") -> str:
     if engine != "auto":
         return engine
-    if is_artinian(ring) and isinstance(ambient_of(ring).field, PrimeField):
+    if ring.is_artinian and isinstance(ring.field, PrimeField):
         return "slice"
     return "groebner"
 
 
-def minimal_resolution(ring, module: GradedModule, length: int, engine: str = "auto") -> FreeResolution:
+def minimal_resolution(ring: CIRing, module: GradedModule, length: int, engine: str = "auto") -> FreeResolution:
     """Minimal graded free resolution of the module to the given length.
 
     Results are memoized per (ring, module, engine) and extended in place, so
@@ -265,7 +265,7 @@ def check_complex(res: FreeResolution):
     """d_i . d_{i+1} = 0 over the ring, entry-exact."""
     ring = res.ring
     for i in range(1, res.length):
-        prod = res.differential(i).mul(res.differential(i + 1), reduce=lambda q: ring_nf(ring, q))
+        prod = res.differential(i).mul(res.differential(i + 1), reduce=ring.nf)
         if not prod.is_zero():
             raise AssertionError(f"complex identity fails at step {i}")
     return True

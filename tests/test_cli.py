@@ -436,3 +436,122 @@ def test_a_socle_degree_above_200_gives_the_same_answer_on_every_route(jobfile, 
     code, out, _ = run_cli(capsys, ["member", "--input", path, "--point", "1"])
     assert code == EXIT_OK
     assert json.loads(out)["results"]["member"] is True
+
+
+# ---------------------------------------------------------------------------
+# each command reads only its own parameters
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["realize", "--cone", "chi1", "--degree-bound", "9"], "realize does not read --degree-bound"),
+        (["variety", "--length", "9", "--point", "1,1"], "variety does not read --length"),
+        (["variety", "--point", "1,1"], "variety does not read --point"),
+        (["member", "--point", "1,0", "--allow-unstable"], "member does not read --allow-unstable"),
+        (["betti", "--window", "3"], "betti does not read --window"),
+    ],
+    ids=["realize-degree-bound", "variety-length", "variety-point", "member-allow-unstable",
+         "betti-window"],
+)
+def test_a_flag_the_command_does_not_read_is_a_parse_error(jobfile, capsys, argv, reason):
+    code, out, err = run_cli(capsys, argv[:1] + ["--input", jobfile(TWOVAR)] + argv[1:])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+
+
+def test_a_flag_given_to_check_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, ["check", "--length", "3"])
+    assert code == EXIT_PARSE and out == ""
+    assert "check does not read --length (it takes no flags)" in err
+
+
+@pytest.mark.parametrize(
+    "text, where, reason",
+    [
+        (EX54.replace("length 5", "window 3"), ":7:1:", "betti does not read window"),
+        (TWOVAR + "command realize\ncone chi1\ndegree-bound 9\n", ":9:1:", "realize does not read degree-bound"),
+        (TWOVAR + "command realize\nmodule M\n", ":8:1:", "realize does not read module"),
+        (TWOVAR + "command member\nwindow 3\n", ":8:1:", "member does not read window"),
+    ],
+    ids=["betti-window", "realize-degree-bound", "realize-module", "member-window"],
+)
+def test_a_section_parameter_its_command_does_not_read_is_a_located_parse_error(
+    jobfile, capsys, text, where, reason
+):
+    path = jobfile(text)
+    command = re.search(r"^command (\w+)$", text, re.M).group(1)
+    code, out, err = run_cli(capsys, [command, "--input", path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith(path + where) and reason in err
+
+
+def test_a_section_for_another_command_lends_only_what_this_one_reads(jobfile, capsys, tmp_path):
+    betti_file = jobfile(TWOVAR + "command betti\nlength 5\nmodule M\n", "betti.job")
+    variety_file = jobfile(TWOVAR + "command variety\nmodule M\n", "variety.job")
+    cache = str(tmp_path / "cache")
+    code1, out1, _ = run_cli(capsys, ["variety", "--input", betti_file, "--cache-dir", cache])
+    code2, out2, err2 = run_cli(capsys, ["variety", "--input", variety_file, "--cache-dir", cache])
+    assert code1 == code2 == EXIT_OK
+    assert json.loads(out1)["parameters"] == {"module": "M"}
+    assert strip_wall(out1) == strip_wall(out2)
+    assert "# cache hit" in err2 and len(os.listdir(cache)) == 1
+
+
+# ---------------------------------------------------------------------------
+# unusable output and cache paths
+
+
+def test_json_out_to_an_unwritable_path_is_a_parse_error(jobfile, capsys, tmp_path):
+    out_path = str(tmp_path / "missing" / "report.json")
+    code, out, err = run_cli(capsys, ["betti", "--input", jobfile(EX54), "--json-out", out_path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and out_path in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["file", "read-only"])
+def test_an_unusable_cache_dir_is_a_parse_error_naming_it(jobfile, capsys, tmp_path, monkeypatch, kind):
+    cache = tmp_path / "cache"
+    if kind == "file":
+        cache.write_text("")
+    else:  # os.access is faked: a root user may write to any directory
+        cache.mkdir()
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    code, out, err = run_cli(capsys, ["betti", "--input", jobfile(EX54), "--cache-dir", str(cache)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and str(cache) in err
+
+
+# ---------------------------------------------------------------------------
+# known wrong answer (ROADMAP item 1(b))
+
+
+def realized_above_degree_bound_job():
+    """The realize_above_degree_bound golden's module, as a job file."""
+    golden = os.path.join(os.path.dirname(__file__), "golden", "realize_above_degree_bound.expected")
+    with open(golden, encoding="utf-8") as fh:
+        pres = json.loads(json.load(fh)["stdout"])["results"]["presentation"]
+    cols = " ; ".join(", ".join(row[j] for row in pres["entries"]) for j in range(pres["cols"]))
+    return (
+        "field 101\nring x y\nrelations x^2 ; y^2\nmodule M\n"
+        f"twists {' '.join(map(str, pres['row_twists']))}\ncolumns {cols}\n"
+        f"coltwists {' '.join(map(str, pres['col_twists']))}\n"
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="variety cannot see an annihilator above its degree bound")
+def test_variety_above_the_degree_bound_agrees_with_member(jobfile, capsys):
+    # the module's variety is Z(chi1^5 - 3 chi2^5), cut by a form of degree
+    # 5 > n + c = 4; a right answer either finds it or is flagged unstable
+    path = jobfile(realized_above_degree_bound_job())
+    code, out, _ = run_cli(capsys, ["member", "--input", path, "--point", "1,0"])
+    assert code == EXIT_OK and json.loads(out)["results"]["member"] is False
+    _, out, _ = run_cli(capsys, ["variety", "--input", path])
+    report = json.loads(out)
+    chi = two_var_ring(101).chi_ring()
+    ideal = Ideal(chi, [parse_poly(chi, g) for g in report["results"]["ideal"]])
+    assert report["flags"]["stabilized"] is False or not vanishes_at(ideal, (1, 0), chi.field)

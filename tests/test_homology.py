@@ -9,7 +9,6 @@ from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, dim2_hypersurface_ring, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
-    ambient_of,
     column_to_vec,
     cyclic_module,
     free_module,
@@ -414,7 +413,7 @@ def test_block_differential_is_graded_and_squares_to_zero_mod_f(case):
 def reference_hom_complex(ring, res, n_min, i):
     """_hom_complex as it was before Hom was built by Kronecker products:
     relation and map columns placed by hand at index u*g + s."""
-    amb = ambient_of(ring)
+    amb = ring.ambient
     g = n_min.ngens
     pres = n_min.presentation
 
@@ -492,10 +491,11 @@ class SeparateBasisAmbient:
     lift."""
 
     def __init__(self, module):
-        amb = ambient_of(module.ring)
+        amb = module.ring.ambient
         self.amb = amb
-        self.module_q = restrict_to_ring(module, amb).minimalized()
-        res = minimal_resolution(amb, self.module_q, amb.n + 1, engine="groebner")
+        q = CIRing(amb, ())
+        self.module_q = restrict_to_ring(module, q).minimalized()
+        res = minimal_resolution(q, self.module_q, amb.n + 1, engine="groebner")
         self.pd = res.projective_dimension()
         assert self.pd is not None
         self.res = res

@@ -20,9 +20,7 @@ from cisupport.cimodule import (
     free_basis,
     hilbert_function,
     residue_module,
-    ring_nf,
     slice_matrix,
-    std_monomials,
 )
 from cisupport.field import PrimeField
 from cisupport.groebner import Ideal, buchberger, normal_form
@@ -43,7 +41,7 @@ def make_ring(p, names, rels, weights=None):
 NONMONOMIAL = make_ring(101, "xyz", ["x^2 + y^2", "y^2 + 3*z^2", "x*z + 5*y^2"])
 WEIGHTED = make_ring(7, "xy", ["x^2 + y^4", "x*y^2"], weights=(2, 1))
 NON_ARTINIAN = make_ring(5, "xyz", ["x^2 + y*z"])
-FREE = PolyRing(["x", "y", "z"], field=PrimeField(3))
+FREE = make_ring(3, "xyz", [])
 
 RINGS = {
     "artinian monomial": three_var_ring(5),
@@ -62,7 +60,7 @@ def reference_slice_matrix(ring, matrix, d):
     lookup = {}
     pos = 0
     for i, t in enumerate(matrix.row_twists):
-        monos = std_monomials(ring, d - t)
+        monos = ring.std_monomials(d - t)
         lookup[i] = {m: k for k, m in enumerate(monos)}
         offset[i] = pos
         pos += len(monos)
@@ -72,7 +70,7 @@ def reference_slice_matrix(ring, matrix, d):
             e = matrix.entries[i][j]
             if e.is_zero():
                 continue
-            prod = ring_nf(ring, e * matrix.ring.from_terms([(mono, matrix.ring.field.one)]))
+            prod = ring.nf(e * matrix.ring.from_terms([(mono, matrix.ring.field.one)]))
             for m, c in prod.terms:
                 a[offset[i] + lookup[i][m], col] = c
     return a
@@ -161,7 +159,7 @@ def test_slice_matrix_matches_reference_on_catalog_modules(ring):
 @st.composite
 def graded_matrices(draw):
     ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
-    amb = ring if isinstance(ring, PolyRing) else ring.ambient
+    amb = ring.ambient
     p = amb.field.p
     row_twists = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     col_twists = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
@@ -210,7 +208,7 @@ def test_slice_matrix_matches_reference_on_generated_matrices(case):
 
 def test_hilbert_function_on_non_artinian_and_weighted_rings():
     for ring in (NON_ARTINIAN, WEIGHTED, FREE):
-        amb = ring if isinstance(ring, PolyRing) else ring.ambient
+        amb = ring.ambient
         module = cyclic_module(ring, [amb.var_poly(0)])
         p = amb.field.p
         for d, h in enumerate(hilbert_function(module, 6)):

@@ -156,7 +156,7 @@ def test_polymatrix_mul_cancels_to_the_zero_polynomial():
 def test_koszul_syzygy_over_free_ring():
     q, _ = ring2()
     m = PolyMatrix(q, [[parse_poly(q, "x"), parse_poly(q, "y")]], (0,), (1, 1))
-    s, _ = syzygy_matrix(q, m)
+    s, _ = syzygy_matrix(CIRing(q, ()), m)
     assert s.ncols == 1
     col = s.column(0)
     assert render_poly(col[0]) == "y" and render_poly(col[1]) == "4*x"
@@ -165,7 +165,7 @@ def test_koszul_syzygy_over_free_ring():
 def test_regular_element_has_no_syzygies():
     q1 = PolyRing(["x"], field=F5)
     m = PolyMatrix(q1, [[parse_poly(q1, "x")]], (0,), (1,))
-    s, _ = syzygy_matrix(q1, m)
+    s, _ = syzygy_matrix(CIRing(q1, ()), m)
     assert s.ncols == 0 and s.nrows == 1
 
 
@@ -187,7 +187,7 @@ def test_syzygies_over_artinian_quotient():
 def test_syzygy_columns_of_zero_matrix():
     q, _ = ring2()
     z = PolyMatrix.zero(q, (0,), (1,))
-    s, _ = syzygy_matrix(q, z)
+    s, _ = syzygy_matrix(CIRing(q, ()), z)
     assert s.ncols == 1  # the trivial syzygy on a zero column
 
 
@@ -244,9 +244,10 @@ def test_free_basis_and_coords():
 
 def test_tensor_of_cyclic_modules():
     q, _ = ring2()
-    m1 = cyclic_module(q, [parse_poly(q, "x")])
-    m2 = cyclic_module(q, [parse_poly(q, "y")])
-    t = tensor_over_base(m1, m2, q).minimalized()
+    free = CIRing(q, ())
+    m1 = cyclic_module(free, [parse_poly(q, "x")])
+    m2 = cyclic_module(free, [parse_poly(q, "y")])
+    t = tensor_over_base(m1, m2, free).minimalized()
     assert t.ngens == 1
     rels = sorted(render_poly(e) for e in t.presentation.entries[0])
     assert rels == ["x", "y"]
@@ -254,16 +255,28 @@ def test_tensor_of_cyclic_modules():
 
 def test_tensor_idempotent_for_equal_annihilators():
     q, _ = ring2()
-    m1 = cyclic_module(q, [parse_poly(q, "x")])
-    t = tensor_over_base(m1, m1, q).minimalized()
+    free = CIRing(q, ())
+    m1 = cyclic_module(free, [parse_poly(q, "x")])
+    t = tensor_over_base(m1, m1, free).minimalized()
     assert t.ngens == 1
     assert [render_poly(e) for e in t.presentation.entries[0]] == ["x"]
+
+
+def test_tensor_factors_must_live_over_the_free_ring_of_the_target():
+    q, r = ring2()
+    free = CIRing(q, ())
+    other = CIRing(PolyRing(["x", "y"], field=PrimeField(7)), ())
+    m = cyclic_module(free, [parse_poly(q, "x")])
+    with pytest.raises(ValueError):
+        tensor_over_base(m, cyclic_module(r, [parse_poly(q, "y")]), r)
+    with pytest.raises(ValueError):
+        tensor_over_base(m, cyclic_module(other, [other.ambient.var_poly(0)]), r)
 
 
 def reference_tensor_presentation(m1, m2):
     """tensor_over_base's presentation as it was built before Kronecker
     products: each relation column placed by hand at index i*g2 + j."""
-    amb = m1.ring
+    amb = m1.ring.ambient
     g1, g2 = m1.ngens, m2.ngens
     row_twists = [m1.row_twists[i] + m2.row_twists[j] for i in range(g1) for j in range(g2)]
     cols, col_twists = [], []
@@ -287,12 +300,13 @@ def reference_tensor_presentation(m1, m2):
 
 def _tensor_factors():
     q, _ = ring2()
+    free = CIRing(q, ())
     x, y = parse_poly(q, "x"), parse_poly(q, "y")
     return {
-        "cyclic": cyclic_module(q, [x, parse_poly(q, "y^2")]),
-        "two-gen": GradedModule.from_columns(q, (0, 1), [[x, parse_poly(q, "3")], [y, q.zero()], [q.zero(), x]]),
-        "free-twisted": GradedModule.from_columns(q, (0, 2), [], ()),
-        "zero": GradedModule.from_columns(q, (), [], ()),
+        "cyclic": cyclic_module(free, [x, parse_poly(q, "y^2")]),
+        "two-gen": GradedModule.from_columns(free, (0, 1), [[x, parse_poly(q, "3")], [y, q.zero()], [q.zero(), x]]),
+        "free-twisted": GradedModule.from_columns(free, (0, 2), [], ()),
+        "zero": GradedModule.from_columns(free, (), [], ()),
     }
 
 
@@ -308,11 +322,12 @@ def test_tensor_presentation_equals_the_hand_placed_columns(left, right):
 
 def test_tensor_presentation_shape_law():
     q, _ = ring2()
+    free = CIRing(q, ())
     m1 = GradedModule.from_columns(
-        q, (0, 0), [[parse_poly(q, "x"), parse_poly(q, "y")]]
+        free, (0, 0), [[parse_poly(q, "x"), parse_poly(q, "y")]]
     )  # 2 gens, 1 rel
-    m2 = cyclic_module(q, [parse_poly(q, "x"), parse_poly(q, "y^2")])  # 1 gen, 2 rels
-    t = tensor_over_base(m1, m2, q)
+    m2 = cyclic_module(free, [parse_poly(q, "x"), parse_poly(q, "y^2")])  # 1 gen, 2 rels
+    t = tensor_over_base(m1, m2, free)
     assert t.ngens == 2 * 1
     assert t.nrels == 1 * 1 + 2 * 2
 

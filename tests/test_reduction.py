@@ -20,13 +20,11 @@ from hypothesis import strategies as st
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
-    ambient_of,
     column_degree,
     column_to_vec,
     kernel_modulo,
     minimal_generator_indices,
     quotient_columns,
-    ring_nf,
     submodule_igb,
     syzygy_matrix,
 )
@@ -487,7 +485,7 @@ def test_incremental_basis_grows_as_with_its_own_pair_loop(case):
 def reference_minimal_generator_indices(ring, twists, columns):
     """minimal_generator_indices on ReferenceTruncatedGB."""
     degs = [(column_degree(ring, twists, col), j) for j, col in enumerate(columns)]
-    ref = ReferenceTruncatedGB(ambient_of(ring), twists)
+    ref = ReferenceTruncatedGB(ring.ambient, twists)
     for v in quotient_columns(ring, twists):
         ref.insert(v)
     return [
@@ -514,7 +512,7 @@ def unseeded_minimal_generator_indices(ring, twists, columns):
     """minimal_generator_indices with the quotient relations added one by
     one to an empty IncrementalGB, as before the seed."""
     degs = [(column_degree(ring, twists, col), j) for j, col in enumerate(columns)]
-    igb = IncrementalGB(ambient_of(ring), twists)
+    igb = IncrementalGB(ring.ambient, twists)
     for v in quotient_columns(ring, twists):
         igb.add(v)
     return [
@@ -535,7 +533,7 @@ def test_seeded_minimal_generators_on_the_catalog(ring):
         ):
             # redundant copies: the sums of neighbouring columns
             cols = cols + [
-                [ring_nf(ring, a + b) for a, b in zip(c1, c2)]
+                [ring.nf(a + b) for a, b in zip(c1, c2)]
                 for c1, c2 in zip(cols, cols[1:])
                 if column_degree(ring, twists, c1) == column_degree(ring, twists, c2)
             ]
@@ -549,8 +547,8 @@ def _ci(variables, relations, p, weights=None):
 
 
 SEED_RINGS = [
-    PolyRing(["x", "y", "z"], field=PrimeField(7)),  # free
-    PolyRing(["x", "y", "z"], field=PrimeField(101), weights=(1, 2, 1)),  # weighted, free
+    _ci(["x", "y", "z"], [], 7),  # free
+    _ci(["x", "y", "z"], [], 101, weights=(1, 2, 1)),  # weighted, free
     _ci(["x", "y", "z"], ["x^2 + 3*y", "z^4 + x*y*z"], 101, weights=(1, 2, 1)),  # weighted CI
     _ci(["x", "y", "z"], ["x^2 + 58*x*y + 43*y*z", "33*x^2 + 35*x*z + y^2 + 33*z^2"], 101),
     _ci(
@@ -564,15 +562,15 @@ SEED_RINGS = [
 @st.composite
 def seed_cases(draw):
     ring = draw(st.sampled_from(SEED_RINGS))
-    amb = ambient_of(ring)
+    amb = ring.ambient
     twists = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)))
     cols = []
     for _ in range(draw(st.integers(1, 4))):
         degree = draw(st.integers(max(twists), max(twists) + 3))
         v = draw(homogeneous_vectors(amb, twists, degree))
-        cols.append([ring_nf(ring, p) for p in vec_to_column(amb, len(twists), v)])
+        cols.append([ring.nf(p) for p in vec_to_column(amb, len(twists), v)])
     if draw(st.booleans()) and len(cols) > 1:  # a dependent column
-        cols.append([ring_nf(ring, a + b) for a, b in zip(cols[0], cols[-1])])
+        cols.append([ring.nf(a + b) for a, b in zip(cols[0], cols[-1])])
     return ring, twists, cols
 
 
@@ -635,8 +633,8 @@ def test_buchberger_matches_sympy_reduced_basis(data):
 
 @st.composite
 def kernel_cases(draw):
-    ring = draw(st.sampled_from([two_var_ring(5), three_var_ring(3), RINGS[0]]))
-    amb = ambient_of(ring)
+    ring = draw(st.sampled_from([two_var_ring(5), three_var_ring(3), CIRing(RINGS[0], ())]))
+    amb = ring.ambient
     p = amb.field.p
     twists = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
 
@@ -645,7 +643,7 @@ def kernel_cases(draw):
         for t in twists:
             terms = [(m, draw(st.sampled_from([0, 1, draw(st.integers(0, p - 1))])))
                      for m in amb.monomials_of_degree(deg - t)]
-            col.append(ring_nf(ring, amb.from_terms(terms)))
+            col.append(ring.nf(amb.from_terms(terms)))
         return col
 
     cols = [column(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
@@ -657,12 +655,12 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_kernel_modulo_maps_into_the_relation_span(case):
     ring, twists, cols, rels = case
-    amb = ambient_of(ring)
+    amb = ring.ambient
     span = submodule_igb(ring, twists, rels)
     for a in kernel_modulo(ring, twists, cols, rels)[0]:
         assert any(not p.is_zero() for p in a)
         image = [
-            ring_nf(ring, sum((a[j] * col[i] for j, col in enumerate(cols)), amb.zero()))
+            ring.nf(sum((a[j] * col[i] for j, col in enumerate(cols)), amb.zero()))
             for i in range(len(twists))
         ]
         assert span.contains(column_to_vec(image))
@@ -672,7 +670,7 @@ def test_kernel_modulo_maps_into_the_relation_span(case):
 @given(kernel_cases())
 def test_kernel_modulo_of_columns_inside_the_span_is_everything(case):
     ring, twists, cols, rels = case
-    amb = ambient_of(ring)
+    amb = ring.ambient
     cols = [col for col in cols if any(not p.is_zero() for p in col)]
     degrees = [column_degree(ring, twists, col) for col in cols]
     kernel = submodule_igb(ring, degrees, kernel_modulo(ring, twists, cols, cols + rels)[0])
@@ -687,4 +685,4 @@ def test_kernel_modulo_uses_the_quotient_relations():
     x = ring.ambient.var_poly(0)
     kernel, _ = kernel_modulo(ring, (0,), [[x]], [])
     assert submodule_igb(ring, (1,), kernel).contains(column_to_vec([x]))
-    assert kernel_modulo(ring.ambient, (0,), [[x]], [])[0] == []
+    assert kernel_modulo(CIRing(ring.ambient, ()), (0,), [[x]], [])[0] == []
