@@ -340,17 +340,17 @@ def free_module(ring, twists=(0,)) -> GradedModule:
     return GradedModule(ring, PolyMatrix(ring.ambient, [[] for _ in twists], twists, ()))
 
 
-def residue_module(ring, twist: int = 0) -> GradedModule:
+def residue_module(ring) -> GradedModule:
     """The residue field k presented by the variables."""
     amb = ring.ambient
-    cols = [[amb.var_poly(i)] for i in range(amb.n)]
-    return GradedModule.from_columns(ring, (twist,), cols)
+    k = GradedModule.from_columns(ring, (0,), [[amb.var_poly(i)] for i in range(amb.n)])
+    k._residue = True
+    return k
 
 
-def cyclic_module(ring, relation_polys, twist: int = 0) -> GradedModule:
+def cyclic_module(ring, relation_polys) -> GradedModule:
     """ring/(relations) as a module with one generator."""
-    cols = [[p] for p in relation_polys]
-    return GradedModule.from_columns(ring, (twist,), cols)
+    return GradedModule.from_columns(ring, (0,), [[p] for p in relation_polys])
 
 
 def is_residue_field(module: GradedModule) -> bool:
@@ -365,9 +365,10 @@ def _is_residue_field(module: GradedModule) -> bool:
         return False
     amb = m.ring.ambient
     rel = [m.presentation.entries[0][j] for j in range(m.nrels)]
-    gb1 = buchberger(rel + m.ring.gb)
-    gb2 = buchberger([amb.var_poly(i) for i in range(amb.n)] + m.ring.gb)
-    return gb1 == gb2
+    # the ring's relations lie in the maximal ideal, so the reduced basis of
+    # (variables) + (relations) is the variables, in buchberger's order
+    maximal = sorted((amb.var_poly(i) for i in range(amb.n)), key=lambda v: amb.mono_key(v.lm()))
+    return buchberger(rel + m.ring.gb) == maximal
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ def vp_scale(field, v: dict, c) -> dict:
     return {t: field.mul(cc, c) for t, cc in v.items()}
 
 
-def poly_to_vec(poly: Poly, comp: int = 0) -> dict:
-    return {(comp, m): c for m, c in poly.terms}
+def poly_to_vec(poly: Poly) -> dict:
+    return {(0, m): c for m, c in poly.terms}
 
 
 def vec_to_column(ring: PolyRing, nrows: int, v: dict):

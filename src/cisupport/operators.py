@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import modlinalg
-from .cimodule import CIRing, GradedModule
+from .cimodule import CIRing, GradedModule, free_blocks, slice_matrix
 from .field import PrimeField
 from .groebner import module_groebner, poly_to_vec, vec_to_column
 from .pmatrix import PolyMatrix
@@ -158,33 +158,6 @@ class ExtKModule:
         return True
 
 
-def _span_solver_columns(ring: CIRing, g: int):
-    """Columns expressing deg-g multiples of defining forms in the monomial basis.
-
-    Returns (matrix S, labels) where labels[j] = (i, mono) and the column is
-    the coefficient vector of f_i * mono among degree-g monomials.
-    """
-    amb = ring.ambient
-    monos_g = amb.monomials_of_degree(g)
-    idx = {m: t for t, m in enumerate(monos_g)}
-    cols = []
-    labels = []
-    one = amb.field.one
-    for i, f in enumerate(ring.fs):
-        d = f.degree()
-        if d > g:
-            continue
-        for m in amb.monomials_of_degree(g - d):
-            vec = [0] * len(monos_g)
-            for fm, fc in f.terms:
-                vec[idx[mono_mul(fm, m)]] = fc
-            cols.append(vec)
-            labels.append((i, m))
-    if not cols:
-        return np.zeros((len(monos_g), 0), dtype=np.int64), []
-    return np.array(cols, dtype=np.int64).T, labels
-
-
 def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     """The k[chi]-action on Ext(M, k) over homological degrees [0, window].
 
@@ -192,7 +165,9 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     each entry of the squared lifted differential whose twist gap equals
     deg f_i, the coefficient of f_i is a uniquely determined scalar.  All
     entries of one gap degree are solved together, against one elimination
-    of that degree's span matrix shared by every homological degree.
+    of that degree's span matrix shared by every homological degree.  The
+    span matrix is the degree-gap slice of the row (f_1 .. f_c) over Q; the
+    coefficient of f_i is read at the column of f_i * 1.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
@@ -203,8 +178,10 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     res = minimal_resolution(ring, module, window)
     dims = list(res.betti[: window + 1])
     fdeg = [f.degree() for f in ring.fs]
+    free = CIRing(amb, ())
+    forms = PolyMatrix(amb, [list(ring.fs)], (0,), fdeg)
     scalar_t = {}  # (i, n) -> scalar part of t_i[n], a b_{n-2} x b_n matrix
-    span_cache = {}
+    span_cache = {}  # gap degree g -> (solver, forms of degree g, columns of f_i * 1)
     for n in range(2, window + 1):
         rows_tw = np.array(res.twists(n - 2), dtype=np.int64)
         cols_tw = np.array(res.twists(n), dtype=np.int64)
@@ -231,9 +208,10 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
                     prod_coeffs[m] = prod if acc is None else (acc + prod) % p
             for g, (rr, cc) in gaps.items():
                 if g not in span_cache:
-                    s_mat, labels = _span_solver_columns(ring, g)
-                    span_cache[g] = (modlinalg.Solver(s_mat, p), labels)
-                solver, labels = span_cache[g]
+                    gens, positions = free_blocks(free, fdeg, g)[1][g]
+                    solver = modlinalg.Solver(slice_matrix(free, forms, g), p)
+                    span_cache[g] = (solver, gens, positions[:, 0])
+                solver, gens, units = span_cache[g]
                 monos_g = amb.monomials_of_degree(g)
                 rhs = np.zeros((len(monos_g), rr.size), dtype=np.int64)
                 for t, m in enumerate(monos_g):
@@ -243,9 +221,8 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
                 sol = solver(rhs)
                 if sol is None:
                     raise AssertionError("square not decomposable along the forms")
-                for lbl_idx, (i, m) in enumerate(labels):
-                    if fdeg[i] == g and m == amb.zero_mono:
-                        tmats[i][rr, cc] = sol[lbl_idx]
+                for i, col in zip(gens, units):
+                    tmats[i][rr, cc] = sol[col]
         for i in range(ring.c):
             scalar_t[i, n] = tmats[i]
     return _ext_k_module(ring, dims, lambda i, n: scalar_t[i, n], window)

@@ -116,21 +116,18 @@ def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> Mapp
     )
 
 
-def certify_cone_ses(cone: MappingCone, dmax: int = None) -> dict:
+def certify_cone_ses(cone: MappingCone) -> dict:
     """Certify 0 -> M -> K_p -> syzygy part -> 0 on the constructed data.
 
     Checks, exactly: Hilbert-series additivity degree by degree, injectivity
     of the inclusion of M, and that the quotient's minimal presentation
-    matches the twisted syzygy's (shape, twists, Hilbert function).
+    matches the twisted syzygy's (shape, twists, Hilbert function).  Hilbert
+    functions are compared up to two past the larger of the socle degree
+    (6 over a non-artinian ring) and the cone's generator twists.
     """
     ring = cone.ring
     m_min = cone.base_module
-    if dmax is None:
-        top = max(
-            [ring.top_socle_degree() if ring.is_artinian else 6]
-            + list(cone.module.row_twists)
-        ) + 2
-        dmax = top
+    dmax = max([ring.top_socle_degree() if ring.is_artinian else 6] + list(cone.module.row_twists)) + 2
     hf_k = hilbert_function(cone.module, dmax)
     hf_m = hilbert_function(m_min, dmax)
     hf_q = hilbert_function(cone.quotient_part, dmax)
@@ -221,8 +218,9 @@ def is_finite_length(module: GradedModule) -> bool:
     return True
 
 
-def _candidate_elements(ring: CIRing, degree: int, seed: int, cap: int):
-    """Deterministic candidates: seeded samples first, then exhaustive if small."""
+def _candidate_elements(ring: CIRing, degree: int, seed: int):
+    """Deterministic candidates: seeded samples first, then all of them if
+    there are at most 4096."""
     amb = ring.ambient
     monos = [m for m in amb.monomials_of_degree(degree) if not ring.nf(
         amb.from_terms([(m, amb.field.one)])).is_zero()]
@@ -240,7 +238,7 @@ def _candidate_elements(ring: CIRing, degree: int, seed: int, cap: int):
             continue
         emitted.add(code)
         yield _code_to_poly(ring, monos, code)
-    if total <= cap:
+    if total <= 4096:
         for code in range(total):
             if code not in emitted:
                 yield _code_to_poly(ring, monos, code)
@@ -252,18 +250,12 @@ def _code_to_poly(ring, monos, code):
     return ring.nf(amb.from_terms((m, c) for m, c in zip(monos, coeffs) if c))
 
 
-def finite_length_form(
-    ring: CIRing,
-    module: GradedModule,
-    seed: int = 13,
-    max_degree: int = 3,
-    cap: int = 4096,
-) -> FiniteLengthResult:
+def finite_length_form(ring: CIRing, module: GradedModule) -> FiniteLengthResult:
     """Finite-length module with the same variety (syzygy + regular quotients).
 
     Replaces the module by its (dim R)-th syzygy (depth makes it maximal
     Cohen-Macaulay; free modules are kept as they stand), then divides by a
-    maximal regular sequence found by seeded search.  If the search fails at
+    maximal regular sequence found by seeded search in degrees 1..3.  If the search fails at
     every degree tried (possible over tiny fields) a flagged partial result
     is returned rather than an unsound one.
     """
@@ -280,8 +272,8 @@ def finite_length_form(
     current = m
     for step in range(ring.dim):
         found = None
-        for deg in range(1, max_degree + 1):
-            for x in _candidate_elements(ring, deg, seed + 31 * step, cap):
+        for deg in range(1, 4):
+            for x in _candidate_elements(ring, deg, 13 + 31 * step):
                 if x.is_zero():
                     continue
                 quot, regular = quotient_by_element(current, x)

@@ -76,10 +76,6 @@ class PointK:
     coords: tuple
     field: object = None
 
-    def is_zero(self, fld) -> bool:
-        zero = fld.zero
-        return all(c == zero for c in self.coords)
-
 
 def _as_point(ring: CIRing, a):
     if isinstance(a, PointK):
@@ -256,15 +252,13 @@ def variety_of_pair(
     other: GradedModule,
     window: int = None,
     degree_bound: int = None,
-    cross_check_points: int = 3,
-    seed: int = 11,
 ) -> SupportVariety:
     """Support variety of a pair, as the intersection of the two varieties.
 
     Pairs reduce to single-module varieties (the pair variety is the
     intersection); when the second argument is k or the module itself the
-    single variety is returned directly.  Sampled directions are always
-    cross-validated against the membership oracle.
+    single variety is returned directly.  Three sampled directions are
+    always cross-validated against the membership oracle.
     """
     if is_residue_field(other) or other.content_key() == module.content_key():
         v = variety_of(ring, module, window, degree_bound)
@@ -272,7 +266,7 @@ def variety_of_pair(
         v1 = variety_of(ring, module, window, degree_bound)
         v2 = variety_of(ring, other, window, degree_bound)
         v = intersection_variety(v1, v2)
-    for coords in sample_points(ring, cross_check_points, seed):
+    for coords in sample_points(ring, 3):
         oracle = membership(ring, module, other, coords)
         annih = vanishes_at(v.ideal, coords, ring.field)
         if oracle != annih:
@@ -393,14 +387,14 @@ def _stabilization_order(seq, min_zeros: int = 3):
     return None
 
 
-def complexity_estimate(betti, window: int = None) -> ComplexityEstimate:
+def complexity_estimate(betti) -> ComplexityEstimate:
     """Polynomial growth order of the betti sequence, by finite differences.
 
     The complexity is the difference order at which the (tail of the)
     sequence stabilizes to zero; an even/odd split is tried before flagging
     the estimate unreliable.
     """
-    seq = list(betti if window is None else betti[: window + 1])
+    seq = list(betti)
     if len(seq) < 6:
         raise ValueError("need a betti window of length >= 6")
     drop = min(2, len(seq) - 6)
@@ -438,8 +432,8 @@ class _Budget:
     def __init__(self, limit):
         self.left = limit
 
-    def spend(self, k=1):
-        self.left -= k
+    def spend(self):
+        self.left -= 1
         if self.left < 0:
             raise _BudgetExceeded()
 

@@ -40,5 +40,24 @@ def test_tensor_split_property():
 
 def test_sampled_oracle_and_scaling():
     ring = two_var_ring(3)
-    assert check_oracle_agreement(ring, exhaustive=False, sample=4)["passed"]
+    assert check_oracle_agreement(ring, sample=4)["passed"]
     assert check_scaling_invariance(ring)["passed"]
+
+
+def test_scaling_invariance_stays_a_spot_check_over_a_large_field(monkeypatch):
+    # 4 sampled points, each asked once as drawn and once per scalar 2..7;
+    # one call per nonzero scalar of F_32003 would take minutes
+    from cisupport import checksuite
+
+    real, calls = checksuite.membership, []
+
+    def spy(*args):
+        calls.append(args[-1])
+        if len(calls) > 40:
+            raise AssertionError("membership called once per scalar of the field")
+        return real(*args)
+
+    monkeypatch.setattr(checksuite, "membership", spy)
+    result = check_scaling_invariance(two_var_ring(32003))
+    assert result["passed"], result["details"]
+    assert len(calls) == 4 * 7

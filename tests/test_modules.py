@@ -203,6 +203,27 @@ def test_residue_module_minimal_presentation():
     assert not is_residue_field(cyclic_module(r, [parse_poly(r.ambient, "x")]))
 
 
+def test_residue_field_test_runs_buchberger_only_on_the_given_relations(monkeypatch):
+    from cisupport import cimodule
+
+    q = PolyRing(["x", "y", "z"], field=PrimeField(3), weights=[1, 2, 1])
+    r = CIRing(q, [parse_poly(q, "x^2"), parse_poly(q, "y^2 + x*z^3")])
+    k = residue_module(r)
+    by_hand = cyclic_module(r, [parse_poly(q, s) for s in ("z + x", "y + x^2", "x")])
+    real, runs = cimodule.buchberger, []
+
+    def spy(gens):
+        runs.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(cimodule, "buchberger", spy)
+    assert is_residue_field(k)
+    assert runs == []  # residue_module builds k, so nothing is left to decide
+    assert is_residue_field(by_hand)
+    assert len(runs) == 1  # the presentation's relations; the variables' basis is known
+    assert not is_residue_field(cyclic_module(r, [parse_poly(q, "x"), parse_poly(q, "y")]))
+
+
 def test_zero_module_conventions():
     _, r = ring2()
     z = zero_module(r)
