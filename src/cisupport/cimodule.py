@@ -41,8 +41,10 @@ class CIRing:
             if not res:
                 raise ValueError("defining forms are not a regular sequence of degree >= 2")
             self.note = res.note
+            self.gb = res.basis
+        else:
+            self.gb = buchberger(list(self.fs)) if self.fs else []
         self.c = len(self.fs)
-        self.gb = buchberger(list(self.fs)) if self.fs else []
         self._reducer = poly_basis(ambient, self.gb)
         self.dim = ambient.n - self.c
         self._std_cache = {}
@@ -87,6 +89,17 @@ class CIRing:
         if not self.is_artinian:
             raise ValueError("socle degree only defined for artinian quotients")
         return sum(f.degree() for f in self.fs) - sum(self.ambient.weights)
+
+    def check_direction(self, a, field=None):
+        """Raise ValueError when the nonzero coordinates of a pick defining
+        forms of different degrees: f_a is then not homogeneous.  The
+        coordinates lie in the given field, by default the ring's."""
+        zero = (field or self.field).zero
+        if len({f.degree() for c, f in zip(a, self.fs) if c != zero}) > 1:
+            raise ValueError(
+                "mixed-degree directions are outside the graded model; "
+                "combine forms of one degree at a time"
+            )
 
     def form(self, a) -> Poly:
         """f_a = sum_i a_i f_i for coefficients a_i in the ring's field."""
@@ -375,21 +388,14 @@ def _is_residue_field(module: GradedModule) -> bool:
 # graded pieces and Hilbert functions
 
 
-def free_basis(ring, twists, d: int):
-    """Basis of the degree-d piece of (+) ring(-t_j): list of (j, monomial)."""
-    out = []
-    for j, t in enumerate(twists):
-        for m in ring.std_monomials(d - t):
-            out.append((j, m))
-    return out
-
-
 def free_blocks(ring, twists, d: int):
     """The degree-d piece of (+) ring(-t_j), grouped by twist.
 
-    Returns (dimension, {t: (generators, positions)}): the generators j with
-    t_j = t, and the free_basis positions of their blocks as an array of
-    shape (len(generators), block size).  Empty blocks are left out.
+    The piece has the basis (j, m) for each generator j in order and each
+    standard monomial m of degree d - t_j, in std_monomials order.  Returns
+    (dimension, {t: (generators, positions)}): the generators j with t_j = t,
+    and the basis positions of their blocks as an array of shape
+    (len(generators), block size).  Empty blocks are left out.
     """
     sizes = [len(ring.std_monomials(d - t)) for t in twists]
     offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]).astype(np.int64)
@@ -479,12 +485,8 @@ def hilbert_function(module: GradedModule, dmax: int):
     p = ring.ambient.field.p
     out = []
     for d in range(dmax + 1):
-        total = len(free_basis(ring, module.row_twists, d))
-        if total == 0:
-            out.append(0)
-            continue
-        a = slice_matrix(ring, module.presentation, d)
-        out.append(total - modlinalg.rank(a, p))
+        a = slice_matrix(ring, module.presentation, d)  # one row per basis vector of the piece
+        out.append(a.shape[0] - modlinalg.rank(a, p))
     return out
 
 
@@ -518,22 +520,15 @@ def quotient_by_element(module: GradedModule, x: Poly):
     x = ring.nf(x)
     if x.is_zero() or not x.is_homogeneous() or x.degree() < 1:
         raise ValueError("need a homogeneous element of positive degree")
-    g = module.ngens
     pres = module.presentation
+    x_times = PolyMatrix.identity(amb, module.row_twists).kron(PolyMatrix(amb, [[x]], (0,), (x.degree(),)))
     # x is regular on M iff its kernel {v : x v in im P} lies in im P
-    mult_cols = []
-    for i in range(g):
-        col = [amb.zero()] * g
-        col[i] = x
-        mult_cols.append(col)
     rel_igb = submodule_igb(ring, module.row_twists, pres.columns())
     regular = all(
         rel_igb.contains(column_to_vec(col))
-        for col in kernel_modulo(ring, module.row_twists, mult_cols, pres.columns())[0]
+        for col in kernel_modulo(ring, module.row_twists, x_times.columns(), pres.columns())[0]
     )
-    new_cols = pres.columns() + mult_cols
-    new_twists = list(pres.col_twists) + [t + x.degree() for t in module.row_twists]
-    quot = GradedModule.from_columns(ring, module.row_twists, new_cols, new_twists)
+    quot = GradedModule(ring, PolyMatrix.block(amb, [[pres, x_times]]))
     return quot, regular
 
 
@@ -569,19 +564,12 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
     amb_t = target.ambient
     if src.ambient != amb_t:
         raise ValueError("restriction requires the same ambient ring")
-    pres = module.presentation
-    cols = [[target.nf(p) for p in pres.column(j)] for j in range(pres.ncols)]
-    twists = list(pres.col_twists)
-    for h in src.gb:
-        hh = target.nf(h)
-        if hh.is_zero():
-            continue
-        for i in range(module.ngens):
-            col = [amb_t.zero()] * module.ngens
-            col[i] = hh
-            cols.append(col)
-            twists.append(module.row_twists[i] + hh.degree())
-    return GradedModule(target, PolyMatrix.from_columns(amb_t, module.row_twists, cols, twists))
+    ident = PolyMatrix.identity(amb_t, module.row_twists)
+    blocks = [module.presentation]  # then h * I for each relation h not in the target's ideal
+    for h in map(target.nf, src.gb):
+        if not h.is_zero():
+            blocks.append(ident.kron(PolyMatrix(amb_t, [[h]], (0,), (h.degree(),))))
+    return GradedModule(target, PolyMatrix.block(amb_t, [blocks]))
 
 
 def base_change_ring(ring: CIRing, new_field) -> CIRing:

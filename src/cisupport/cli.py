@@ -95,7 +95,9 @@ def _parse_point(ring, text: str):
         raise JobSpecError(f"bad point {text!r}")
     if len(coords) != ring.c:
         raise JobSpecError(f"point needs {ring.c} coordinates")
-    if len({ring.fs[i].degree() for i, c in enumerate(coords) if c}) > 1:
+    try:
+        ring.check_direction(coords)
+    except ValueError:
         raise JobSpecError(f"point {text!r} combines forms of different degrees")
     return coords
 

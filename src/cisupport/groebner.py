@@ -433,7 +433,7 @@ def krull_dimension(ideal_gens, ring: PolyRing = None) -> int:
 class RegSeqResult:
     ok: bool
     length: int
-    independent: bool
+    basis: list  # reduced Groebner basis of (fs); None when the test stopped before it
     note: str = ""
 
     def __bool__(self):
@@ -447,7 +447,8 @@ def is_regular_sequence(fs, ring: PolyRing = None) -> RegSeqResult:
     has dimension n - c; the degree condition keeps them inside the square of
     the irrelevant ideal.  With non-unit variable weights the degree >= 2
     reading of that condition is flagged in the note rather than silently
-    assumed.
+    assumed.  The result keeps the reduced Groebner basis the dimension was
+    read from, so a caller that goes on to use (fs) need not recompute it.
     """
     fs = list(fs)
     if ring is None:
@@ -458,20 +459,17 @@ def is_regular_sequence(fs, ring: PolyRing = None) -> RegSeqResult:
         if not f.is_homogeneous():
             raise ValueError("regular-sequence candidates must be homogeneous")
     if not fs:
-        return RegSeqResult(True, 0, True)
+        return RegSeqResult(True, 0, [])
     note = ""
     if not ring._std_weights:
         note = "non-unit weights: degree >= 2 test is a convention here"
     if any(f.is_zero() or f.degree() < 2 for f in fs):
-        return RegSeqResult(False, len(fs), False, note)
+        return RegSeqResult(False, len(fs), None, note)
     c = len(fs)
     if c > ring.n:
-        return RegSeqResult(False, c, False, note)
-    dim = krull_dimension(fs, ring)
-    ok = dim == ring.n - c
-    # for a genuine regular sequence the images are independent in I/mI:
-    # a dependence would let c-1 elements cut the same ideal, dropping height
-    return RegSeqResult(ok, c, ok, note)
+        return RegSeqResult(False, c, None, note)
+    gb = buchberger(fs)
+    return RegSeqResult(krull_dimension_of_gb(ring, gb) == ring.n - c, c, gb, note)
 
 
 class Ideal:

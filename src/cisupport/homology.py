@@ -10,8 +10,6 @@ containments.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import modlinalg
 from .cache import memo
 from .cimodule import (
@@ -26,7 +24,7 @@ from .cimodule import (
     subquotient_presentation,
     zero_module,
 )
-from .field import PrimeField
+from .field import regular_matrix
 from .groebner import vec_to_column
 from .pmatrix import PolyMatrix
 from .resolution import FreeResolution, groebner_kernel_step, minimal_resolution
@@ -61,7 +59,7 @@ class AmbientResolution:
             d, basis = groebner_kernel_step(q, d)
             self.bases.append(basis)
         self.pd = len(self.diffs)
-        self.res = FreeResolution(q, self.module_q, self.diffs, self.module_q.row_twists, self.pd)
+        self.res = FreeResolution(q, self.module_q, self.diffs)
 
     def lift(self, i, col):
         """Coefficients c with d_i c = col, or None when col is not a boundary."""
@@ -88,7 +86,6 @@ class HypersurfaceComplex:
     def __init__(self, ring_a: CIRing, module: GradedModule):
         if ring_a.c != 1:
             raise ValueError("hypersurface complex needs a codimension-1 quotient")
-        self.ring_a = ring_a
         self.amb = ring_a.ambient
         self.f = ring_a.fs[0]
         self.ambient = ambient_resolution(module)
@@ -174,7 +171,8 @@ class HypersurfaceComplex:
     def betti_over_a(self, upto: int):
         """Tor ranks of the module over A for homological degrees 0..upto:
         the ranks of F_m less those of the differentials mod the irrelevant
-        ideal."""
+        ideal.  Over F_{p^e} a differential's rank is that of its regular
+        representation over F_p, divided by e."""
         field = self.amb.field
         ds = [self.differential(m) for m in range(upto + 2)]
         ranks = []
@@ -183,10 +181,7 @@ class HypersurfaceComplex:
                 ranks.append(0)
                 continue
             rows = [[e.constant_coeff() if e.terms else field.zero for e in row] for row in d.entries]
-            if isinstance(field, PrimeField):
-                ranks.append(modlinalg.rank(np.array(rows, dtype=np.int64), field.p))
-            else:
-                ranks.append(modlinalg.field_rank(field, rows))
+            ranks.append(modlinalg.rank(regular_matrix(field, rows), field.p) // field.e)
         return [ds[m].ncols - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
 
 

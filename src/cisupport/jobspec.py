@@ -87,17 +87,8 @@ class JobSpec:
 
     # -- construction of live objects ------------------------------------
 
-    def ambient_ring(self) -> PolyRing:
-        return PolyRing(
-            [v for v, _ in self.variables],
-            field=PrimeField(self.p),
-            weights=[w for _, w in self.variables],
-        )
-
     def ci_ring(self) -> CIRing:
-        if self.ring is None:
-            amb = self.ambient_ring()
-            self.ring = CIRing(amb, [parse_poly(amb, s) for s in self.relations])
+        """The ring parse_input built and validated."""
         return self.ring
 
     def build_module(self, name: str, ring: CIRing) -> GradedModule:
@@ -308,7 +299,7 @@ def parse_input(text: str) -> JobSpec:
 
     # semantic validation: ring, relations, modules
     job = JobSpec(p=p, variables=tuple(variables), relations=(), modules=(), command=command)
-    amb = job.ambient_ring()
+    amb = PolyRing([v for v, _ in variables], field=PrimeField(p), weights=[w for _, w in variables])
     rel_polys = []
     for s in relations:
         try:

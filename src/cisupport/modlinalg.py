@@ -1,8 +1,8 @@
 """Exact dense linear algebra mod p, vectorized with numpy int64 arrays.
 
 Row reduction uses the first nonzero entry as pivot, so results are
-deterministic.  A pure-python fallback handles coefficients from extension
-fields, where matrices stay tiny.
+deterministic.  Matrices over an extension field F_{p^e} come here through
+their regular representation over F_p (field.regular_matrix).
 """
 
 from __future__ import annotations
@@ -171,30 +171,3 @@ def complement_pivots(base: np.ndarray, cand: np.ndarray, p: int):
     nb = base.shape[1]
     return [c - nb for c in pivots if c >= nb]
 
-
-def field_rank(field, rows) -> int:
-    """Rank over an arbitrary field object; rows is a list of lists."""
-    mat = [list(r) for r in rows]
-    if not mat or not mat[0]:
-        return 0
-    ncols = len(mat[0])
-    rk = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rk, len(mat)):
-            if mat[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[rk], mat[piv] = mat[piv], mat[rk]
-        inv = field.inv(mat[rk][c])
-        mat[rk] = [field.mul(x, inv) for x in mat[rk]]
-        for i in range(len(mat)):
-            if i != rk and mat[i][c] != field.zero:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[rk])]
-        rk += 1
-        if rk == len(mat):
-            break
-    return rk

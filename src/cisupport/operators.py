@@ -244,12 +244,7 @@ def _ext_k_module(ring: CIRing, dims, scalar_t, window: int) -> ExtKModule:
     return ExtKModule(ring, dims, chi_maps, window)
 
 
-def evaluate_chi_class(
-    ring: CIRing,
-    module: GradedModule,
-    p_chi: Poly,
-    window: int = None,
-):
+def evaluate_chi_class(ring: CIRing, module: GradedModule, p_chi: Poly, window: int):
     """Chain map over R representing a homogeneous class p(chi_1..chi_c).
 
     Returns a dict {n: PolyMatrix F_n -> F_{n-e}} for n = e..window, where
@@ -264,8 +259,6 @@ def evaluate_chi_class(
     if d < 1:
         raise ValueError("class must have chi-degree >= 1")
     e = 2 * d
-    if window is None:
-        window = e
     if window < e:
         raise ValueError("window too short for the class degree")
     res = minimal_resolution(ring, module, window)

@@ -56,8 +56,6 @@ class MappingCone:
     module: GradedModule          # cokernel of the raw block matrix
     block_matrix: PolyMatrix
     chain_map: PolyMatrix         # P_e: F_e -> F_0
-    top_block: PolyMatrix         # d_e as used (sign flipped) in the block
-    bottom_right: PolyMatrix      # d_1
     quotient_part: GradedModule   # isomorphic to the (e-1)-st syzygy, twisted
     base_module: GradedModule
     degree: int                   # cohomological degree e
@@ -94,9 +92,8 @@ def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> Mapp
     pmap = evaluate_chi_class(ring, module, p_chi, window=e)[e]
     shift = _class_twist_shift(ring, p_chi)
     amb = ring.ambient
-    d_e = res.differential(e)
     d_1 = res.differential(1)
-    top = d_e.twisted(-shift)
+    top = res.differential(e).twisted(-shift)
     zero_blk = PolyMatrix.zero(amb, top.row_twists, d_1.col_twists)
     p_blk = PolyMatrix(amb, pmap.entries, pmap.row_twists, top.col_twists)
     cone = PolyMatrix.block(amb, [[-top, zero_blk], [p_blk, d_1]])
@@ -107,8 +104,6 @@ def mapping_cone_module(ring: CIRing, module: GradedModule, p_chi: Poly) -> Mapp
         module=km,
         block_matrix=cone,
         chain_map=pmap,
-        top_block=d_e,
-        bottom_right=d_1,
         quotient_part=quotient_part,
         base_module=res.module,
         degree=e,

@@ -22,7 +22,6 @@ from .cache import memo
 from .cimodule import (
     CIRing,
     GradedModule,
-    free_basis,
     free_blocks,
     minimal_generator_indices,
     slice_matrix,
@@ -36,23 +35,22 @@ from .pmatrix import PolyMatrix
 class FreeResolution:
     """A window F_L -> ... -> F_1 -> F_0 of a minimal graded resolution."""
 
-    def __init__(self, ring, module, differentials, f0_twists, length):
+    def __init__(self, ring, module, differentials):
         self.ring = ring
         self.module = module
         self.differentials = differentials  # [d_1, ..., d_length]
-        self.f0_twists = tuple(f0_twists)
-        self.length = length
+        self.length = len(differentials)
 
     @property
     def betti(self):
-        out = [len(self.f0_twists)]
+        out = [self.module.ngens]
         for d in self.differentials:
             out.append(d.ncols)
         return out
 
     def twists(self, i):
         if i == 0:
-            return self.f0_twists
+            return self.module.row_twists
         return self.differentials[i - 1].col_twists
 
     def differential(self, i) -> PolyMatrix:
@@ -155,12 +153,7 @@ def _slice_kernel_step(ring: CIRing, mat: PolyMatrix) -> PolyMatrix:
     chunks = []  # (degree, coordinates of the new generators of that degree)
     new_twists = []
     for d in range(lo, top + 1):
-        dim_dom = len(free_basis(ring, twists, d))
-        if dim_dom == 0:
-            kernels[d] = np.zeros((0, 0), dtype=np.int64)
-            continue
-        a = slice_matrix(ring, mat, d)
-        n_d = modlinalg.nullspace(a, p)
+        n_d = modlinalg.nullspace(slice_matrix(ring, mat, d), p)  # (0, 0) for an empty piece
         kernels[d] = n_d
         if n_d.shape[1] == 0:
             continue
@@ -239,7 +232,7 @@ def minimal_resolution(ring: CIRing, module: GradedModule, length: int, engine: 
             diffs.append(_slice_kernel_step(ring, diffs[-1]))
         else:
             diffs.append(groebner_kernel_step(ring, diffs[-1])[0])
-    return FreeResolution(ring, min_module, diffs[:length], min_module.row_twists, length)
+    return FreeResolution(ring, min_module, diffs[:length])
 
 
 def syzygy_module(module: GradedModule, n: int) -> GradedModule:

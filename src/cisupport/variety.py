@@ -60,6 +60,8 @@ class Subspace:
         a = np.array([list(r) for r in self.rows], dtype=np.int64)
         if self.r == 0 or modlinalg.rank(a, ring.field.p) != self.r:
             raise ValueError("subspace matrix must have full row rank")
+        for row in self.rows:
+            ring.check_direction(row)
 
     def forms(self):
         """The elements g_j = sum_i A[j][i] f_i of the ambient ring."""
@@ -106,12 +108,7 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     zero = fld.zero
     if all(c == zero for c in coords):
         return True
-    degs = {ring.fs[i].degree() for i, c in enumerate(coords) if c != zero}
-    if len(degs) > 1:
-        raise ValueError(
-            "mixed-degree directions are outside the graded model; "
-            "combine forms of one degree at a time"
-        )
+    ring.check_direction(coords, fld)
     work_ring = ring
     if isinstance(fld, ExtField):
         work_ring = base_change_ring(ring, fld)

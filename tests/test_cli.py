@@ -199,12 +199,13 @@ residue
         (["member", "--point", "1,1"], "different degrees"),
         (["restrict", "--subspace", "1,1,1"], "row length"),
         (["restrict", "--subspace", "1,1;2,2"], "full row rank"),
+        (["restrict", "--subspace", "1x2:1,1"], "mixed-degree"),
         (["resolve", "--length", "-1"], "length must be >= 0"),
         (["operators", "--window", "-1"], "window must be >= 0"),
         (["realize", "--cone", "1"], "degree >= 1"),
         (["realize", "--cone", "chi1+chi2"], "mixes internal degrees"),
     ],
-    ids=["mixed-point", "short-row", "rank-deficient", "negative-length",
+    ids=["mixed-point", "short-row", "rank-deficient", "mixed-subspace", "negative-length",
          "negative-window", "constant-cone", "mixed-cone"],
 )
 def test_invalid_option_values_are_parse_errors(jobfile, capsys, argv, reason):

@@ -218,8 +218,9 @@ def test_dimension_matches_standard_monomial_growth():
 
 def test_regular_sequence_examples():
     r3 = PolyRing(["x", "y", "z"], field=F5)
-    res = is_regular_sequence([P(r3, s) for s in ("x^2", "y^2", "z^2")])
-    assert res and res.length == 3 and res.independent
+    fs = [P(r3, s) for s in ("x^2", "y^2", "z^2")]
+    res = is_regular_sequence(fs)
+    assert res and res.length == 3 and res.basis == buchberger(fs)
     r2 = R2()
     assert not is_regular_sequence([P(r2, "x"), P(r2, "x*y")])
     r1 = PolyRing(["x"], field=F5)

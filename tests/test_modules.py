@@ -9,7 +9,7 @@ from cisupport.cimodule import (
     CIRing,
     GradedModule,
     cyclic_module,
-    free_basis,
+    free_blocks,
     free_module,
     hilbert_function,
     is_residue_field,
@@ -224,6 +224,24 @@ def test_residue_field_test_runs_buchberger_only_on_the_given_relations(monkeypa
     assert not is_residue_field(cyclic_module(r, [parse_poly(q, "x"), parse_poly(q, "y")]))
 
 
+def test_a_validated_ring_runs_buchberger_once(monkeypatch):
+    from cisupport import cimodule, groebner
+
+    q = PolyRing(["x", "y", "z"], field=F5)
+    fs = [parse_poly(q, s) for s in ("x^2", "y^2", "z^2")]
+    real, runs = groebner.buchberger, []
+
+    def spy(gens):
+        runs.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(cimodule, "buchberger", spy)
+    ring = CIRing(q, fs)
+    assert runs == [3]  # the regular-sequence test's run; the ring keeps its basis
+    assert ring.gb == real(fs)
+
+
 def test_zero_module_conventions():
     _, r = ring2()
     z = zero_module(r)
@@ -255,8 +273,12 @@ def test_hilbert_function_of_quotient_ring():
 
 def test_free_basis_and_coords():
     _, r = ring2()
-    basis = free_basis(r, (0, 1), 1)
-    assert len(basis) == 3  # x, y on the first generator; 1 on the second
+    dim, blocks = free_blocks(r, (0, 1), 1)
+    assert dim == 3  # x, y on the first generator; 1 on the second
+    assert {t: (g.tolist(), pos.tolist()) for t, (g, pos) in blocks.items()} == {
+        0: ([0], [[0, 1]]),
+        1: ([1], [[2]]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +441,33 @@ def test_restrict_to_hypersurface_ring():
     m_h = restrict_to_ring(m, hyper).minimalized()
     rels = sorted(render_poly(e) for e in m_h.presentation.entries[0])
     assert rels == ["x", "y^2"]
+
+
+def reference_restrict_to_ring(module, target):
+    """The restriction with its h * e_i columns laid out by hand."""
+    amb = target.ambient
+    pres = module.presentation
+    cols = [[target.nf(p) for p in pres.column(j)] for j in range(pres.ncols)]
+    twists = list(pres.col_twists)
+    for h in module.ring.gb:
+        hh = target.nf(h)
+        if hh.is_zero():
+            continue
+        for i in range(module.ngens):
+            col = [amb.zero()] * module.ngens
+            col[i] = hh
+            cols.append(col)
+            twists.append(module.row_twists[i] + hh.degree())
+    return GradedModule(target, PolyMatrix.from_columns(amb, module.row_twists, cols, twists))
+
+
+def test_restriction_blocks_equal_the_hand_laid_columns():
+    from cisupport.catalog import catalog_modules, three_var_ring
+
+    ring = three_var_ring(3)
+    q = ring.ambient
+    targets = [CIRing(q, ()), CIRing(q, ring.fs[:1]), CIRing(q, [ring.form((1, 2, 0))], validate=False)]
+    for name, module in catalog_modules(ring).items():
+        for target in targets:
+            got = restrict_to_ring(module, target)
+            assert got.content_key() == reference_restrict_to_ring(module, target).content_key(), name
