@@ -8,10 +8,6 @@ the polynomial layer can stay agnostic about the element representation.
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import modlinalg
-
 
 def digits(code: int, base: int, count: int) -> list:
     """The count lowest base-`base` digits of code, least significant first."""
@@ -45,7 +41,7 @@ class PrimeField:
             raise ValueError(f"characteristic {p} is not prime")
         self.p = p
         self.e = 1
-        self.mult_tables = np.ones((1, 1), dtype=np.int64)
+        self.mult_tables = ((1,),)
         self.zero = 0
         self.one = 1
 
@@ -144,9 +140,7 @@ class ExtField:
         self.one = tuple([1] + [0] * (e - 1))
         powers = [tuple(int(k == i) for k in range(e)) for i in range(e)]  # t^i
         # row i: the matrix of multiplication by t^i, entry (k, j) at k * e + j
-        self.mult_tables = np.array(
-            [[self.mul(ti, tj)[k] for k in range(e) for tj in powers] for ti in powers], dtype=np.int64
-        )
+        self.mult_tables = tuple(tuple(self.mul(ti, tj)[k] for k in range(e) for tj in powers) for ti in powers)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -206,15 +200,3 @@ class ExtField:
     def __repr__(self):
         return f"ExtField({self.p}, {self.e})"
 
-
-def regular_matrix(field, rows) -> np.ndarray:
-    """The matrix over F_p of the F_p-linear map that rows, a matrix over
-    field = F_{p^e}, defines: entry a becomes the e x e block of
-    multiplication by a in the basis 1, t, ..., t^(e-1).  Its rank over F_p
-    is e times the rank of rows over the field; for F_p itself (e = 1) it is
-    rows as an array."""
-    e = field.e
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    coeffs = np.array(rows, dtype=np.int64).reshape(nrows * ncols, e)  # a = sum_i a_i t^i
-    blocks = modlinalg.matmul(coeffs, field.mult_tables, field.p)  # sum_i a_i (t^i times)
-    return blocks.reshape(nrows, ncols, e, e).transpose(0, 2, 1, 3).reshape(nrows * e, ncols * e)

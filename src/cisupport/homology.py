@@ -24,7 +24,6 @@ from .cimodule import (
     subquotient_presentation,
     zero_module,
 )
-from .field import regular_matrix
 from .groebner import vec_to_column
 from .pmatrix import PolyMatrix
 from .resolution import FreeResolution, groebner_kernel_step, minimal_resolution
@@ -181,7 +180,7 @@ class HypersurfaceComplex:
                 ranks.append(0)
                 continue
             rows = [[e.constant_coeff() if e.terms else field.zero for e in row] for row in d.entries]
-            ranks.append(modlinalg.rank(regular_matrix(field, rows), field.p) // field.e)
+            ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, rows), field.p) // field.e)
         return [ds[m].ncols - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
 
 

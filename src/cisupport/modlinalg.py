@@ -2,7 +2,7 @@
 
 Row reduction uses the first nonzero entry as pivot, so results are
 deterministic.  Matrices over an extension field F_{p^e} come here through
-their regular representation over F_p (field.regular_matrix).
+their regular representation over F_p (regular_matrix).
 """
 
 from __future__ import annotations
@@ -171,3 +171,15 @@ def complement_pivots(base: np.ndarray, cand: np.ndarray, p: int):
     nb = base.shape[1]
     return [c - nb for c in pivots if c >= nb]
 
+
+def regular_matrix(field, rows) -> np.ndarray:
+    """The matrix over F_p of the F_p-linear map that rows, a matrix over
+    field = F_{p^e}, defines: entry a becomes the e x e block of
+    multiplication by a in the basis 1, t, ..., t^(e-1).  Its rank over F_p
+    is e times the rank of rows over the field; for F_p itself (e = 1) it is
+    rows as an array."""
+    e = field.e
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    coeffs = np.array(rows, dtype=np.int64).reshape(nrows * ncols, e)  # a = sum_i a_i t^i
+    blocks = matmul(coeffs, np.array(field.mult_tables, dtype=np.int64), field.p)  # sum_i a_i (t^i times)
+    return blocks.reshape(nrows, ncols, e, e).transpose(0, 2, 1, 3).reshape(nrows * e, ncols * e)

@@ -19,7 +19,7 @@ from cisupport.cimodule import (
     restrict_to_ring,
     zero_module,
 )
-from cisupport.field import ExtField, PrimeField, regular_matrix
+from cisupport.field import ExtField, PrimeField
 from cisupport.homology import (
     HypersurfaceComplex,
     _ext_vanishes_general,
@@ -327,7 +327,7 @@ def low_rank_matrices(draw):
 @given(low_rank_matrices())
 def test_regular_representation_rank_is_e_times_the_rank(case):
     field, rows = case
-    assert modlinalg.rank(regular_matrix(field, rows), field.p) == field.e * field_rank(field, rows)
+    assert modlinalg.rank(modlinalg.regular_matrix(field, rows), field.p) == field.e * field_rank(field, rows)
 
 
 def reference_betti_over_a(hc, upto):
