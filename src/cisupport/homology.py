@@ -1,14 +1,24 @@
 """Ext vanishing tests and fast Tor ranks over hypersurface quotients.
 
 Over a hypersurface A = Q/(f) the Tor ranks of a module are read off a free
-A-resolution assembled from a finite ambient resolution together with a
-system of multiplication-by-f homotopies; reducing that complex modulo the
-irrelevant ideal leaves finite linear algebra.  The general Ext test applies
+A-resolution assembled from a finite ambient resolution G over Q together
+with a system of higher homotopies (Shamash); reducing that complex modulo
+the irrelevant ideal leaves finite linear algebra on constant parts.  One
+recursion, homotopy_system, builds Eisenbud's homotopies sigma_alpha of a
+whole sequence f_1..f_c, one per multi-index alpha; for one f it is the
+system of f alone.  Those of f_a = sum a_i f_i are sigma_t(a) =
+sum_{|alpha|=t} a^alpha sigma_alpha, so a module over Q/(f_1..f_c) asked
+about many directions a (section_betti) keeps the constant parts of its
+sigma_alpha and evaluates them at each a.  The general Ext test applies
 Hom(-, N) to a minimal resolution and compares kernel and image by Groebner
 containments.
 """
 
 from __future__ import annotations
+
+import itertools
+
+import numpy as np
 
 from . import modlinalg
 from .cache import memo
@@ -70,16 +80,136 @@ def ambient_resolution(module: GradedModule) -> AmbientResolution:
     return memo("ambient", module.content_key(), lambda: AmbientResolution(module))
 
 
+def _multi_indices(c: int, t: int):
+    """The exponent vectors alpha in N^c with |alpha| = t."""
+    for combo in itertools.combinations_with_replacement(range(c), t):
+        yield tuple(combo.count(j) for j in range(c))
+
+
+def homotopy_system(ambient: AmbientResolution, fs) -> dict:
+    """Eisenbud's system of higher homotopies on G for the sequence fs.
+
+    Returns {(alpha, i): sigma_alpha on G_i} over the multi-indices
+    alpha != 0, where sigma_alpha maps G_i to G_{i+2|alpha|-1} with degree
+    sum alpha_j deg f_j; maps that come out zero are left out.  With
+    sigma_0 = d the system satisfies sum_{beta+gamma=alpha} sigma_beta
+    sigma_gamma = f_j id when alpha = e_j, and 0 when |alpha| >= 2.  Each
+    sigma_alpha on G_i is read off that relation by one lift through
+    d_{i+2|alpha|-1}, once sigma_alpha on G_{i-1} and every sigma_beta with
+    beta < alpha are known.  The homotopies of f_a = sum a_j f_j are then
+    sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha (Eisenbud, Trans. AMS 260
+    (1980), section 7).
+    """
+    amb, res, pd = ambient.amb, ambient.res, ambient.pd
+    sigma = {}
+    for t in range(1, pd + 2):
+        for alpha in _multi_indices(len(fs), t):
+            shift = sum(e * f.degree() for e, f in zip(alpha, fs))
+            # the splittings alpha = beta + gamma into two nonzero parts
+            splits = [
+                (beta, tuple(a - b for a, b in zip(alpha, beta)))
+                for beta in itertools.product(*(range(a + 1) for a in alpha))
+                if 0 < sum(beta) < t
+            ]
+            for i in range(0, pd + 1):
+                target = i + 2 * t - 1
+                # rhs: G_i -> G_{i + 2t - 2}
+                if t == 1:
+                    f = fs[alpha.index(1)]
+                    f_times = PolyMatrix(amb, [[f]], (0,), (f.degree(),))
+                    rhs = PolyMatrix.identity(amb, res.twists(i)).kron(f_times)
+                else:
+                    rhs = None
+                    for beta, gamma in splits:
+                        left = sigma.get((beta, i + 2 * sum(gamma) - 1))
+                        right = sigma.get((gamma, i))
+                        if left is None or right is None:
+                            continue
+                        term = -left.mul(right)
+                        rhs = term if rhs is None else rhs + term
+                if i > 0:
+                    prev = sigma.get((alpha, i - 1))
+                    if prev is not None:
+                        corr = -prev.mul(res.differential(i))
+                        rhs = corr if rhs is None else rhs + corr
+                if rhs is None or rhs.is_zero():
+                    continue
+                if target > pd:
+                    raise AssertionError("homotopy system inconsistent at the top")
+                cols = [ambient.lift(target, col) for col in rhs.columns()]
+                if any(col is None for col in cols):
+                    raise AssertionError("homotopy right-hand side is not a boundary")
+                sigma[(alpha, i)] = PolyMatrix.from_columns(
+                    amb, res.twists(target), cols, tuple(tt + shift for tt in res.twists(i))
+                )
+    return sigma
+
+
+def _shamash_layout(m: int, pd: int):
+    """Where the maps sit in the Shamash differential F_m -> F_{m-1}.
+
+    Component (i, j) of F_n is G_i twisted by j deg f, for j = 0, 1, ... in
+    turn; sigma_t maps (i, j) to (i+2t-1, j-t), with sigma_0 = d.  Returns
+    the components of F_m and of F_{m-1}, and for each (row, column) pair of
+    them the (t, i) of the map placed there, or None.
+    """
+
+    def components(n):
+        return [(n - 2 * j, j) for j in range(n // 2 + 1) if n - 2 * j <= pd]
+
+    src, dst = components(m), components(m - 1)
+    grid = [
+        [(j - l, i) if j >= l and k == i + 2 * (j - l) - 1 else None for i, j in src]
+        for k, l in dst
+    ]
+    return src, dst, grid
+
+
+def _constant_part(mat: PolyMatrix, field) -> np.ndarray:
+    """The constant coefficients of mat as an (nrows, ncols, e) array over F_p."""
+    out = np.zeros((mat.nrows, mat.ncols, field.e), dtype=np.int64)
+    for r, row in enumerate(mat.entries):
+        for c, entry in enumerate(row):
+            if entry.terms:
+                out[r, c] = entry.constant_coeff()
+    return out
+
+
+def _tor_ranks(field, betti, consts: dict, upto: int):
+    """Tor ranks over A for homological degrees 0..upto: the ranks of F_m
+    less those of the Shamash differentials mod the irrelevant ideal.
+
+    consts[(t, i)] is the constant part of sigma_t on G_i (sigma_0 = d), as
+    _constant_part lays it out; a missing key is a zero block.  Over
+    F_{p^e} a differential's rank is that of its regular representation
+    over F_p, divided by e.
+    """
+    pd = len(betti) - 1
+    sizes, ranks = [], []
+    for m in range(upto + 2):
+        src, dst, grid = _shamash_layout(m, pd)
+        col_at = np.cumsum([0] + [betti[i] for i, _ in src])
+        row_at = np.cumsum([0] + [betti[k] for k, _ in dst])
+        a = np.zeros((row_at[-1], col_at[-1], field.e), dtype=np.int64)
+        for r, row in enumerate(grid):
+            for c, key in enumerate(row):
+                if key in consts:
+                    a[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = consts[key]
+        sizes.append(a.shape[1])
+        ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, a), field.p) // field.e if a.size else 0)
+    return [sizes[m] - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
+
+
 class HypersurfaceComplex:
     """Free resolution data over A = Q/(f) built from an ambient resolution.
 
     Stores the finite ambient resolution G of the module together with the
-    homotopy system sigma_t (sigma_1 trivializes multiplication by f, the
-    higher ones fix up the squares), which determines a free A-resolution
-    with underlying modules (+)_j G_{m-2j}.  The module may be given over a
-    quotient of A (its ideal containing f): only its presentation over Q is
-    read, and a module over R = Q/(f_1..f_c) gives the same G for every f in
-    the ideal of R.
+    homotopy system sigma_t of f alone (sigma_1 trivializes multiplication
+    by f, the higher ones fix up the squares), which determines a free
+    A-resolution with underlying modules (+)_j G_{m-2j}.  The module may be
+    given over a quotient of A (its ideal containing f): only its
+    presentation over Q is read, and a module over R = Q/(f_1..f_c) gives
+    the same G for every f in the ideal of R.
     """
 
     def __init__(self, ring_a: CIRing, module: GradedModule):
@@ -90,102 +220,121 @@ class HypersurfaceComplex:
         self.ambient = ambient_resolution(module)
         self.pd = self.ambient.pd
         self.res = self.ambient.res
-        self.sigma = {}  # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
-        self._build_homotopies()
+        # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
+        self.sigma = {(alpha[0], i): mat for (alpha, i), mat in homotopy_system(self.ambient, (self.f,)).items()}
 
-    def _build_homotopies(self):
-        res, pd = self.res, self.pd
-        fdeg = self.f.degree()
-        f_times = PolyMatrix(self.amb, [[self.f]], (0,), (fdeg,))
-        t = 1
-        while t <= pd + 1:
-            for i in range(0, pd + 1):
-                target = i + 2 * t - 1
-                # rhs: G_i -> G_{i + 2t - 2}
-                if t == 1:
-                    rhs = PolyMatrix.identity(self.amb, res.twists(i)).kron(f_times)
-                else:
-                    rhs = None
-                    for u in range(1, t):
-                        left = self.sigma.get((u, i + 2 * (t - u) - 1))
-                        right = self.sigma.get((t - u, i))
-                        if left is None or right is None:
-                            continue
-                        term = -left.mul(right)
-                        rhs = term if rhs is None else rhs + term
-                if i > 0:
-                    prev = self.sigma.get((t, i - 1))
-                    if prev is not None:
-                        corr = -prev.mul(res.differential(i))
-                        rhs = corr if rhs is None else rhs + corr
-                if rhs is None or rhs.is_zero():
-                    continue
-                if target > pd:
-                    raise AssertionError("homotopy system inconsistent at the top")
-                cols = [self.ambient.lift(target, col) for col in rhs.columns()]
-                if any(col is None for col in cols):
-                    raise AssertionError("homotopy right-hand side is not a boundary")
-                self.sigma[(t, i)] = PolyMatrix.from_columns(
-                    self.amb,
-                    res.twists(target),
-                    cols,
-                    tuple(tt + t * fdeg for tt in res.twists(i)),
-                )
-            t += 1
+    def maps(self) -> dict:
+        """sigma_t on G_i under (t, i), with sigma_0 = d."""
+        return {**{(0, i): self.res.differential(i) for i in range(1, self.pd + 1)}, **self.sigma}
 
     def differential(self, m: int) -> PolyMatrix:
-        """d: F_m -> F_{m-1} over Q as one graded block matrix.
-
-        Component (i, j) of F_m is G_i twisted by j deg f, for j = 0, 1, ...
-        in turn; d_i maps it to (i-1, j) and sigma_t to (i+2t-1, j-t).
-        """
+        """d: F_m -> F_{m-1} over Q as one graded block matrix, laid out by
+        _shamash_layout."""
         fdeg = self.f.degree()
-
-        def components(n):
-            return [(n - 2 * j, j) for j in range(n // 2 + 1) if n - 2 * j <= self.pd]
+        maps = self.maps()
+        src, dst, grid = _shamash_layout(m, self.pd)
 
         def twists(i, j):
             return tuple(t + j * fdeg for t in self.res.twists(i))
 
-        def part(i, j, k, l):
-            t = j - l
-            mat = None
-            if t == 0 and k == i - 1:
-                mat = self.res.differential(i)
-            elif t >= 1 and k == i + 2 * t - 1:
-                mat = self.sigma.get((t, i))
-            if mat is None:
-                return PolyMatrix.zero(self.amb, twists(k, l), twists(i, j))
-            return mat.twisted(l * fdeg)
-
-        src, dst = components(m), components(m - 1)
         if not src or not dst:
             return PolyMatrix.zero(
                 self.amb,
                 [t for c in dst for t in twists(*c)],
                 [t for c in src for t in twists(*c)],
             )
-        return PolyMatrix.block(self.amb, [[part(*s, *d) for s in src] for d in dst])
+
+        def part(key, i, j, k, l):
+            if key not in maps:
+                return PolyMatrix.zero(self.amb, twists(k, l), twists(i, j))
+            return maps[key].twisted(l * fdeg)
+
+        return PolyMatrix.block(
+            self.amb, [[part(key, *s, *d) for key, s in zip(row, src)] for row, d in zip(grid, dst)]
+        )
 
     def betti_over_a(self, upto: int):
-        """Tor ranks of the module over A for homological degrees 0..upto:
-        the ranks of F_m less those of the differentials mod the irrelevant
-        ideal.  Over F_{p^e} a differential's rank is that of its regular
-        representation over F_p, divided by e."""
+        """Tor ranks of the module over A for homological degrees 0..upto,
+        from the constant parts of d and the sigma_t."""
         field = self.amb.field
-        ds = [self.differential(m) for m in range(upto + 2)]
-        ranks = []
-        for d in ds:
-            if not d.nrows or not d.ncols:
-                ranks.append(0)
-                continue
-            rows = [[e.constant_coeff() if e.terms else field.zero for e in row] for row in d.entries]
-            ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, rows), field.p) // field.e)
-        return [ds[m].ncols - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
+        consts = {key: _constant_part(mat, field) for key, mat in self.maps().items()}
+        return _tor_ranks(field, self.res.betti, consts, upto)
 
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
     return HypersurfaceComplex(ring_a, module).betti_over_a(upto)
+
+
+class SectionRanks:
+    """Tor ranks of one module over R = Q/(f_1..f_c) over the hypersurfaces
+    Q/(f_a), one direction a at a time.
+
+    The first direction asked builds the homotopies of f_a alone: a process
+    that asks about one direction (a `member` job) pays for nothing more.
+    From the second direction on, the module's multi-index system is built
+    once and only its constant parts are kept; each direction then costs
+    sum_{|alpha|=t} a^alpha const(sigma_alpha), with sigma_0 = d, and the
+    rank work.
+    """
+
+    def __init__(self):
+        self.first = None  # the first direction asked
+        self.betti = None  # ranks of G_0, ..., G_pd, once the system is built
+        # (t, i) -> (alphas with |alpha| = t, their const(sigma_alpha) on G_i
+        # side by side, one (rows * cols, e) block each)
+        self.consts = None
+
+    def betti_at(self, ring: CIRing, module: GradedModule, a, upto: int):
+        if self.consts is None and self.first in (None, a):
+            self.first = a
+            return hypersurface_betti(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
+        if self.consts is None:
+            self._build(ring, module)
+        field = ring.field
+
+        def power(alpha):  # a^alpha
+            w = field.one
+            for c, e in zip(a, alpha):
+                for _ in range(e):
+                    w = field.mul(w, c)
+            return w
+
+        consts = {}
+        for (t, i), (alphas, stacked) in self.consts.items():
+            # block alpha of scale is the transposed matrix of multiplication
+            # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x]
+            scale = modlinalg.regular_matrix(field, [[power(alpha) for alpha in alphas]]).T
+            shape = (self.betti[i + 2 * t - 1], self.betti[i], field.e)
+            consts[(t, i)] = modlinalg.matmul(stacked, scale, field.p).reshape(shape)
+        return _tor_ranks(field, self.betti, consts, upto)
+
+    def _build(self, ring: CIRing, module: GradedModule):
+        ambient = ambient_resolution(module)
+        self.betti = ambient.res.betti
+        maps = {((0,) * ring.c, i): ambient.res.differential(i) for i in range(1, ambient.pd + 1)}
+        maps.update(homotopy_system(ambient, ring.fs))
+        groups = {}
+        for (alpha, i), mat in maps.items():
+            const = _constant_part(mat, ring.field)
+            if const.any():
+                groups.setdefault((sum(alpha), i), []).append((alpha, const.reshape(-1, ring.field.e)))
+        self.consts = {
+            key: ([alpha for alpha, _ in parts], np.concatenate([c for _, c in parts], axis=1))
+            for key, parts in groups.items()
+        }
+
+
+def section_betti(ring: CIRing, module: GradedModule, a, upto: int):
+    """Tor ranks over Q/(f_a), f_a = sum a_i f_i, of a module over
+    ring = Q/(f_1..f_c), for homological degrees 0..upto.
+
+    The directions asked of one module share a SectionRanks in the memo
+    table `homotopies`; an artinian Q/(f_a) is resolved over directly.
+    """
+    if ring.ambient.n < 2:
+        return ext_k_dims(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
+    sections = memo("homotopies", (ring.key(), module.content_key()), SectionRanks)
+    return sections.betti_at(ring, module, tuple(a), upto)
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int):

@@ -177,9 +177,12 @@ def regular_matrix(field, rows) -> np.ndarray:
     field = F_{p^e}, defines: entry a becomes the e x e block of
     multiplication by a in the basis 1, t, ..., t^(e-1).  Its rank over F_p
     is e times the rank of rows over the field; for F_p itself (e = 1) it is
-    rows as an array."""
+    rows as an array.  rows is a nonempty nested list of field elements or
+    an array of shape (nrows, ncols) or (nrows, ncols, e) of their
+    coefficients."""
     e = field.e
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    coeffs = np.array(rows, dtype=np.int64).reshape(nrows * ncols, e)  # a = sum_i a_i t^i
+    coeffs = np.asarray(rows, dtype=np.int64)
+    nrows, ncols = coeffs.shape[:2]
+    coeffs = coeffs.reshape(nrows * ncols, e)  # a = sum_i a_i t^i
     blocks = matmul(coeffs, np.array(field.mult_tables, dtype=np.int64), field.p)  # sum_i a_i (t^i times)
     return blocks.reshape(nrows, ncols, e, e).transpose(0, 2, 1, 3).reshape(nrows * e, ncols * e)

@@ -27,9 +27,9 @@ from .cimodule import (
     is_residue_field,
     restrict_to_ring,
 )
-from .field import ExtField, digits
+from .field import ExtField, PrimeField, digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import ext_k_dims, ext_vanishes
+from .homology import ext_vanishes, section_betti
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -80,10 +80,13 @@ class PointK:
 
 
 def _as_point(ring: CIRing, a):
-    if isinstance(a, PointK):
-        fld = a.field if a.field is not None else ring.field
-        return tuple(a.coords), fld
-    return tuple(a), ring.field
+    """The coordinates of a and their field; prime-field coordinates are
+    reduced mod p, as the CLI and Subspace read them."""
+    coords, fld = (a.coords, a.field) if isinstance(a, PointK) else (a, None)
+    fld = fld if fld is not None else ring.field
+    if isinstance(fld, PrimeField):
+        coords = [fld.from_int(c) for c in coords]
+    return tuple(coords), fld
 
 
 def vanishes_at(ideal: Ideal, coords, fld) -> bool:
@@ -100,7 +103,10 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
 
     The zero direction is always inside.  Otherwise f = sum a_i f_i cuts a
     hypersurface A = Q/(f); with s = dim A + 2, eventual nonvanishing of Ext
-    over A is equivalent to Ext^s or Ext^{s+1} being nonzero.
+    over A is equivalent to Ext^s or Ext^{s+1} being nonzero.  Against k
+    the Exts are Tor ranks, which section_betti reads: the first direction
+    asked of a module builds the homotopies of f alone, and later ones
+    specialize the module's system of higher homotopies at a.
     """
     coords, fld = _as_point(ring, a)
     if len(coords) != ring.c:
@@ -114,13 +120,13 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
         work_ring = base_change_ring(ring, fld)
         module = base_change_module(module, work_ring)
         other = base_change_module(other, work_ring)
-    hyper = CIRing(work_ring.ambient, [work_ring.form(coords)], validate=False)
-    s = hyper.dim + 2
+    s = ring.ambient.n + 1  # dim A + 2
     if is_residue_field(other):
         # the module over R is one over A: every direction shares its
         # resolution over Q
-        dims = ext_k_dims(hyper, module, s + 1)
+        dims = section_betti(work_ring, module, coords, s + 1)
         return not (dims[s] == 0 and dims[s + 1] == 0)
+    hyper = CIRing(work_ring.ambient, [work_ring.form(coords)], validate=False)
     m_a = restrict_to_ring(module, hyper)
     n_a = restrict_to_ring(other, hyper)
     van_s = ext_vanishes(hyper, m_a, n_a, s)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cisupport import homology, modlinalg
-from cisupport.cache import clear_memo
+from cisupport.cache import clear_memo, memo
 from cisupport.catalog import catalog_modules, dim2_hypersurface_ring, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
@@ -692,3 +692,260 @@ def test_ambient_loop_reaches_projective_dimension_n_for_k():
     hc = HypersurfaceComplex(a, k)
     assert any(target == q.n for target in (i + 2 * t - 1 for t, i in hc.sigma))
     assert hypersurface_betti(a, k, 6) == minimal_resolution(a, k, 6, engine="groebner").betti
+
+
+# ---------------------------------------------------------------------------
+# one homotopy recursion: the multi-index system of a sequence, and the Tor
+# ranks of each direction specialized from it
+
+
+class PerDirectionComplex(HypersurfaceComplex):
+    """The hypersurface complex as it was built before one recursion served
+    every sequence: the homotopies of f alone by the t-indexed loop of the
+    old HypersurfaceComplex._build_homotopies, rerun for every direction."""
+
+    def __init__(self, ring_a, module):
+        self.amb = ring_a.ambient
+        self.f = ring_a.fs[0]
+        self.ambient = ambient_resolution(module)
+        self.pd = self.ambient.pd
+        self.res = self.ambient.res
+        self.sigma = {}
+        res, pd = self.res, self.pd
+        fdeg = self.f.degree()
+        f_times = PolyMatrix(self.amb, [[self.f]], (0,), (fdeg,))
+        t = 1
+        while t <= pd + 1:
+            for i in range(0, pd + 1):
+                target = i + 2 * t - 1
+                if t == 1:
+                    rhs = PolyMatrix.identity(self.amb, res.twists(i)).kron(f_times)
+                else:
+                    rhs = None
+                    for u in range(1, t):
+                        left = self.sigma.get((u, i + 2 * (t - u) - 1))
+                        right = self.sigma.get((t - u, i))
+                        if left is None or right is None:
+                            continue
+                        term = -left.mul(right)
+                        rhs = term if rhs is None else rhs + term
+                if i > 0:
+                    prev = self.sigma.get((t, i - 1))
+                    if prev is not None:
+                        corr = -prev.mul(res.differential(i))
+                        rhs = corr if rhs is None else rhs + corr
+                if rhs is None or rhs.is_zero():
+                    continue
+                assert target <= pd, "homotopy system inconsistent at the top"
+                cols = [self.ambient.lift(target, col) for col in rhs.columns()]
+                assert all(col is not None for col in cols)
+                self.sigma[(t, i)] = PolyMatrix.from_columns(
+                    self.amb, res.twists(target), cols, tuple(tt + t * fdeg for tt in res.twists(i))
+                )
+            t += 1
+
+
+def nonmonomial_p3_ring():
+    q = PolyRing(list("xyz"), field=PrimeField(3))
+    return CIRing(q, [parse_poly(q, s) for s in ("x^2 + y*z", "y^2 + 2*x*z", "z^2 + x*y + y*z")])
+
+
+def mixed_degree_ring():
+    """x^2 and y^3: a direction takes one of them at a time."""
+    q = two_var(3)
+    return CIRing(q, [parse_poly(q, "x^2"), parse_poly(q, "y^3")])
+
+
+def _points(field, c):
+    """Every nonzero point of field^c."""
+    return [a for a in itertools.product(list(field.elements()), repeat=c) if a != (field.zero,) * c]
+
+
+def _projective_points(field, c):
+    """One point of each line of field^c: first nonzero coordinate one."""
+    return [a for a in _points(field, c) if next(x for x in a if x != field.zero) == field.one]
+
+
+def _section_cases():
+    from cisupport.cimodule import base_change_module, base_change_ring
+
+    for name, make in (("2var", two_var_ring), ("3var", three_var_ring)):
+        for p in (2, 3, 5):
+            ring = make(p)
+            yield f"{name}_p{p}", ring, catalog_modules(ring), _points(ring.field, ring.c)
+    ring = nonmonomial_p3_ring()
+    q = ring.ambient
+    yield "nonmonomial_p3", ring, {
+        "k": residue_module(ring),
+        "R/(x+y)": cyclic_module(ring, [parse_poly(q, "x + y")]),
+        "R/(x, y+z)": cyclic_module(ring, [parse_poly(q, "x"), parse_poly(q, "y + z")]),
+        "syz1(k)": catalog_modules(ring)["syz1(k)"],
+    }, _points(ring.field, 3)
+    ring = mixed_degree_ring()
+    q = ring.ambient
+    mods = {"k": residue_module(ring), "R/(x)": cyclic_module(ring, [parse_poly(q, "x")])}
+    yield "mixed_degree_p3", ring, mods, [a for a in _points(ring.field, 2) if not all(a)]
+    # points over F_4 and F_9, on the catalogs base-changed as membership does
+    for name, make, fld, points in (
+        ("2var", two_var_ring, ExtField(2, 2), _points),
+        ("3var", three_var_ring, ExtField(2, 2), _projective_points),
+        ("2var", two_var_ring, ExtField(3, 2), _points),
+        ("3var", three_var_ring, ExtField(3, 2), _projective_points),
+    ):
+        ring = make(fld.p)
+        work = base_change_ring(ring, fld)
+        mods = {m: base_change_module(mod, work) for m, mod in catalog_modules(ring).items()}
+        yield f"{name}_F{fld.size}", work, mods, points(fld, ring.c)
+
+
+@pytest.mark.parametrize("case", list(_section_cases()), ids=lambda c: c[0])
+def test_specialized_tor_ranks_equal_the_per_direction_build(case):
+    """Every point is asked in two orders: the first asked of a module takes
+    the single-f build, every later one the specialized system, and each
+    point is a later one in at least one order."""
+    _, ring, modules, points = case
+    upto = ring.ambient.n + 2  # the degrees membership reads
+    for name, module in modules.items():
+        want = {}
+        for a in points:
+            hc = PerDirectionComplex(CIRing(ring.ambient, [ring.form(a)], validate=False), module)
+            want[a] = reference_betti_over_a(hc, upto)
+        for order in (points, points[::-1]):
+            clear_memo()
+            for a in order:
+                assert homology.section_betti(ring, module, a, upto) == want[a], (name, a)
+            sections = memo("homotopies", (ring.key(), module.content_key()), None)
+            assert sections.first == order[0] and sections.consts is not None
+
+
+def _identity_cases():
+    for name, ring in (
+        ("2var_p3", two_var_ring(3)),
+        ("3var_p3", three_var_ring(3)),
+        ("nonmonomial_p3", nonmonomial_p3_ring()),
+        ("mixed_degree_p3", mixed_degree_ring()),
+    ):
+        q = ring.ambient
+        mods = {"k": residue_module(ring), "R/(x+y)": cyclic_module(ring, [parse_poly(q, "x + y")])}
+        if ring.c == 3:
+            mods["syz1(k)"] = catalog_modules(ring)["syz1(k)"]
+        if name == "3var_p3":  # the one whose sigma_alpha with |alpha| = 2 are nonzero
+            mods["K_quadric"] = catalog_modules(ring)["K_quadric"]
+        for mod_name, module in mods.items():
+            yield f"{name}-{mod_name}", ring, module
+
+
+@pytest.mark.parametrize("case", list(_identity_cases()), ids=lambda c: c[0])
+def test_homotopy_system_identities_over_a_sequence(case):
+    """With sigma_0 = d: d sigma_{e_j} + sigma_{e_j} d = f_j id, and
+    sum_{beta+gamma=alpha} sigma_beta sigma_gamma = 0 for |alpha| >= 2, as
+    polynomial-matrix identities on every G_i."""
+    _, ring, module = case
+    clear_memo()
+    amb_res = ambient_resolution(module)
+    res, pd, c = amb_res.res, amb_res.pd, ring.c
+    sigma = homology.homotopy_system(amb_res, ring.fs)
+    assert sigma and all(len(alpha) == c and sum(alpha) >= 1 for alpha, _ in sigma)
+    q = ring.ambient
+
+    def sigma_at(beta, i):
+        if not any(beta):
+            return res.differential(i) if 1 <= i <= pd else None
+        return sigma.get((beta, i))
+
+    checked = 0
+    for t in range(1, pd + 2):
+        for alpha in itertools.product(range(t + 1), repeat=c):
+            if sum(alpha) != t:
+                continue
+            for i in range(pd + 1):
+                out = i + 2 * t - 2
+                if out > pd:
+                    continue
+                rows, cols = res.betti[out], res.betti[i]
+                lhs = PolyMatrix.zero(q, [0] * rows, [0] * cols)
+                for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                    gamma = tuple(a - b for a, b in zip(alpha, beta))
+                    left, right = sigma_at(beta, i + 2 * sum(gamma) - 1), sigma_at(gamma, i)
+                    if left is not None and right is not None:
+                        lhs = lhs + left.mul(right)
+                want = PolyMatrix.zero(q, [0] * rows, [0] * cols)
+                if t == 1:
+                    f = ring.fs[alpha.index(1)]
+                    want = PolyMatrix.identity(q, [0] * cols).kron(PolyMatrix(q, [[f]], (0,), (0,)))
+                assert (lhs + -want).is_zero(), (alpha, i)
+                checked += 1
+    assert checked >= c * pd
+    if case[0] == "3var_p3-K_quadric":
+        assert any(sum(alpha) == 2 for alpha, _ in sigma)
+
+
+def test_one_sequence_recursion_gives_the_single_f_homotopies():
+    # HypersurfaceComplex is homotopy_system on (f,), keyed by (t, i)
+    ring = three_var_ring(3)
+    module = catalog_modules(ring)["syz1(k)"]
+    for a in ((1, 0, 0), (1, 2, 1)):
+        hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+        assert HypersurfaceComplex(hyper, module).sigma == PerDirectionComplex(hyper, module).sigma
+    assert not hasattr(HypersurfaceComplex, "_build_homotopies")
+
+
+def _lift_spy(monkeypatch):
+    lifts = []
+    real = homology.AmbientResolution.lift
+
+    def spy(self, i, col):
+        lifts.append(i)
+        return real(self, i, col)
+
+    monkeypatch.setattr(homology.AmbientResolution, "lift", spy)
+    return lifts
+
+
+@pytest.mark.parametrize("job", ["member_cubic_residue", "member_quadric4_pair"])
+def test_a_member_job_lifts_as_the_single_f_build_does(job, monkeypatch, capsys):
+    from cisupport import cli
+
+    path = os.path.join(GOLDEN, job + ".job")
+    with open(path, encoding="utf-8") as fh:
+        spec = parse_input(fh.read())
+    ring = spec.ci_ring()
+    params = spec.command.params
+    module = spec.build_module(params["module"], ring)
+    a = tuple(int(x) for x in params["point"].split(","))
+    monkeypatch.delenv("CISUPPORT_CACHE", raising=False)
+    lifts = _lift_spy(monkeypatch)
+    clear_memo()
+    PerDirectionComplex(CIRing(ring.ambient, [ring.form(a)], validate=False), module)
+    want = len(lifts)
+    lifts.clear()
+    clear_memo()
+    assert cli.main(["member", "--input", path]) == 0
+    capsys.readouterr()
+    assert want > 0 and len(lifts) == want
+
+
+def test_the_module_system_is_built_once_and_later_directions_lift_nothing(monkeypatch):
+    ring = three_var_ring(3)
+    module = cyclic_module(ring, [parse_poly(ring.ambient, "x + 2*z")])
+    k = residue_module(ring)
+    lifts = _lift_spy(monkeypatch)
+    systems = []
+    real = homology.homotopy_system
+
+    def spy(ambient, fs):
+        systems.append(len(fs))
+        return real(ambient, fs)
+
+    monkeypatch.setattr(homology, "homotopy_system", spy)
+    clear_memo()
+    per_direction = []
+    for a in _points(ring.field, 3):
+        before = len(lifts)
+        membership(ring, module, k, a)
+        per_direction.append(len(lifts) - before)
+    # the first direction builds f_a's homotopies, the second the module's
+    # system over f_1, f_2, f_3, and every later one only specializes it
+    assert systems == [1, 3]
+    assert per_direction[0] > 0 and per_direction[1] > per_direction[0]
+    assert per_direction[2:] == [0] * (len(per_direction) - 2)

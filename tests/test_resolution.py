@@ -15,7 +15,7 @@ from cisupport.cimodule import (
     zero_module,
 )
 from cisupport.field import PrimeField
-from cisupport.homology import ambient_resolution
+from cisupport.homology import ambient_resolution, section_betti
 from cisupport.jobspec import parse_input
 from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly, render_poly
@@ -98,10 +98,15 @@ def test_clear_memo_forgets_every_table():
     ring = two_var_ring(3)
     module = cyclic_module(ring, [ring.ambient.var_poly(0)])
 
+    def sections():
+        section_betti(ring, module, (1, 0), 3)
+        return cache.memo("homotopies", (ring.key(), module.content_key()), None)
+
     def fill():
         return (
             minimal_resolution(ring, module, 3).differential(2),
             ambient_resolution(module),
+            sections(),
             cached_variety(ring, module),
             catalog_modules(ring),
             two_var_ring(3),
@@ -109,7 +114,7 @@ def test_clear_memo_forgets_every_table():
 
     first = fill()
     tables = set(cache._MEMO)
-    assert tables == {"resolution", "ambient", "variety", "catalog_modules", "catalog_ring"}
+    assert tables == {"resolution", "ambient", "homotopies", "variety", "catalog_modules", "catalog_ring"}
     assert all(a is b for a, b in zip(fill(), first))
     cache.clear_memo()
     assert cache._MEMO == {}

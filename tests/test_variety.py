@@ -486,6 +486,25 @@ def test_mixed_degree_defining_forms():
         membership(ring, m, k, (1, 1))  # mixed-degree direction rejected
 
 
+def test_membership_reduces_prime_field_coordinates_mod_p():
+    # (3, 0) over F_3 is the zero direction: it once raised TypeError while
+    # (4, 0) worked, and unreduced coordinates reached check_direction
+    ring = two_var_ring(3)
+    m = cyclic_module(ring, [P(ring.ambient, "x")])
+    k = residue_module(ring)
+    assert membership(ring, m, k, (3, 0)) is True
+    assert membership(ring, m, k, PointK((3, 6), PrimeField(3))) is True
+    for a in itertools.product(range(3), repeat=2):
+        shifted = tuple(x + 3 * (i + 1) for i, x in enumerate(a))
+        assert membership(ring, m, k, shifted) == membership(ring, m, k, a), a
+    q = PolyRing(["x", "y"], field=PrimeField(3))
+    mixed = CIRing(q, [P(q, "x^2"), P(q, "y^3")])
+    mk = residue_module(mixed)
+    assert membership(mixed, mk, mk, (3, 1)) == membership(mixed, mk, mk, (0, 1))
+    with pytest.raises(ValueError):
+        membership(mixed, mk, mk, (4, 1))  # (1, 1) mixes degrees 2 and 3
+
+
 def test_weighted_grading_end_to_end():
     q = PolyRing(["x", "y"], field=PrimeField(5), weights=[1, 2])
     ring = CIRing(q, [P(q, "x^4"), P(q, "y^2")])
