@@ -82,8 +82,7 @@ class PointK:
 def _as_point(ring: CIRing, a):
     """The coordinates of a and their field; prime-field coordinates are
     reduced mod p, as the CLI and Subspace read them."""
-    coords, fld = (a.coords, a.field) if isinstance(a, PointK) else (a, None)
-    fld = fld if fld is not None else ring.field
+    coords, fld = (a.coords, a.field or ring.field) if isinstance(a, PointK) else (a, ring.field)
     if isinstance(fld, PrimeField):
         coords = [fld.from_int(c) for c in coords]
     return tuple(coords), fld
