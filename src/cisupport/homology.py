@@ -5,17 +5,18 @@ A-resolution assembled from a finite ambient resolution G over Q together
 with a system of higher homotopies (Shamash); reducing that complex modulo
 the irrelevant ideal leaves finite linear algebra on constant parts.  One
 recursion, homotopy_system, builds Eisenbud's homotopies sigma_alpha of a
-whole sequence f_1..f_c, one per multi-index alpha; for one f it is the
-system of f alone.  Those of f_a = sum a_i f_i are sigma_t(a) =
-sum_{|alpha|=t} a^alpha sigma_alpha, so a module over Q/(f_1..f_c) asked
-about many directions a (section_betti) keeps the constant parts of its
-sigma_alpha and evaluates them at each a.  The general Ext test applies
-Hom(-, N) to a minimal resolution and compares kernel and image by Groebner
-containments.
+whole sequence f_1..f_c, one per multi-index alpha.  Those of f_a =
+sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
+table of constant parts, homotopy_constants, serves every direction, and
+one routine, _tor_ranks, reads it at a point: hypersurface_betti reads the
+table of (f,) at a = (1,), and section_betti the table of f_1..f_c at each
+direction after the first.  The general Ext test applies Hom(-, N) to a
+minimal resolution and compares kernel and image by Groebner containments.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -49,7 +50,7 @@ class AmbientResolution:
 
     One tracked Buchberger run per differential: the run on the columns of
     d_i yields d_{i+1} (its zero reductions) and the basis that lift reads.
-    Nothing here depends on a hypersurface, so every hypersurface complex of
+    Nothing here depends on a hypersurface, so every hypersurface section of
     one module shares one (see ambient_resolution).
     """
 
@@ -175,153 +176,95 @@ def _constant_part(mat: PolyMatrix, field) -> np.ndarray:
     return out
 
 
-def _tor_ranks(field, betti, consts: dict, upto: int):
-    """Tor ranks over A for homological degrees 0..upto: the ranks of F_m
-    less those of the Shamash differentials mod the irrelevant ideal.
+def homotopy_constants(ambient: AmbientResolution, fs, field) -> dict:
+    """The constant parts of the homotopies sigma_alpha of fs on G, with
+    sigma_0 = d, grouped as {(t, i): (alphas, stacked)}: the alpha with
+    |alpha| = t whose map on G_i has a nonzero constant part, and those
+    constant parts side by side, one (rows * cols, e) block each."""
+    maps = {((0,) * len(fs), i): ambient.res.differential(i) for i in range(1, ambient.pd + 1)}
+    maps.update(homotopy_system(ambient, fs))
+    groups = {}
+    for (alpha, i), mat in maps.items():
+        const = _constant_part(mat, field)
+        if const.any():
+            groups.setdefault((sum(alpha), i), []).append((alpha, const.reshape(-1, field.e)))
+    return {
+        key: ([alpha for alpha, _ in parts], np.concatenate([c for _, c in parts], axis=1))
+        for key, parts in groups.items()
+    }
 
-    consts[(t, i)] is the constant part of sigma_t on G_i (sigma_0 = d), as
-    _constant_part lays it out; a missing key is a zero block.  Over
+
+def _tor_ranks(field, betti, table, a, upto: int):
+    """Tor ranks over Q/(f_a) for homological degrees 0..upto, from the
+    homotopy_constants table of f_1..f_c read at the direction a: the ranks
+    of F_m less those of the Shamash differentials mod the irrelevant ideal.
+
+    The constant part of sigma_t(a) on G_i is sum_{|alpha|=t} a^alpha
+    const(sigma_alpha); a key missing from the table is a zero block.  Over
     F_{p^e} a differential's rank is that of its regular representation
     over F_p, divided by e.
     """
-    pd = len(betti) - 1
+
+    def power(alpha):  # a^alpha
+        return functools.reduce(field.mul, [c for c, e in zip(a, alpha) for _ in range(e)], field.one)
+
+    blocks = {}
+    for (t, i), (alphas, stacked) in table.items():
+        # block alpha of scale is the transposed matrix of multiplication
+        # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x]
+        scale = modlinalg.regular_matrix(field, [[power(alpha) for alpha in alphas]]).T
+        shape = (betti[i + 2 * t - 1], betti[i], field.e)
+        blocks[(t, i)] = modlinalg.matmul(stacked, scale, field.p).reshape(shape)
     sizes, ranks = [], []
     for m in range(upto + 2):
-        src, dst, grid = _shamash_layout(m, pd)
+        src, dst, grid = _shamash_layout(m, len(betti) - 1)
         col_at = np.cumsum([0] + [betti[i] for i, _ in src])
         row_at = np.cumsum([0] + [betti[k] for k, _ in dst])
-        a = np.zeros((row_at[-1], col_at[-1], field.e), dtype=np.int64)
+        d = np.zeros((row_at[-1], col_at[-1], field.e), dtype=np.int64)
         for r, row in enumerate(grid):
             for c, key in enumerate(row):
-                if key in consts:
-                    a[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = consts[key]
-        sizes.append(a.shape[1])
-        ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, a), field.p) // field.e if a.size else 0)
+                if key in blocks:
+                    d[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = blocks[key]
+        sizes.append(d.shape[1])
+        ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, d), field.p) // field.e if d.size else 0)
     return [sizes[m] - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
 
 
-class HypersurfaceComplex:
-    """Free resolution data over A = Q/(f) built from an ambient resolution.
-
-    Stores the finite ambient resolution G of the module together with the
-    homotopy system sigma_t of f alone (sigma_1 trivializes multiplication
-    by f, the higher ones fix up the squares), which determines a free
-    A-resolution with underlying modules (+)_j G_{m-2j}.  The module may be
-    given over a quotient of A (its ideal containing f): only its
-    presentation over Q is read, and a module over R = Q/(f_1..f_c) gives
-    the same G for every f in the ideal of R.
-    """
-
-    def __init__(self, ring_a: CIRing, module: GradedModule):
-        if ring_a.c != 1:
-            raise ValueError("hypersurface complex needs a codimension-1 quotient")
-        self.amb = ring_a.ambient
-        self.f = ring_a.fs[0]
-        self.ambient = ambient_resolution(module)
-        self.pd = self.ambient.pd
-        self.res = self.ambient.res
-        # (t, i) -> PolyMatrix G_i -> G_{i+2t-1}
-        self.sigma = {(alpha[0], i): mat for (alpha, i), mat in homotopy_system(self.ambient, (self.f,)).items()}
-
-    def maps(self) -> dict:
-        """sigma_t on G_i under (t, i), with sigma_0 = d."""
-        return {**{(0, i): self.res.differential(i) for i in range(1, self.pd + 1)}, **self.sigma}
-
-    def differential(self, m: int) -> PolyMatrix:
-        """d: F_m -> F_{m-1} over Q as one graded block matrix, laid out by
-        _shamash_layout."""
-        fdeg = self.f.degree()
-        maps = self.maps()
-        src, dst, grid = _shamash_layout(m, self.pd)
-
-        def twists(i, j):
-            return tuple(t + j * fdeg for t in self.res.twists(i))
-
-        if not src or not dst:
-            return PolyMatrix.zero(
-                self.amb,
-                [t for c in dst for t in twists(*c)],
-                [t for c in src for t in twists(*c)],
-            )
-
-        def part(key, i, j, k, l):
-            if key not in maps:
-                return PolyMatrix.zero(self.amb, twists(k, l), twists(i, j))
-            return maps[key].twisted(l * fdeg)
-
-        return PolyMatrix.block(
-            self.amb, [[part(key, *s, *d) for key, s in zip(row, src)] for row, d in zip(grid, dst)]
-        )
-
-    def betti_over_a(self, upto: int):
-        """Tor ranks of the module over A for homological degrees 0..upto,
-        from the constant parts of d and the sigma_t."""
-        field = self.amb.field
-        consts = {key: _constant_part(mat, field) for key, mat in self.maps().items()}
-        return _tor_ranks(field, self.res.betti, consts, upto)
-
-
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
-    return HypersurfaceComplex(ring_a, module).betti_over_a(upto)
+    """Tor ranks over the hypersurface ring_a = Q/(f) for homological
+    degrees 0..upto: the table of (f,) read at a = (1,).  The module may be
+    given over a quotient of ring_a; only its presentation over Q is read."""
+    if ring_a.c != 1:
+        raise ValueError("hypersurface Tor ranks need a codimension-1 quotient")
+    ambient = ambient_resolution(module)
+    table = homotopy_constants(ambient, ring_a.fs, ring_a.field)
+    return _tor_ranks(ring_a.field, ambient.res.betti, table, (ring_a.field.one,), upto)
 
 
 class SectionRanks:
     """Tor ranks of one module over R = Q/(f_1..f_c) over the hypersurfaces
     Q/(f_a), one direction a at a time.
 
-    The first direction asked builds the homotopies of f_a alone: a process
-    that asks about one direction (a `member` job) pays for nothing more.
-    From the second direction on, the module's multi-index system is built
-    once and only its constant parts are kept; each direction then costs
-    sum_{|alpha|=t} a^alpha const(sigma_alpha), with sigma_0 = d, and the
-    rank work.
+    The first direction asked reads the table of f_a alone: a process that
+    asks about one direction (a `member` job) pays for nothing more.  From
+    the second direction on, the table of f_1..f_c is built once and read
+    at each direction.
     """
 
     def __init__(self):
         self.first = None  # the first direction asked
-        self.betti = None  # ranks of G_0, ..., G_pd, once the system is built
-        # (t, i) -> (alphas with |alpha| = t, their const(sigma_alpha) on G_i
-        # side by side, one (rows * cols, e) block each)
-        self.consts = None
+        self.betti = None  # ranks of G_0, ..., G_pd, once consts is built
+        self.consts = None  # homotopy_constants of f_1..f_c
 
     def betti_at(self, ring: CIRing, module: GradedModule, a, upto: int):
         if self.consts is None and self.first in (None, a):
             self.first = a
             return hypersurface_betti(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
         if self.consts is None:
-            self._build(ring, module)
-        field = ring.field
-
-        def power(alpha):  # a^alpha
-            w = field.one
-            for c, e in zip(a, alpha):
-                for _ in range(e):
-                    w = field.mul(w, c)
-            return w
-
-        consts = {}
-        for (t, i), (alphas, stacked) in self.consts.items():
-            # block alpha of scale is the transposed matrix of multiplication
-            # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x]
-            scale = modlinalg.regular_matrix(field, [[power(alpha) for alpha in alphas]]).T
-            shape = (self.betti[i + 2 * t - 1], self.betti[i], field.e)
-            consts[(t, i)] = modlinalg.matmul(stacked, scale, field.p).reshape(shape)
-        return _tor_ranks(field, self.betti, consts, upto)
-
-    def _build(self, ring: CIRing, module: GradedModule):
-        ambient = ambient_resolution(module)
-        self.betti = ambient.res.betti
-        maps = {((0,) * ring.c, i): ambient.res.differential(i) for i in range(1, ambient.pd + 1)}
-        maps.update(homotopy_system(ambient, ring.fs))
-        groups = {}
-        for (alpha, i), mat in maps.items():
-            const = _constant_part(mat, ring.field)
-            if const.any():
-                groups.setdefault((sum(alpha), i), []).append((alpha, const.reshape(-1, ring.field.e)))
-        self.consts = {
-            key: ([alpha for alpha, _ in parts], np.concatenate([c for _, c in parts], axis=1))
-            for key, parts in groups.items()
-        }
+            ambient = ambient_resolution(module)
+            self.betti = ambient.res.betti
+            self.consts = homotopy_constants(ambient, ring.fs, ring.field)
+        return _tor_ranks(ring.field, self.betti, self.consts, a, upto)
 
 
 def section_betti(ring: CIRing, module: GradedModule, a, upto: int):

@@ -6,13 +6,13 @@ import pytest
 
 from cisupport import cache
 from cisupport.cache import HEADER, cache_key, cache_path, read_cache, write_cache
-from cisupport.catalog import two_var_ring
+from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import residue_module
 from cisupport.cli import EXIT_OK, EXIT_PARSE, main
 from cisupport.groebner import Ideal, equal_up_to_radical
 from cisupport.poly import parse_poly, render_poly
 from cisupport.realize import ConeSpec, realize_cone
-from cisupport.variety import membership, vanishes_at
+from cisupport.variety import membership, vanishes_at, variety_of
 
 EX54 = """\
 field 5
@@ -528,7 +528,7 @@ def test_an_unusable_cache_dir_is_a_parse_error_naming_it(jobfile, capsys, tmp_p
 
 
 # ---------------------------------------------------------------------------
-# known wrong answer (ROADMAP item 1(b))
+# known wrong answers (ROADMAP item 1)
 
 
 def realized_above_degree_bound_job():
@@ -556,3 +556,19 @@ def test_variety_above_the_degree_bound_agrees_with_member(jobfile, capsys):
     chi = two_var_ring(101).chi_ring()
     ideal = Ideal(chi, [parse_poly(chi, g) for g in report["results"]["ideal"]])
     assert report["flags"]["stabilized"] is False or not vanishes_at(ideal, (1, 0), chi.field)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: at degree bound 1, variety_of misses K_quadric's quadric and flags the result stable",
+)
+def test_variety_at_degree_bound_one_agrees_with_member():
+    # K_quadric's variety is Z(chi1 chi2 + 4 chi3^2), cut by a quadric: at
+    # degree bound 1 a right answer is flagged unstable or does not vanish
+    # at the points member puts outside it
+    ring = three_var_ring(5)
+    module = catalog_modules(ring)["K_quadric"]
+    outside = [(0, 0, 1), (1, 1, 2)]
+    assert not any(membership(ring, module, residue_module(ring), a) for a in outside)
+    v = variety_of(ring, module, degree_bound=1)
+    assert not v.stabilized or not any(vanishes_at(v.ideal, a, ring.field) for a in outside)

@@ -21,7 +21,6 @@ from cisupport.cimodule import (
 )
 from cisupport.field import ExtField, PrimeField
 from cisupport.homology import (
-    HypersurfaceComplex,
     _ext_vanishes_general,
     ambient_resolution,
     ext_k_dims,
@@ -106,9 +105,9 @@ def test_hypersurfaces_through_a_ring_share_the_module_resolution():
         got = hypersurface_betti(hyper, module, 6)
         # the module presented over the hypersurface itself: its presentation
         # over Q, and so its resolution there, depends on f
-        direct = HypersurfaceComplex(hyper, restrict_to_ring(module, hyper)).betti_over_a(6)
+        direct = hypersurface_betti(hyper, restrict_to_ring(module, hyper), 6)
         assert got == direct, a
-        assert HypersurfaceComplex(hyper, module).ambient is shared
+        assert ReferenceComplex(hyper, module).ambient is shared
 
 
 def test_membership_builds_one_ambient_resolution_per_module(monkeypatch):
@@ -129,6 +128,26 @@ def test_membership_builds_one_ambient_resolution_per_module(monkeypatch):
     assert any(answers) and not all(answers)
 
 
+def test_membership_against_k_never_reaches_the_annihilator_route(monkeypatch):
+    # the two variety oracles stay independent: against k, membership reads
+    # the Groebner-engine ambient resolution and its homotopies, never the
+    # chi action or the slice engine of the annihilator route
+    from cisupport import operators, resolution, variety
+
+    ring = three_var_ring(3)
+    modules = catalog_modules(ring)  # built first: syz1(k) runs the slice engine
+    k = residue_module(ring)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("membership reached the annihilator route")
+
+    for owner, name in ((operators, "chi_action"), (variety, "chi_action"), (resolution, "_slice_kernel_step")):
+        monkeypatch.setattr(owner, name, forbidden)
+    clear_memo()
+    answers = [membership(ring, module, k, a) for module in modules.values() for a in _points(ring.field, 3)]
+    assert len(answers) == 26 * len(modules) and any(answers) and not all(answers)
+
+
 def test_ext_k_dims_views_a_module_over_a_quotient_over_the_ring():
     q = PolyRing(["x"], field=PrimeField(3))
     ring = CIRing(q, [parse_poly(q, "x^3")])
@@ -142,6 +161,12 @@ def test_ext_k_dims_views_a_module_over_a_quotient_over_the_ring():
     assert ext_k_dims(hyper2, k, 4) == ext_k_dims(hyper2, restrict_to_ring(k, hyper2), 4)
 
 
+def test_hypersurface_betti_needs_a_codimension_one_ring():
+    ring = two_var_ring(3)
+    with pytest.raises(ValueError, match="codimension-1"):
+        hypersurface_betti(ring, residue_module(ring), 3)
+
+
 def apply(mat, column):
     """The matrix times one polynomial column."""
     return mat.mul(PolyMatrix.from_columns(mat.ring, mat.col_twists, [column], (0,))).column(0)
@@ -151,7 +176,7 @@ def test_homotopy_system_identities():
     q = two_var(3)
     a = CIRing(q, [parse_poly(q, "x^2")])
     m = cyclic_module(a, [parse_poly(q, "x"), parse_poly(q, "y^2")])
-    hc = HypersurfaceComplex(a, m)
+    hc = ReferenceComplex(a, m)
     res = hc.res
     f = hc.f
     # d sigma_1 + sigma_1 d = f * id, degree by degree
@@ -330,9 +355,55 @@ def test_regular_representation_rank_is_e_times_the_rank(case):
     assert modlinalg.rank(modlinalg.regular_matrix(field, rows), field.p) == field.e * field_rank(field, rows)
 
 
+class ReferenceComplex:
+    """The Shamash complex of a module over one hypersurface A = Q/(f),
+    test side: the ambient resolution G, the homotopies of (f,) from
+    homotopy_system keyed by (t, i), and the polynomial differential
+    F_m -> F_{m-1} over Q, component (i, j) of F_m being G_i twisted by
+    j deg f."""
+
+    def __init__(self, ring_a, module):
+        self.amb = ring_a.ambient
+        self.f = ring_a.fs[0]
+        self.ambient = homology.ambient_resolution(module)
+        self.pd = self.ambient.pd
+        self.res = self.ambient.res
+        sigma = homology.homotopy_system(self.ambient, (self.f,))
+        self.sigma = {(alpha[0], i): mat for (alpha, i), mat in sigma.items()}
+
+    def maps(self) -> dict:
+        """sigma_t on G_i under (t, i), with sigma_0 = d."""
+        return {**{(0, i): self.res.differential(i) for i in range(1, self.pd + 1)}, **self.sigma}
+
+    def differential(self, m):
+        """d: F_m -> F_{m-1} as one graded block matrix, laid out by
+        homology._shamash_layout."""
+        fdeg = self.f.degree()
+        maps = self.maps()
+        src, dst, grid = homology._shamash_layout(m, self.pd)
+
+        def twists(i, j):
+            return tuple(t + j * fdeg for t in self.res.twists(i))
+
+        if not src or not dst:
+            return PolyMatrix.zero(
+                self.amb, [t for c in dst for t in twists(*c)], [t for c in src for t in twists(*c)]
+            )
+
+        def part(key, i, j, k, l):
+            if key not in maps:
+                return PolyMatrix.zero(self.amb, twists(k, l), twists(i, j))
+            return maps[key].twisted(l * fdeg)
+
+        return PolyMatrix.block(
+            self.amb, [[part(key, *s, *d) for key, s in zip(row, src)] for row, d in zip(grid, dst)]
+        )
+
+
 def reference_betti_over_a(hc, upto):
-    """Tor ranks the way betti_over_a read them before the differential was
-    one block matrix: constant coefficients placed by an offset table."""
+    """Tor ranks of a ReferenceComplex the way they were read before the
+    differential was one block matrix: constant coefficients placed by an
+    offset table."""
     field = hc.amb.field
 
     def components(m):
@@ -438,8 +509,9 @@ def _catalog_complexes():
 def test_block_differential_tor_ranks_equal_the_offset_table(case):
     _, ring, module, directions = case
     for a in directions:
-        hc = HypersurfaceComplex(CIRing(ring.ambient, [ring.form(a)], validate=False), module)
-        assert hc.betti_over_a(6) == reference_betti_over_a(hc, 6), a
+        hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+        want = reference_betti_over_a(ReferenceComplex(hyper, module), 6)
+        assert hypersurface_betti(hyper, module, 6) == want, a
 
 
 def _extension_cases():
@@ -460,8 +532,8 @@ def _extension_cases():
 
 def test_block_differential_tor_ranks_over_an_extension_field():
     for a_ring, module, want in _extension_cases():
-        hc = HypersurfaceComplex(a_ring, module)
-        assert hc.betti_over_a(4) == reference_betti_over_a(hc, 4) == want, a_ring
+        hc = ReferenceComplex(a_ring, module)
+        assert hypersurface_betti(a_ring, module, 4) == reference_betti_over_a(hc, 4) == want, a_ring
         ds = [hc.differential(m).check_homogeneous() for m in range(7)]
         for m in range(1, 7):
             square = ds[m - 1].mul(ds[m])
@@ -473,7 +545,7 @@ def test_block_differential_is_graded_and_squares_to_zero_mod_f(case):
     _, ring, module, directions = case
     for a in directions:
         hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
-        hc = HypersurfaceComplex(hyper, module)
+        hc = ReferenceComplex(hyper, module)
         ds = [hc.differential(m).check_homogeneous() for m in range(7)]
         for m in range(1, 7):
             square = ds[m - 1].mul(ds[m])
@@ -625,12 +697,12 @@ def test_kept_bases_lift_and_build_homotopies_as_separate_bases_did(case, monkey
             assert new.lift(i, col) == old.lift(i, col)
     for a in directions(ring):
         hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
-        got = HypersurfaceComplex(hyper, module)
+        got, got_betti = ReferenceComplex(hyper, module), hypersurface_betti(hyper, module, 5)
         monkeypatch.setattr(homology, "ambient_resolution", lambda m: old)
-        want = HypersurfaceComplex(hyper, module)
+        want, want_betti = ReferenceComplex(hyper, module), hypersurface_betti(hyper, module, 5)
         monkeypatch.undo()
         assert got.sigma == want.sigma, a
-        assert got.betti_over_a(5) == want.betti_over_a(5), a
+        assert got_betti == want_betti, a
 
 
 @pytest.mark.parametrize("ring", [two_var_ring(5), three_var_ring(3)], ids=["2var", "3var"])
@@ -689,7 +761,7 @@ def test_ambient_loop_reaches_projective_dimension_n_for_k():
     k = residue_module(a)
     amb_res = ambient_resolution(k)
     assert amb_res.pd == len(amb_res.bases) == q.n
-    hc = HypersurfaceComplex(a, k)
+    hc = ReferenceComplex(a, k)
     assert any(target == q.n for target in (i + 2 * t - 1 for t, i in hc.sigma))
     assert hypersurface_betti(a, k, 6) == minimal_resolution(a, k, 6, engine="groebner").betti
 
@@ -699,10 +771,10 @@ def test_ambient_loop_reaches_projective_dimension_n_for_k():
 # ranks of each direction specialized from it
 
 
-class PerDirectionComplex(HypersurfaceComplex):
+class PerDirectionComplex(ReferenceComplex):
     """The hypersurface complex as it was built before one recursion served
     every sequence: the homotopies of f alone by the t-indexed loop of the
-    old HypersurfaceComplex._build_homotopies, rerun for every direction."""
+    old per-direction build, rerun for every direction."""
 
     def __init__(self, ring_a, module):
         self.amb = ring_a.ambient
@@ -881,13 +953,13 @@ def test_homotopy_system_identities_over_a_sequence(case):
 
 
 def test_one_sequence_recursion_gives_the_single_f_homotopies():
-    # HypersurfaceComplex is homotopy_system on (f,), keyed by (t, i)
+    # homotopy_system on (f,), keyed by (t, i), is the per-direction build
     ring = three_var_ring(3)
     module = catalog_modules(ring)["syz1(k)"]
     for a in ((1, 0, 0), (1, 2, 1)):
         hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
-        assert HypersurfaceComplex(hyper, module).sigma == PerDirectionComplex(hyper, module).sigma
-    assert not hasattr(HypersurfaceComplex, "_build_homotopies")
+        assert ReferenceComplex(hyper, module).sigma == PerDirectionComplex(hyper, module).sigma
+    assert not hasattr(homology, "HypersurfaceComplex")
 
 
 def _lift_spy(monkeypatch):
