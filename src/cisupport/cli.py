@@ -23,7 +23,6 @@ from .realize import ConeSpec, realize_cone
 from .resolution import minimal_resolution
 from .variety import (
     Subspace,
-    default_degree_bound,
     dimension,
     membership,
     restrict_to_subspace,
@@ -141,6 +140,12 @@ def _matrix_report(mat):
     }
 
 
+def _stability_flags(stabilized: bool, reason: str) -> dict:
+    """The report's stabilized flag, and the reason when it is false; a
+    stable report carries no reason."""
+    return {"stabilized": stabilized, "reason": reason} if not stabilized and reason else {"stabilized": stabilized}
+
+
 def execute(job: JobSpec, command: str, params: dict) -> dict:
     """Build the (deterministic) result body for one command."""
     results = {}
@@ -149,6 +154,9 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
         p_small = job.p if job is not None else 3
         results["properties"] = run_check(p_small=p_small)
         results["passed"] = all(r["passed"] for r in results["properties"])
+        unstable = [r["details"] for r in results["properties"] if r.get("stabilized") is False]
+        if unstable:
+            flags.update(_stability_flags(False, "; ".join(unstable)))
     else:
         ring = job.ci_ring()
         if command != "realize":
@@ -192,7 +200,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             results["dimension"] = dimension(v)
             results["window_used"] = v.window_used
             results["degree_bound"] = v.degree_bound
-            flags["stabilized"] = v.stabilized
+            flags.update(_stability_flags(v.stabilized, v.note))
         elif command == "member":
             if "point" not in params:
                 raise JobSpecError("member needs a point")
@@ -217,7 +225,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             results["subspace"] = [list(r) for r in w.rows]
             results["variety_ideal"] = _ideal_report(v.ideal)
             results["restricted_ideal"] = _ideal_report(restricted)
-            flags["stabilized"] = v.stabilized
+            flags.update(_stability_flags(v.stabilized, v.note))
         elif command == "realize":
             if "cone" not in params:
                 raise JobSpecError("realize needs cone generators")
@@ -236,16 +244,13 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             except ValueError as exc:
                 raise JobSpecError(f"bad cone: {exc}")
             module = realize_cone(ring, spec)
-            # annihilators are only sought up to the degree bound, and a cone
-            # generator of higher degree would go unseen
-            dbound = max([default_degree_bound(ring)] + [q.degree() for q in polys])
-            v = variety_of(ring, module, None, dbound)
+            v = variety_of(ring, module)
             results["cone"] = [render_poly(q) for q in polys]
             results["presentation"] = _matrix_report(module.presentation)
             results["row_twists"] = list(module.row_twists)
             results["variety_ideal"] = _ideal_report(v.ideal)
             results["dimension"] = dimension(v)
-            flags["stabilized"] = v.stabilized
+            flags.update(_stability_flags(v.stabilized, v.note))
         else:
             raise JobSpecError(f"unknown command {command!r}")
     report = {
@@ -335,7 +340,8 @@ def main(argv=None) -> int:
 
     flags = report.get("flags", {})
     if flags.get("stabilized") is False and "allow-unstable" not in given:
-        print("warning: variety computation did not stabilize", file=sys.stderr)
+        reason = f": {flags['reason']}" if flags.get("reason") else ""
+        print(f"warning: variety computation did not stabilize{reason}", file=sys.stderr)
         return EXIT_UNSTABLE
     results = report.get("results", {})
     if command == "check" and not results.get("passed", True):

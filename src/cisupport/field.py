@@ -126,16 +126,18 @@ def _find_irreducible(p: int, e: int):
 
 
 class ExtField:
-    """F_{p^e} for e <= 3, used only for sampling points over extensions."""
+    """F_{p^e}, used for points over extensions.  Without a modulus e <= 3
+    and the first irreducible found is used; a given modulus (monic, of
+    degree e, coefficients low-to-high) must be irreducible."""
 
-    def __init__(self, p: int, e: int):
+    def __init__(self, p: int, e: int, modulus=None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
-        if not 1 <= e <= 3:
+        if modulus is None and not 1 <= e <= 3:
             raise ValueError("extension degree must be 1, 2 or 3")
         self.p = p
         self.e = e
-        self.modulus = _find_irreducible(p, e)
+        self.modulus = _find_irreducible(p, e) if modulus is None else tuple(modulus)
         self.zero = tuple([0] * e)
         self.one = tuple([1] + [0] * (e - 1))
         powers = [tuple(int(k == i) for k in range(e)) for i in range(e)]  # t^i

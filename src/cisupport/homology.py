@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import numpy as np
 
@@ -35,8 +36,10 @@ from .cimodule import (
     subquotient_presentation,
     zero_module,
 )
-from .groebner import vec_to_column
+from .field import ExtField, PrimeField
+from .groebner import Ideal, vec_to_column
 from .pmatrix import PolyMatrix
+from .poly import PolyRing
 from .resolution import FreeResolution, groebner_kernel_step, minimal_resolution
 
 
@@ -245,26 +248,43 @@ class SectionRanks:
     """Tor ranks of one module over R = Q/(f_1..f_c) over the hypersurfaces
     Q/(f_a), one direction a at a time.
 
-    The first direction asked reads the table of f_a alone: a process that
-    asks about one direction (a `member` job) pays for nothing more.  From
-    the second direction on, the table of f_1..f_c is built once and read
-    at each direction.
+    The first direction asked reads the table of f_a alone, kept for when it
+    is asked again: a process that asks about one direction (a `member` job)
+    pays for nothing more.  From the second direction on, the table of
+    f_1..f_c is built once and read at each direction; RankLocus reads the
+    same table.
     """
 
     def __init__(self):
         self.first = None  # the first direction asked
+        self.first_table = None  # (betti, table of f_first alone)
         self.betti = None  # ranks of G_0, ..., G_pd, once consts is built
         self.consts = None  # homotopy_constants of f_1..f_c
 
-    def betti_at(self, ring: CIRing, module: GradedModule, a, upto: int):
-        if self.consts is None and self.first in (None, a):
-            self.first = a
-            return hypersurface_betti(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
+    def table(self, ring: CIRing, module: GradedModule):
+        """The ranks of G and the homotopy_constants table of f_1..f_c."""
         if self.consts is None:
             ambient = ambient_resolution(module)
             self.betti = ambient.res.betti
             self.consts = homotopy_constants(ambient, ring.fs, ring.field)
-        return _tor_ranks(ring.field, self.betti, self.consts, a, upto)
+        return self.betti, self.consts
+
+    def betti_at(self, ring: CIRing, module: GradedModule, a, upto: int):
+        if self.consts is None and self.first in (None, a):
+            if self.first is None:
+                ambient = ambient_resolution(module)
+                self.first = a
+                self.first_table = (ambient.res.betti, homotopy_constants(ambient, [ring.form(a)], ring.field))
+            betti, table = self.first_table
+            return _tor_ranks(ring.field, betti, table, (ring.field.one,), upto)
+        betti, table = self.table(ring, module)
+        return _tor_ranks(ring.field, betti, table, a, upto)
+
+
+def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
+    """The SectionRanks of one module over one ring, in the memo table
+    `homotopies`: the homotopies depend on the forms as well as the module."""
+    return memo("homotopies", (ring.key(), module.content_key()), SectionRanks)
 
 
 def section_betti(ring: CIRing, module: GradedModule, a, upto: int):
@@ -276,8 +296,7 @@ def section_betti(ring: CIRing, module: GradedModule, a, upto: int):
     """
     if ring.ambient.n < 2:
         return ext_k_dims(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
-    sections = memo("homotopies", (ring.key(), module.content_key()), SectionRanks)
-    return sections.betti_at(ring, module, tuple(a), upto)
+    return section_ranks(ring, module).betti_at(ring, module, tuple(a), upto)
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int):
@@ -291,6 +310,263 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
     if module.ring != ring:
         module = restrict_to_ring(module, ring)
     return minimal_resolution(ring, module, upto).betti[: upto + 1]
+
+
+# ---------------------------------------------------------------------------
+# the rank locus of the homotopies
+
+
+def _pmul(a, b, p: int) -> list:
+    """Product of two polynomials over F_p, as coefficient lists low first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _ptrim(a) -> list:
+    a = [int(x) for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _psub(a, b, p: int) -> list:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _ptrim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _pdivmod(a, b, p: int):
+    """Quotient and remainder of a by a nonzero b."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % p
+    return _ptrim(q), _ptrim(r[:db])
+
+
+def _pgcd(a, b, p: int) -> list:
+    """The monic gcd (the zero list when both are zero)."""
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]
+
+
+def _ppowmod(a, n: int, m, p: int) -> list:
+    out, a = [1], _pdivmod(a, m, p)[1]
+    while n:
+        if n & 1:
+            out = _pdivmod(_pmul(out, a, p), m, p)[1]
+        a = _pdivmod(_pmul(a, a, p), m, p)[1]
+        n >>= 1
+    return out
+
+
+def _irreducible_factors(g, p: int, rng) -> list:
+    """The distinct monic irreducible factors of a nonzero g over F_p.
+
+    Distinct-degree factorization: gcd(g, x^(p^e) - x) collects the factors
+    of degree e once the lower ones are divided out.  Each such product is
+    split by Cantor-Zassenhaus; the random choices change only the running
+    time, never the factors.
+    """
+    rest, out, xq, e = _pgcd(g, [], p), [], [0, 1], 0
+    while len(rest) > 1:
+        e += 1
+        xq = _ppowmod(xq, p, rest, p)  # x^(p^e) mod rest
+        part = _pgcd(rest, _psub(xq, [0, 1], p), p)
+        if len(part) > 1:
+            out += _split_equal_degree(part, e, p, rng)
+            while len(common := _pgcd(rest, part, p)) > 1:
+                rest = _pdivmod(rest, common, p)[0]
+            xq = _pdivmod(xq, rest, p)[1]
+    return out
+
+
+def _split_equal_degree(f, e: int, p: int, rng) -> list:
+    """The irreducible factors of f, a product of distinct ones of degree e."""
+    if len(f) - 1 == e:
+        return [f]
+    while True:
+        a = _ptrim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if p == 2:  # the trace a + a^2 + ... + a^(2^(e-1)) is 0 or 1 at each root
+            b = t = a
+            for _ in range(e - 1):
+                t = _pdivmod(_pmul(t, t, p), f, p)[1]
+                b = _psub(b, [-x for x in t], p)
+        else:  # a^((p^e - 1)/2) is 1 or -1 at each root where a is nonzero
+            b = _psub(_ppowmod(a, (p**e - 1) // 2, f, p), [1], p)
+        d = _pgcd(f, b, p)
+        if 1 < len(d) < len(f):
+            return _split_equal_degree(d, e, p, rng) + _split_equal_degree(_pdivmod(f, d, p)[0], e, p, rng)
+
+
+def _exact_quotient(num: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
+    """num / d for polynomial entries (coefficients on the last axis) that d
+    divides exactly, trimmed to the highest nonzero coefficient."""
+    dd = len(d) - 1
+    inv = pow(int(d[-1]), -1, p)
+    num = num.copy()
+    q = np.zeros(num.shape[:-1] + (max(num.shape[-1] - dd, 1),), dtype=np.int64)
+    for k in range(num.shape[-1] - 1 - dd, -1, -1):
+        c = q[..., k] = num[..., k + dd] * inv % p
+        if dd:
+            num[..., k : k + dd] = (num[..., k : k + dd] - c[..., None] * d[:dd]) % p
+    top = np.flatnonzero(q.reshape(-1, q.shape[-1]).any(axis=0))
+    return q[..., : top[-1] + 1 if top.size else 1]
+
+
+def _generic_rank(stack: np.ndarray, p: int):
+    """Rank over F_p(x) of the polynomial matrix sum_k x^k stack[k], and one
+    nonzero minor of that size: fraction-free (Bareiss) elimination, where
+    each step's entries are minors of the matrix and the last pivot is the
+    minor returned."""
+    a = np.moveaxis(stack % p, 0, -1)
+    prev, rank = np.ones(1, dtype=np.int64), 0
+    while a.shape[0] and a.shape[1] and a.any():
+        k = a.shape[2]
+        # the pivot of least degree keeps the entries small
+        deg = np.where(a.any(axis=2), k - 1 - np.argmax(a[..., ::-1] != 0, axis=2), k)
+        i, j = np.unravel_index(np.argmin(deg), deg.shape)
+        a = a[[i] + [r for r in range(a.shape[0]) if r != i]][:, [j] + [c for c in range(a.shape[1]) if c != j]]
+        piv = a[0, 0, : deg[i, j] + 1]
+        col, row, rest = a[1:, 0], a[0, 1:], a[1:, 1:]
+        new = np.zeros(rest.shape[:2] + (k + max(len(piv), k) - 1,), dtype=np.int64)
+        for u, c in enumerate(piv):  # piv * rest - col (x) row
+            if c:
+                new[..., u : u + k] = (new[..., u : u + k] + int(c) * rest) % p
+        for u in range(k):
+            if col[:, u].any():
+                new[..., u : u + k] = (new[..., u : u + k] - col[:, u, None, None] * row[None]) % p
+        a, prev, rank = _exact_quotient(new, prev, p), piv, rank + 1
+    return rank, _ptrim(prev)
+
+
+class RankLocus:
+    """The support variety V(M) read from the module's own homotopies.
+
+    Let G = E + O be the ambient resolution split into its even and odd
+    parts, and D(chi) = sum_alpha chi^alpha const(sigma_alpha) (the one
+    homotopy_constants table of f_1..f_c, with sigma_0 = d) as maps D_0(chi):
+    E -> O and D_1(chi): O -> E.  Reduced mod the irrelevant ideal, the
+    Shamash resolution over Q/(f_a) is, past pd G, the Z/2-graded complex
+    D(a); so Tor over Q/(f_a) is eventually zero exactly when D(a) is exact,
+    and since M is torsion over Q, dim E = dim O = N and
+        V(M) = {a : rank D_0(a) + rank D_1(a) < N}
+    with no window and no degree bound (Eisenbud, Trans. AMS 260 (1980),
+    section 7; Avramov-Buchweitz, Invent. Math. 142 (2000)).  It is a cone:
+    the block of sigma_alpha on G_i has chi-degree |alpha|.
+
+    contains(a) is the rank test at a point of F_p^c; it decides the
+    question membership decides, from the same table.  on_line(u, v, ring2)
+    is the locus on the line {s1 u + s2 v}, exact: it is the whole line when
+    the generic ranks r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to
+    less than N, and otherwise the finitely many points where one of them
+    drops.  Those are roots of the gcd of a few r-minors (one from the
+    elimination that finds r, and the determinants of two random r x r
+    compressions U D V, which Cauchy-Binet makes combinations of r-minors);
+    every root of that gcd, over the field F_p[x]/(h) of its irreducible
+    factor h, and the point x = infinity (u itself) are then kept or dropped
+    by the rank there, so the answer does not rest on the random choices.
+    For c = 2 the line through (1, 0) and (0, 1) is all of P^1, so its ideal
+    is V(M) itself, up to radical.  Nothing here reads the chi action.
+    """
+
+    def __init__(self, ring: CIRing, module: GradedModule):
+        if not isinstance(ring.field, PrimeField):
+            raise ValueError("rank loci are computed over prime fields")
+        self.p = ring.field.p
+        self.c = ring.c
+        self.betti, self.table = section_ranks(ring, module).table(ring, module)
+        self.n = sum(self.betti[0::2])
+        if self.n != sum(self.betti[1::2]):
+            raise AssertionError("the ambient resolution of a torsion module has dim E = dim O")
+        self._points = {}
+
+    def _pencil(self, u, v):
+        """D_0 and D_1 at x u + v as stacks of coefficient matrices of
+        x^0, x^1, ... over F_p."""
+        p, betti = self.p, self.betti
+        offset = [sum(betti[j] for j in range(i % 2, i, 2)) for i in range(len(betti))]
+        size = (sum(betti[1::2]), sum(betti[0::2]))  # (|O|, |E|)
+        top = max((t for t, _ in self.table), default=0)
+        d = [np.zeros((top + 1,) + size, dtype=np.int64), np.zeros((top + 1,) + size[::-1], dtype=np.int64)]
+        for (t, i), (alphas, stacked) in self.table.items():
+            powers = np.zeros((len(alphas), top + 1), dtype=np.int64)  # (x u + v)^alpha
+            for row, alpha in zip(powers, alphas):
+                f = functools.reduce(
+                    lambda g, j: _pmul(g, [v[j], u[j]], p), [j for j, e in enumerate(alpha) for _ in range(e)], [1]
+                )
+                row[: len(f)] = f
+            k = i + 2 * t - 1
+            block = modlinalg.matmul(stacked, powers, p).reshape(betti[k], betti[i], top + 1)
+            d[i % 2][:, offset[k] : offset[k] + betti[k], offset[i] : offset[i] + betti[i]] = np.moveaxis(block, 2, 0)
+        return d
+
+    def _exact_at(self, d, modulus) -> bool:
+        """Is D exact at the root x of the monic irreducible modulus, in the
+        field F_p[x]/(modulus)?"""
+        p, e = self.p, len(modulus) - 1
+        fld = ExtField(p, e, modulus)
+        root = tuple(int(k == 1) for k in range(e)) if e > 1 else (-modulus[0] % p,)
+        powers = [fld.one]
+        while len(powers) < len(d[0]):
+            powers.append(fld.mul(powers[-1], root))
+        powers = np.array(powers, dtype=np.int64)
+        rank = 0
+        for m in d:
+            if m[0].size:
+                at = modlinalg.matmul(m.reshape(len(m), -1).T, powers, p).reshape(m.shape[1:] + (e,))
+                rank += modlinalg.rank(modlinalg.regular_matrix(fld, at), p)
+        return rank == e * self.n
+
+    def contains(self, a) -> bool:
+        """Is the point a of F_p^c in the rank locus?"""
+        a = tuple(int(x) % self.p for x in a)
+        if a not in self._points:
+            d = self._pencil((0,) * self.c, a)
+            self._points[a] = sum(modlinalg.rank(m[0], self.p) for m in d) < self.n
+        return self._points[a]
+
+    def on_line(self, u, v, ring2: PolyRing) -> Ideal:
+        """The locus on the line {s1 u + s2 v}, as an ideal of ring2 = k[s1, s2]
+        whose zero set it is."""
+        p = self.p
+        rng = random.Random(repr((u, v)))
+        d = self._pencil(u, v)
+        ranks, gcds = [], []
+        for m in d:
+            r, g = _generic_rank(m, p)
+            for _ in range(2 if r else 0):
+                left = np.array([[rng.randrange(p) for _ in range(m.shape[1])] for _ in range(r)], dtype=np.int64)
+                right = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m.shape[2])], dtype=np.int64)
+                rc, det = _generic_rank(modlinalg.matmul(modlinalg.matmul(left, m, p), right, p), p)
+                if rc == r:
+                    g = _pgcd(g, det, p)
+            ranks.append(r)
+            gcds.append(g)
+        if sum(ranks) < self.n:
+            return Ideal(ring2, [])
+        s1, s2 = ring2.var_poly(0), ring2.var_poly(1)
+        points = [
+            ring2.from_terms(((k, len(h) - 1 - k), c) for k, c in enumerate(h))
+            for h in _irreducible_factors(_pmul(*gcds, p), p, rng)
+            if not self._exact_at(d, h)
+        ]
+        if self.contains(u):  # x = infinity
+            points.append(s2)
+        if not points:
+            return Ideal(ring2, [s1, s2])
+        return Ideal(ring2, [functools.reduce(lambda f, g: f * g, points)])
 
 
 # ---------------------------------------------------------------------------

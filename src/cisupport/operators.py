@@ -158,7 +158,7 @@ class ExtKModule:
         return True
 
 
-def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
+def chi_action(ring: CIRing, module: GradedModule, window: int, previous: ExtKModule = None) -> ExtKModule:
     """The k[chi]-action on Ext(M, k) over homological degrees [0, window].
 
     Works directly with the scalar parts of the operator decomposition: for
@@ -168,80 +168,87 @@ def chi_action(ring: CIRing, module: GradedModule, window: int) -> ExtKModule:
     of that degree's span matrix shared by every homological degree.  The
     span matrix is the degree-gap slice of the row (f_1 .. f_c) over Q; the
     coefficient of f_i is read at the column of f_i * 1.
+
+    previous, the action of the same module over a shorter window, is
+    extended: only the t_i[n] with n past its window are solved, as
+    minimal_resolution extends its memo entry.
     """
     if window < 2:
         raise ValueError("window must be >= 2")
     amb = ring.ambient
     if not isinstance(amb.field, PrimeField):
         raise ValueError("chi actions are computed over prime fields")
+    if previous is not None and previous.window > window:
+        raise ValueError("can only extend an action over a shorter window")
     p = amb.field.p
     res = minimal_resolution(ring, module, window)
-    dims = list(res.betti[: window + 1])
+    chi_maps = [dict(m) for m in previous.chi_maps] if previous else [{} for _ in range(ring.c)]
+    spans = {}  # gap degree g -> (solver, forms of degree g, columns of f_i * 1)
+    for n in range(previous.window + 1 if previous else 2, window + 1):
+        # chi_i acts from Ext^(n-2) as the transpose of t_i[n]'s scalar part
+        for i, t in enumerate(_scalar_t(ring, res, n, spans)):
+            chi_maps[i][n - 2] = t.T % p
+    return ExtKModule(ring, list(res.betti[: window + 1]), chi_maps, window)
+
+
+def _scalar_t(ring: CIRing, res: FreeResolution, n: int, spans: dict) -> list:
+    """The scalar parts of t_1[n], ..., t_c[n], each a b_{n-2} x b_n matrix;
+    spans keeps each gap degree's solver for the next n."""
+    amb = ring.ambient
+    p = amb.field.p
     fdeg = [f.degree() for f in ring.fs]
-    free = CIRing(amb, ())
-    forms = PolyMatrix(amb, [list(ring.fs)], (0,), fdeg)
-    scalar_t = {}  # (i, n) -> scalar part of t_i[n], a b_{n-2} x b_n matrix
-    span_cache = {}  # gap degree g -> (solver, forms of degree g, columns of f_i * 1)
-    for n in range(2, window + 1):
-        rows_tw = np.array(res.twists(n - 2), dtype=np.int64)
-        cols_tw = np.array(res.twists(n), dtype=np.int64)
-        bn2, bn = dims[n - 2], dims[n]
-        tmats = [np.zeros((bn2, bn), dtype=np.int64) for _ in range(ring.c)]
-        gap = cols_tw[None, :] - rows_tw[:, None]
-        gaps = {}
-        for g in sorted(set(fdeg)):
-            rr, cc = np.nonzero(gap == g)
-            if rr.size:
-                gaps[g] = (rr, cc)
-        if gaps:
-            a_parts = res.differential(n - 1).coefficient_arrays()
-            b_parts = res.differential(n).coefficient_arrays()
-            prod_coeffs = {}
-            for m1, a1 in a_parts.items():
-                d1 = amb.wdeg(m1)
-                for m2, b2 in b_parts.items():
-                    if d1 + amb.wdeg(m2) not in gaps:
-                        continue
-                    m = mono_mul(m1, m2)
-                    acc = prod_coeffs.get(m)
-                    prod = modlinalg.matmul(a1, b2, p)
-                    prod_coeffs[m] = prod if acc is None else (acc + prod) % p
-            for g, (rr, cc) in gaps.items():
-                if g not in span_cache:
-                    gens, positions = free_blocks(free, fdeg, g)[1][g]
-                    solver = modlinalg.Solver(slice_matrix(free, forms, g), p)
-                    span_cache[g] = (solver, gens, positions[:, 0])
-                solver, gens, units = span_cache[g]
-                monos_g = amb.monomials_of_degree(g)
-                rhs = np.zeros((len(monos_g), rr.size), dtype=np.int64)
-                for t, m in enumerate(monos_g):
-                    cm = prod_coeffs.get(m)
-                    if cm is not None:
-                        rhs[t] = cm[rr, cc]
-                sol = solver(rhs)
-                if sol is None:
-                    raise AssertionError("square not decomposable along the forms")
-                for i, col in zip(gens, units):
-                    tmats[i][rr, cc] = sol[col]
-        for i in range(ring.c):
-            scalar_t[i, n] = tmats[i]
-    return _ext_k_module(ring, dims, lambda i, n: scalar_t[i, n], window)
+    rows_tw = np.array(res.twists(n - 2), dtype=np.int64)
+    cols_tw = np.array(res.twists(n), dtype=np.int64)
+    tmats = [np.zeros((len(rows_tw), len(cols_tw)), dtype=np.int64) for _ in range(ring.c)]
+    gap = cols_tw[None, :] - rows_tw[:, None]
+    gaps = {}
+    for g in sorted(set(fdeg)):
+        rr, cc = np.nonzero(gap == g)
+        if rr.size:
+            gaps[g] = (rr, cc)
+    if not gaps:
+        return tmats
+    a_parts = res.differential(n - 1).coefficient_arrays()
+    b_parts = res.differential(n).coefficient_arrays()
+    prod_coeffs = {}
+    for m1, a1 in a_parts.items():
+        d1 = amb.wdeg(m1)
+        for m2, b2 in b_parts.items():
+            if d1 + amb.wdeg(m2) not in gaps:
+                continue
+            m = mono_mul(m1, m2)
+            acc = prod_coeffs.get(m)
+            prod = modlinalg.matmul(a1, b2, p)
+            prod_coeffs[m] = prod if acc is None else (acc + prod) % p
+    for g, (rr, cc) in gaps.items():
+        if g not in spans:
+            free = CIRing(amb, ())
+            forms = PolyMatrix(amb, [list(ring.fs)], (0,), fdeg)
+            gens, positions = free_blocks(free, fdeg, g)[1][g]
+            spans[g] = (modlinalg.Solver(slice_matrix(free, forms, g), p), gens, positions[:, 0])
+        solver, gens, units = spans[g]
+        monos_g = amb.monomials_of_degree(g)
+        rhs = np.zeros((len(monos_g), rr.size), dtype=np.int64)
+        for t, m in enumerate(monos_g):
+            cm = prod_coeffs.get(m)
+            if cm is not None:
+                rhs[t] = cm[rr, cc]
+        sol = solver(rhs)
+        if sol is None:
+            raise AssertionError("square not decomposable along the forms")
+        for i, col in zip(gens, units):
+            tmats[i][rr, cc] = sol[col]
+    return tmats
 
 
 def chi_action_from_family(family: OperatorFamily) -> ExtKModule:
-    """Action induced by an explicitly computed operator family."""
-    dims = list(family.res.betti[: family.window + 1])
-    return _ext_k_module(family.ring, dims, family.scalar_t, family.window)
-
-
-def _ext_k_module(ring: CIRing, dims, scalar_t, window: int) -> ExtKModule:
-    """Ext(M, k) with chi_i acting from Ext^n as the transpose of the scalar
-    part scalar_t(i, n + 2) of t_i: F_{n+2} -> F_n."""
-    p = ring.field.p
+    """Action induced by an explicitly computed operator family: chi_i acts
+    from Ext^n as the transpose of the scalar part of t_i[n + 2]."""
+    ring, window = family.ring, family.window
     chi_maps = [
-        {n: scalar_t(i, n + 2).T % p for n in range(window - 1)} for i in range(ring.c)
+        {n: family.scalar_t(i, n + 2).T % ring.field.p for n in range(window - 1)} for i in range(ring.c)
     ]
-    return ExtKModule(ring, dims, chi_maps, window)
+    return ExtKModule(ring, list(family.res.betti[: window + 1]), chi_maps, window)
 
 
 def evaluate_chi_class(ring: CIRing, module: GradedModule, p_chi: Poly, window: int):

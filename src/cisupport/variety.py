@@ -13,6 +13,7 @@ stabilization flag since no effective generation bound is assumed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .cimodule import (
 )
 from .field import ExtField, PrimeField, digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import ext_vanishes, section_betti
+from .homology import RankLocus, ext_vanishes, section_betti
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -223,29 +224,96 @@ def default_degree_bound(ring: CIRing) -> int:
     return ring.ambient.n + ring.c
 
 
+def _projective_points(p: int, c: int):
+    """The points of P^(c-1)(F_p), first nonzero coordinate one."""
+    return [a for a in itertools.product(range(p), repeat=c) if any(a) and a[next(i for i in range(c) if a[i])] == 1]
+
+
+def _probes(ring: CIRing):
+    """The points of F_p^c and the lines (u, v) where the ideal is compared
+    with the rank locus.  For c = 2 the one line is all of P^1; for c >= 3,
+    every point of P^(c-1)(F_p) when there are at most 31 (p <= 5 at c = 3),
+    else 8 seeded points, and two seeded lines."""
+    p, c = ring.field.p, ring.c
+    if c == 2:
+        return [], [((1, 0), (0, 1))]
+    count = (p**c - 1) // (p - 1)
+    points = _projective_points(p, c) if count <= 31 else sample_points(ring, 8)
+    rng = random.Random(f"lines {p} {c}")
+    lines = []
+    while len(lines) < 2:
+        u, v = (tuple(rng.randrange(p) for _ in range(c)) for _ in range(2))
+        if modlinalg.rank(np.array([u, v], dtype=np.int64), p) == 2:
+            lines.append((u, v))
+    return points, lines
+
+
+def _disagreement(ring: CIRing, locus: RankLocus, ideal: Ideal) -> str:
+    """Where the zero set of the ideal and the rank locus differ, or "" when
+    no probe tells them apart.
+
+    For c <= 2 the comparison is exact: c = 1 asks the one point of P^0,
+    and c = 2 compares with the whole locus up to radical.  For c >= 3 it
+    is exact on each probe line (the restricted ideal against the locus of
+    the line, up to radical) and at each probe point; elsewhere the two
+    agree only as far as those samples show.
+    """
+    if ring.c == 0:
+        return ""
+    points, lines = _probes(ring) if ring.c > 1 else ([(1,)], [])
+    for a in points:
+        if vanishes_at(ideal, a, ring.field) != locus.contains(a):
+            return f"the annihilator ideal and the rank locus differ at {a}"
+    for u, v in lines:
+        ring2 = ring.chi_ring() if ring.c == 2 else ring.s_ring(2)
+        on_line = ideal if ring.c == 2 else substitute_linear(ideal, [u, v], ring2)
+        if not equal_up_to_radical(on_line, locus.on_line(u, v, ring2)):
+            where = "" if ring.c == 2 else f" on the line through {u} and {v}"
+            return f"the annihilator ideal and the rank locus differ{where}"
+    return ""
+
+
 def variety_of(
     ring: CIRing,
     module: GradedModule,
     window: int = None,
     degree_bound: int = None,
 ) -> SupportVariety:
-    """Support variety of a module via the annihilator of the chi action.
+    """Support variety of a module via the annihilator of the chi action,
+    certified by the rank locus of the module's homotopies.
 
-    The ideal is computed at window and at window + 2, both from one chi
-    action at window + 2 and one annihilator pass; if the two agree up to
-    radical the result is flagged stabilized, otherwise it is returned
-    flagged unstable, never silently.  The degree bound must be at least 1:
-    below that no annihilator element is ever looked at.
+    Without a window or a degree bound, the degree bound climbs d = 1, 2, ...
+    with window w = 2d + 2, extending one chi action, and stops at the
+    first annihilator ideal whose zero set the rank locus confirms (see
+    _disagreement).  With either given, the one (d, w) they name is
+    certified: d defaults to n + c and w to 2(n + c) + 4, and w is raised to
+    2d + 2.  An ideal the locus does not confirm is returned flagged
+    unstable, with the reason in its note, never silently.  The degree bound
+    must be at least 1: below that no annihilator element is ever looked at.
     """
     if degree_bound is not None and degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    w = window if window is not None else default_window(ring)
-    d = degree_bound if degree_bound is not None else default_degree_bound(ring)
-    w = max(w, 2 * d + 2, 2)
-    e2 = chi_action(ring, module, w + 2)
-    i1, i2 = annihilator_ideals(e2, d, (w, w + 2))
-    stabilized = equal_up_to_radical(i1, i2)
-    return SupportVariety(ring, i2, w + 2, stabilized, d)
+    if window is None and degree_bound is None:
+        # past twice the default degree bound, the chi action grows too
+        # long to climb further; realize cones of degree up to 2(n+c)+1 fit
+        top = 2 * default_degree_bound(ring) + 1
+        rungs = [(d, 2 * d + 2) for d in range(1, top + 1)]
+    else:
+        d = degree_bound if degree_bound is not None else default_degree_bound(ring)
+        rungs = [(d, max(window if window is not None else default_window(ring), 2 * d + 2))]
+    locus = RankLocus(ring, module)
+    ext = None
+    for d, w in rungs:
+        ext = chi_action(ring, module, w, ext)
+        ideal = annihilator_ideals(ext, d, (w,))[0]
+        reason = _disagreement(ring, locus, ideal)
+        if not reason:
+            return SupportVariety(ring, ideal, w, True, d)
+    if len(rungs) > 1:
+        reason = f"no degree bound up to {d} gives an ideal the rank locus confirms ({reason})"
+    else:
+        reason = f"at degree bound {d} and window {w}, {reason}"
+    return SupportVariety(ring, ideal, w, False, d, note=reason)
 
 
 def variety_of_pair(
@@ -260,7 +328,8 @@ def variety_of_pair(
     Pairs reduce to single-module varieties (the pair variety is the
     intersection); when the second argument is k or the module itself the
     single variety is returned directly.  Three sampled directions are
-    always cross-validated against the membership oracle.
+    always cross-validated against the membership oracle; a disagreement
+    returns the variety flagged unstable, with the point in its note.
     """
     if is_residue_field(other) or other.content_key() == module.content_key():
         v = variety_of(ring, module, window, degree_bound)
@@ -269,12 +338,9 @@ def variety_of_pair(
         v2 = variety_of(ring, other, window, degree_bound)
         v = intersection_variety(v1, v2)
     for coords in sample_points(ring, 3):
-        oracle = membership(ring, module, other, coords)
-        annih = vanishes_at(v.ideal, coords, ring.field)
-        if oracle != annih:
-            raise AssertionError(
-                f"membership oracle disagrees with annihilator ideal at {coords}"
-            )
+        if membership(ring, module, other, coords) != vanishes_at(v.ideal, coords, ring.field):
+            reason = f"the membership oracle disagrees with the annihilator ideal at {coords}"
+            return SupportVariety(ring, v.ideal, v.window_used, False, v.degree_bound, note=reason)
     return v
 
 
@@ -296,16 +362,18 @@ def sample_points(ring: CIRing, count: int, seed: int = 11):
 
 
 def _combine(v1: SupportVariety, v2: SupportVariety, op, note: str) -> SupportVariety:
-    """The variety of op(v1.ideal, v2.ideal), for two varieties over one ring."""
+    """The variety of op(v1.ideal, v2.ideal), for two varieties over one ring;
+    an unstable input passes its reason on."""
     if v1.ring.key() != v2.ring.key():
         raise ValueError("varieties over different rings")
+    reasons = [v.note for v in (v1, v2) if not v.stabilized]
     return SupportVariety(
         v1.ring,
         op(v1.ideal, v2.ideal),
         min(v1.window_used, v2.window_used),
-        v1.stabilized and v2.stabilized,
+        not reasons,
         max(v1.degree_bound, v2.degree_bound),
-        note=note,
+        note="; ".join(reasons) or note,
     )
 
 

@@ -12,7 +12,7 @@ from cisupport.cli import EXIT_OK, EXIT_PARSE, main
 from cisupport.groebner import Ideal, equal_up_to_radical
 from cisupport.poly import parse_poly, render_poly
 from cisupport.realize import ConeSpec, realize_cone
-from cisupport.variety import membership, vanishes_at, variety_of
+from cisupport.variety import SupportVariety, membership, vanishes_at, variety_of
 
 EX54 = """\
 field 5
@@ -544,7 +544,6 @@ def realized_above_degree_bound_job():
     )
 
 
-@pytest.mark.xfail(strict=True, reason="variety cannot see an annihilator above its degree bound")
 def test_variety_above_the_degree_bound_agrees_with_member(jobfile, capsys):
     # the module's variety is Z(chi1^5 - 3 chi2^5), cut by a form of degree
     # 5 > n + c = 4; a right answer either finds it or is flagged unstable
@@ -558,10 +557,6 @@ def test_variety_above_the_degree_bound_agrees_with_member(jobfile, capsys):
     assert report["flags"]["stabilized"] is False or not vanishes_at(ideal, (1, 0), chi.field)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: at degree bound 1, variety_of misses K_quadric's quadric and flags the result stable",
-)
 def test_variety_at_degree_bound_one_agrees_with_member():
     # K_quadric's variety is Z(chi1 chi2 + 4 chi3^2), cut by a quadric: at
     # degree bound 1 a right answer is flagged unstable or does not vanish
@@ -572,3 +567,46 @@ def test_variety_at_degree_bound_one_agrees_with_member():
     assert not any(membership(ring, module, residue_module(ring), a) for a in outside)
     v = variety_of(ring, module, degree_bound=1)
     assert not v.stabilized or not any(vanishes_at(v.ideal, a, ring.field) for a in outside)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_variety_of_a_realized_cone_is_the_cone(d, tmp_path):
+    # the degree ladder climbs to the cone's degree by itself; realize passes
+    # no degree bound
+    import realize_cones
+
+    ok, line = realize_cones.variety_of_realized_cone(5, d, str(tmp_path))
+    assert ok and "exit 0" in line, line
+
+
+def test_a_certified_bound_the_locus_refutes_is_unstable_with_its_reason(jobfile, capsys):
+    # at degree bound 4 the chi1^5 - 3 chi2^5 cone goes unseen: the rank
+    # locus refutes the zero ideal, and the report and stderr say why
+    path = jobfile(realized_above_degree_bound_job())
+    code, out, err = run_cli(capsys, ["variety", "--input", path, "--degree-bound", "4"])
+    report = json.loads(out)
+    assert code == 3 and report["results"]["ideal"] == [] and report["flags"]["stabilized"] is False
+    reason = report["flags"]["reason"]
+    assert reason.startswith("at degree bound 4 and window 12, the annihilator ideal and the rank locus differ")
+    assert err == f"warning: variety computation did not stabilize: {reason}\n"
+    code, out, _ = run_cli(capsys, ["variety", "--input", path])
+    report = json.loads(out)
+    assert code == EXIT_OK and report["results"]["ideal"] == ["chi1^5 + 98*chi2^5"]
+    assert report["results"]["degree_bound"] == 5 and report["results"]["window_used"] == 12
+    assert "reason" not in report["flags"]
+
+
+def test_check_with_an_unstable_pair_variety_exits_unstable(capsys, monkeypatch):
+    import cisupport.checksuite as checksuite
+
+    real = checksuite.variety_of_pair
+
+    def unstable(ring, module, other):
+        v = real(ring, module, other)
+        return SupportVariety(v.ring, v.ideal, v.window_used, False, v.degree_bound, note="sampled point disagrees")
+
+    monkeypatch.setattr(checksuite, "variety_of_pair", unstable)
+    code, out, err = run_cli(capsys, ["check"])
+    report = json.loads(out)
+    assert code == 3 and report["flags"]["stabilized"] is False
+    assert "sampled point disagrees" in report["flags"]["reason"] and "sampled point disagrees" in err

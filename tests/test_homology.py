@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 
 import numpy as np
 import pytest
@@ -1021,3 +1022,43 @@ def test_the_module_system_is_built_once_and_later_directions_lift_nothing(monke
     assert systems == [1, 3]
     assert per_direction[0] > 0 and per_direction[1] > per_direction[0]
     assert per_direction[2:] == [0] * (len(per_direction) - 2)
+
+
+def test_a_repeated_first_direction_builds_its_homotopies_once(monkeypatch):
+    ring = three_var_ring(3)
+    module = catalog_modules(ring)["K_quadric"]
+    k = residue_module(ring)
+    systems = []
+    real = homology.homotopy_system
+
+    def spy(ambient, fs):
+        systems.append(len(fs))
+        return real(ambient, fs)
+
+    monkeypatch.setattr(homology, "homotopy_system", spy)
+    clear_memo()
+    answers = {membership(ring, module, k, (1, 1, 0)) for _ in range(3)}
+    assert systems == [1] and len(answers) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 101]),
+    st.lists(st.lists(st.integers(0, 100), min_size=2, max_size=4), min_size=1, max_size=4),
+)
+def test_irreducible_factors_match_sympy(p, parts):
+    # products of small random polynomials, repeated factors included
+    from sympy import GF, Poly as SymPoly, symbols
+
+    x = symbols("x")
+    g = [1]
+    for part in parts + parts[:1]:
+        f = homology._ptrim([c % p for c in part])
+        if len(f) > 1:
+            g = homology._pmul(g, f, p)
+    got = sorted(tuple(h) for h in homology._irreducible_factors(g, p, random.Random(0)))
+    want = sorted(
+        tuple(homology._pgcd([int(c) % p for c in reversed(f.all_coeffs())], [], p))
+        for f, _ in SymPoly(list(reversed(g)), x, modulus=p).factor_list()[1]
+    )
+    assert got == want

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisupport import modlinalg, variety
+from cisupport import modlinalg, operators
 from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
@@ -254,17 +254,35 @@ def test_truncated_chi_action_equals_direct_action(ring, name):
 
 
 def test_variety_of_computes_one_chi_action(monkeypatch):
-    windows = []
-    real = variety.chi_action
+    # the degree ladder extends one chi action rung by rung: across the
+    # ladder each scalar t_i[n] block is solved once, up to the window used
+    solved = []
+    real = operators._scalar_t
 
-    def counting(ring, module, window):
-        windows.append(window)
-        return real(ring, module, window)
+    def counting(ring, res, n, spans):
+        solved.append(n)
+        return real(ring, res, n, spans)
 
-    monkeypatch.setattr(variety, "chi_action", counting)
+    monkeypatch.setattr(operators, "_scalar_t", counting)
     ring = three_var_ring(3)
-    v = variety_of(ring, residue_module(ring))
-    assert windows == [v.window_used]
+    for module in (residue_module(ring), catalog_modules(ring)["K_quadric"]):
+        solved.clear()
+        v = variety_of(ring, module)
+        assert v.stabilized
+        assert solved == list(range(2, v.window_used + 1))
+    assert v.degree_bound == 2  # K_quadric's quadric needs a second rung
+
+
+@pytest.mark.parametrize("ring,name", ACTION_CASES)
+def test_extended_chi_action_equals_direct_action(ring, name):
+    module = module_of(ring, name)
+    direct = chi_action(ring, module, 8)
+    extended = chi_action(ring, module, 8, chi_action(ring, module, 5))
+    assert extended.window == direct.window and extended.dims == direct.dims
+    for i in range(ring.c):
+        assert sorted(extended.chi_maps[i]) == sorted(direct.chi_maps[i])
+        for n, m in direct.chi_maps[i].items():
+            assert np.array_equal(extended.chi_maps[i][n], m)
 
 
 # ---------------------------------------------------------------------------

@@ -554,3 +554,17 @@ def test_non_monomial_artinian_quotient_end_to_end():
         assert v.stabilized
         for pt in itertools.product(range(5), repeat=2):
             assert membership(ring, m, k, pt) == vanishes_at(v.ideal, pt, ring.field)
+
+
+def test_a_pair_variety_the_oracle_disputes_is_unstable_not_an_error(monkeypatch):
+    import cisupport.variety as variety_mod
+
+    ring = two_var_ring(3)
+    mx = cyclic_module(ring, [P(ring.ambient, "x")])
+    k = residue_module(ring)
+    assert variety_of_pair(ring, mx, k).stabilized
+    monkeypatch.setattr(variety_mod, "membership", lambda *args: True)  # outside points say yes
+    v = variety_of_pair(ring, mx, k)
+    assert not v.stabilized
+    assert v.note.startswith("the membership oracle disagrees with the annihilator ideal at ")
+    assert [render_poly(g) for g in v.ideal.gens] == ["chi2"]
