@@ -10,8 +10,12 @@ sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
 table of constant parts, homotopy_constants, serves every direction, and
 one routine, _tor_ranks, reads it at a point: hypersurface_betti reads the
 table of (f,) at a = (1,), and section_betti the table of f_1..f_c at each
-direction after the first.  The general Ext test applies Hom(-, N) to a
-minimal resolution and compares kernel and image by Groebner containments.
+direction after the first.  RankLocus reads the same table of f_1..f_c as
+a polynomial matrix in chi: the support variety is where its constant
+parts fail to be exact, with no window and no degree bound, which
+certifies the annihilator route's ideal.  The general Ext test applies
+Hom(-, N) to a minimal resolution and compares kernel and image by Groebner
+containments.
 """
 
 from __future__ import annotations
@@ -402,7 +406,7 @@ def _split_equal_degree(f, e: int, p: int, rng) -> list:
             b = t = a
             for _ in range(e - 1):
                 t = _pdivmod(_pmul(t, t, p), f, p)[1]
-                b = _psub(b, [-x for x in t], p)
+                b = _psub(b, t, p)  # b + t in characteristic 2
         else:  # a^((p^e - 1)/2) is 1 or -1 at each root where a is nonzero
             b = _psub(_ppowmod(a, (p**e - 1) // 2, f, p), [1], p)
         d = _pgcd(f, b, p)

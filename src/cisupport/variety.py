@@ -7,8 +7,14 @@ hypersurface that is decidable: resolutions are eventually 2-periodic, so two
 consecutive vanishing Exts past dim Q/(f) + 2 certify eventual vanishing.
 
 The annihilator route computes the ideal of forms in k[chi] killing the
-graded action on Ext(M, k) over a finite window, with an explicit
-stabilization flag since no effective generation bound is assumed.
+graded action on Ext(M, k) over a finite window.  It is certified by the
+rank locus of the module's own homotopies (homology.RankLocus), which
+needs no window: variety_of climbs the degree bound d = 1, 2, ... with
+window 2d + 2, extending one chi action, and stops at the first ideal whose
+zero set the locus confirms; past a cap, or at given bounds it cannot
+confirm, the result is flagged unstable with the reason.  A stable result
+thus means two independent routes agree: the locus shares the membership
+oracle's table but nothing with the chi action.
 """
 
 from __future__ import annotations
@@ -169,42 +175,6 @@ def monomial_action_layers(ext_module: ExtKModule, degree_bound: int):
         prev = dict(zip(monos, layer))
 
 
-def annihilator_ideals(ext_module: ExtKModule, degree_bound: int, windows) -> list:
-    """annihilator_ideal of the action truncated to each window, in one pass.
-
-    For chi-degree d the window-w ideal folds the blocks n <= w - 2d, a
-    prefix of what a longer window folds, so the blocks are folded once up
-    to the longest window and each window takes its nullspace on the way.
-    Each window filters its generators with its own IncrementalGB.
-    """
-    chi = ext_module.ring.chi_ring()
-    p = ext_module.ring.field.p
-    if min(windows) < 2 * degree_bound + 2:
-        raise ValueError("window must exceed twice the degree bound plus slack")
-    ext = ext_module.truncated(max(windows))
-    kept = [[] for _ in windows]
-    kept_gbs = [IncrementalGB(chi, (0,)) for _ in windows]  # keep q iff it enlarges the ideal
-    for d, monos, layer in monomial_action_layers(ext, degree_bound):
-        echelon = np.zeros((0, len(monos)), dtype=np.int64)
-        for n in range(0, ext.window - 2 * d + 1):
-            # a full-rank echelon stays so, and its nullspace is zero
-            if ext.dims[n] and layer[0][n].size and len(echelon) < len(monos):
-                flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
-                echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
-                echelon = echelon[: len(pivots)].copy()  # a view would pin the whole rref
-            for j, w in enumerate(windows):
-                if w - 2 * d != n:
-                    continue
-                basis = modlinalg.nullspace(echelon, p)
-                for col in range(basis.shape[1]):
-                    q = chi.from_terms(
-                        (monos[t], int(basis[t, col]) % p) for t in range(len(monos))
-                    )
-                    if kept_gbs[j].add(poly_to_vec(q)):
-                        kept[j].append(q.monic())
-    return [Ideal(chi, gens) for gens in kept]
-
-
 def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     """Forms of chi-degree <= degree_bound annihilating the windowed action.
 
@@ -213,7 +183,26 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     is folded into a running row echelon form, whose nullspace is the same.
     Redundant generators are filtered out degree by degree.
     """
-    return annihilator_ideals(ext_module, degree_bound, (ext_module.window,))[0]
+    chi = ext_module.ring.chi_ring()
+    p = ext_module.ring.field.p
+    if ext_module.window < 2 * degree_bound + 2:
+        raise ValueError("window must exceed twice the degree bound plus slack")
+    kept = []
+    kept_gb = IncrementalGB(chi, (0,))  # keep q iff it enlarges the ideal
+    for d, monos, layer in monomial_action_layers(ext_module, degree_bound):
+        echelon = np.zeros((0, len(monos)), dtype=np.int64)
+        for n in range(0, ext_module.window - 2 * d + 1):
+            # a full-rank echelon stays so, and its nullspace is zero
+            if ext_module.dims[n] and layer[0][n].size and len(echelon) < len(monos):
+                flat = np.stack([mats[n].reshape(-1) for mats in layer], axis=1)
+                echelon, pivots = modlinalg.rref(np.concatenate([echelon, flat]), p)
+                echelon = echelon[: len(pivots)].copy()  # a view would pin the whole rref
+        basis = modlinalg.nullspace(echelon, p)
+        for col in range(basis.shape[1]):
+            q = chi.from_terms((monos[t], int(basis[t, col]) % p) for t in range(len(monos)))
+            if kept_gb.add(poly_to_vec(q)):
+                kept.append(q.monic())
+    return Ideal(chi, kept)
 
 
 def default_window(ring: CIRing) -> int:
@@ -305,7 +294,7 @@ def variety_of(
     ext = None
     for d, w in rungs:
         ext = chi_action(ring, module, w, ext)
-        ideal = annihilator_ideals(ext, d, (w,))[0]
+        ideal = annihilator_ideal(ext, d)
         reason = _disagreement(ring, locus, ideal)
         if not reason:
             return SupportVariety(ring, ideal, w, True, d)
