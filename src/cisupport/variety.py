@@ -213,11 +213,6 @@ def default_degree_bound(ring: CIRing) -> int:
     return ring.ambient.n + ring.c
 
 
-def _projective_points(p: int, c: int):
-    """The points of P^(c-1)(F_p), first nonzero coordinate one."""
-    return [a for a in itertools.product(range(p), repeat=c) if any(a) and a[next(i for i in range(c) if a[i])] == 1]
-
-
 def _probes(ring: CIRing):
     """The points of F_p^c and the lines (u, v) where the ideal is compared
     with the rank locus.  For c = 2 the one line is all of P^1; for c >= 3,
@@ -226,8 +221,10 @@ def _probes(ring: CIRing):
     p, c = ring.field.p, ring.c
     if c == 2:
         return [], [((1, 0), (0, 1))]
-    count = (p**c - 1) // (p - 1)
-    points = _projective_points(p, c) if count <= 31 else sample_points(ring, 8)
+    if (p**c - 1) // (p - 1) <= 31:  # first nonzero coordinate one
+        points = [a for a in itertools.product(range(p), repeat=c) if any(a) and a[next(i for i, x in enumerate(a) if x)] == 1]
+    else:
+        points = sample_points(ring, 8)
     rng = random.Random(f"lines {p} {c}")
     lines = []
     while len(lines) < 2:
@@ -247,8 +244,6 @@ def _disagreement(ring: CIRing, locus: RankLocus, ideal: Ideal) -> str:
     the line, up to radical) and at each probe point; elsewhere the two
     agree only as far as those samples show.
     """
-    if ring.c == 0:
-        return ""
     points, lines = _probes(ring) if ring.c > 1 else ([(1,)], [])
     for a in points:
         if vanishes_at(ideal, a, ring.field) != locus.contains(a):

@@ -74,7 +74,6 @@ class LineReference:
     """The reference locus on the line {s1 u + s2 v}."""
 
     def __init__(self, ring, module, u, v):
-        self.p = ring.field.p
         self.u, self.v = u, v
         self.whole, self.chart = chart_divisor(ring, module, u, v)
         at_u = chart_divisor(ring, module, v, u)  # u + x v
