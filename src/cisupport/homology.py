@@ -8,12 +8,16 @@ recursion, homotopy_system, builds Eisenbud's homotopies sigma_alpha of a
 whole sequence f_1..f_c, one per multi-index alpha.  Those of f_a =
 sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
 table of constant parts, homotopy_constants, serves every direction, and
-one routine, _tor_ranks, reads it at a point: hypersurface_betti reads the
-table of (f,) at a = (1,), and section_betti the table of f_1..f_c at each
-direction after the first.  RankLocus reads the same table of f_1..f_c as
-a polynomial matrix in chi: the support variety is where its constant
-parts fail to be exact, with no window and no degree bound, which
-certifies the annihilator route's ideal.  The general Ext test applies
+one routine, _tor_ranks, reads it at a point, in whatever field the point
+lies: hypersurface_betti reads the table of (f,) at a = (1,), section_betti
+the table of f_1..f_c at each direction after the first, and RankLocus the
+same table at points of F_p^c and of its extensions.  Past pd G the Shamash
+resolution is 2-periodic, so _tor_ranks builds only the differentials the
+asked degrees need and two ranks decide eventual vanishing.  RankLocus
+also reads the table as a polynomial matrix in chi along a line: the
+support variety is where its constant parts fail to be exact, with no
+window and no degree bound, which certifies the annihilator route's
+ideal.  The general Ext test applies
 Hom(-, N) to a minimal resolution and compares kernel and image by Groebner
 containments.
 """
@@ -201,30 +205,41 @@ def homotopy_constants(ambient: AmbientResolution, fs, field) -> dict:
     }
 
 
-def _tor_ranks(field, betti, table, a, upto: int):
-    """Tor ranks over Q/(f_a) for homological degrees 0..upto, from the
-    homotopy_constants table of f_1..f_c read at the direction a: the ranks
-    of F_m less those of the Shamash differentials mod the irrelevant ideal.
+def _tor_ranks(field, betti, table, a, degrees):
+    """Tor ranks over Q/(f_a) in the given homological degrees, from the
+    homotopy_constants table of f_1..f_c read at the direction a: the rank
+    of F_m less those of the Shamash differentials d_m and d_{m+1} mod the
+    irrelevant ideal.
 
-    The constant part of sigma_t(a) on G_i is sum_{|alpha|=t} a^alpha
+    Only the differentials those degrees need are built.  Past pd G every
+    F_m holds all of G_i of one parity, so d_{m+2} = d_m for m > pd (the
+    2-periodic tail): the degrees s, s + 1 with s > pd take two ranks.  The
+    constant part of sigma_t(a) on G_i is sum_{|alpha|=t} a^alpha
     const(sigma_alpha); a key missing from the table is a zero block.  Over
     F_{p^e} a differential's rank is that of its regular representation
-    over F_p, divided by e.
+    over F_p, divided by e; the table may be over F_p or over F_{p^e}.
     """
+    pd = len(betti) - 1
 
     def power(alpha):  # a^alpha
         return functools.reduce(field.mul, [c for c, e in zip(a, alpha) for _ in range(e)], field.one)
 
+    def period(m):  # the m' <= pd + 2 with d_m' = d_m
+        return m if m <= pd + 2 else pd + 1 + (m - pd - 1) % 2
+
     blocks = {}
     for (t, i), (alphas, stacked) in table.items():
         # block alpha of scale is the transposed matrix of multiplication
-        # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x]
+        # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x];
+        # for a table over F_p only row 0 of each block, a^alpha, is read
         scale = modlinalg.regular_matrix(field, [[power(alpha) for alpha in alphas]]).T
+        if stacked.shape[1] == len(alphas):
+            scale = scale[:: field.e]
         shape = (betti[i + 2 * t - 1], betti[i], field.e)
         blocks[(t, i)] = modlinalg.matmul(stacked, scale, field.p).reshape(shape)
-    sizes, ranks = [], []
-    for m in range(upto + 2):
-        src, dst, grid = _shamash_layout(m, len(betti) - 1)
+    sizes, ranks = {}, {}
+    for m in sorted({period(k) for m in degrees for k in (m, m + 1)}):
+        src, dst, grid = _shamash_layout(m, pd)
         col_at = np.cumsum([0] + [betti[i] for i, _ in src])
         row_at = np.cumsum([0] + [betti[k] for k, _ in dst])
         d = np.zeros((row_at[-1], col_at[-1], field.e), dtype=np.int64)
@@ -232,9 +247,9 @@ def _tor_ranks(field, betti, table, a, upto: int):
             for c, key in enumerate(row):
                 if key in blocks:
                     d[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = blocks[key]
-        sizes.append(d.shape[1])
-        ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, d), field.p) // field.e if d.size else 0)
-    return [sizes[m] - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
+        sizes[m] = d.shape[1]
+        ranks[m] = modlinalg.rank(modlinalg.regular_matrix(field, d), field.p) // field.e if d.size else 0
+    return [sizes[period(m)] - ranks[period(m)] - ranks[period(m + 1)] for m in degrees]
 
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
@@ -245,7 +260,7 @@ def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
         raise ValueError("hypersurface Tor ranks need a codimension-1 quotient")
     ambient = ambient_resolution(module)
     table = homotopy_constants(ambient, ring_a.fs, ring_a.field)
-    return _tor_ranks(ring_a.field, ambient.res.betti, table, (ring_a.field.one,), upto)
+    return _tor_ranks(ring_a.field, ambient.res.betti, table, (ring_a.field.one,), range(upto + 1))
 
 
 class SectionRanks:
@@ -273,16 +288,16 @@ class SectionRanks:
             self.consts = homotopy_constants(ambient, ring.fs, ring.field)
         return self.betti, self.consts
 
-    def betti_at(self, ring: CIRing, module: GradedModule, a, upto: int):
+    def betti_at(self, ring: CIRing, module: GradedModule, a, degrees):
         if self.consts is None and self.first in (None, a):
             if self.first is None:
                 ambient = ambient_resolution(module)
                 self.first = a
                 self.first_table = (ambient.res.betti, homotopy_constants(ambient, [ring.form(a)], ring.field))
             betti, table = self.first_table
-            return _tor_ranks(ring.field, betti, table, (ring.field.one,), upto)
+            return _tor_ranks(ring.field, betti, table, (ring.field.one,), degrees)
         betti, table = self.table(ring, module)
-        return _tor_ranks(ring.field, betti, table, a, upto)
+        return _tor_ranks(ring.field, betti, table, a, degrees)
 
 
 def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
@@ -291,16 +306,18 @@ def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
     return memo("homotopies", (ring.key(), module.content_key()), SectionRanks)
 
 
-def section_betti(ring: CIRing, module: GradedModule, a, upto: int):
+def section_betti(ring: CIRing, module: GradedModule, a, degrees):
     """Tor ranks over Q/(f_a), f_a = sum a_i f_i, of a module over
-    ring = Q/(f_1..f_c), for homological degrees 0..upto.
+    ring = Q/(f_1..f_c), in the given homological degrees, in their order.
 
     The directions asked of one module share a SectionRanks in the memo
     table `homotopies`; an artinian Q/(f_a) is resolved over directly.
     """
+    degrees = list(degrees)
     if ring.ambient.n < 2:
-        return ext_k_dims(CIRing(ring.ambient, [ring.form(a)], validate=False), module, upto)
-    return section_ranks(ring, module).betti_at(ring, module, tuple(a), upto)
+        dims = ext_k_dims(CIRing(ring.ambient, [ring.form(a)], validate=False), module, max(degrees))
+        return [dims[m] for m in degrees]
+    return section_ranks(ring, module).betti_at(ring, module, tuple(a), degrees)
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int):
@@ -470,31 +487,37 @@ class RankLocus:
     section 7; Avramov-Buchweitz, Invent. Math. 142 (2000)).  It is a cone:
     the block of sigma_alpha on G_i has chi-degree |alpha|.
 
-    contains(a) is the rank test at a point of F_p^c; it decides the
-    question membership decides, from the same table.  on_line(u, v, ring2)
-    is the locus on the line {s1 u + s2 v}, exact: it is the whole line when
-    the generic ranks r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to
-    less than N, and otherwise the finitely many points where one of them
-    drops.  Those are roots of the gcd of a few r-minors (one from the
-    elimination that finds r, and the determinants of two random r x r
-    compressions U D V, which Cauchy-Binet makes combinations of r-minors);
-    every root of that gcd, over the field F_p[x]/(h) of its irreducible
-    factor h, and the point x = infinity (u itself) are then kept or dropped
-    by the rank there, so the answer does not rest on the random choices.
-    For c = 2 the line through (1, 0) and (0, 1) is all of P^1, so its ideal
-    is V(M) itself, up to radical.  Nothing here reads the chi action.
+    contains(a) is the rank test at a point of F_p^c: _tor_ranks in the
+    degrees pd + 1, pd + 2 of the periodic tail, the two ranks membership
+    reads from the same table.  on_line(u, v, ring2) is the locus on the
+    line {s1 u + s2 v}, exact: it is the whole line when the generic ranks
+    r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to less than N, and
+    otherwise the finitely many points where one of them drops.  The last
+    pivot of the fraction-free elimination that finds r_i is a nonzero
+    r_i-minor of D_i, so each such point is a root of one of those two
+    pivots; every irreducible factor h of their product, read as the point
+    x u + v over F_p[x]/(h), and the point x = infinity (u itself) are kept
+    or dropped by _tor_ranks there.  The only randomness left is
+    Cantor-Zassenhaus in the factoring, which changes the running time,
+    never the answer.  For c = 2 the line through (1, 0) and (0, 1) is all
+    of P^1, so its ideal is V(M) itself, up to radical.  The answers are
+    kept per point and per line, so later rungs of a degree ladder reuse
+    them.  Nothing here reads the chi action.
     """
 
     def __init__(self, ring: CIRing, module: GradedModule):
         if not isinstance(ring.field, PrimeField):
             raise ValueError("rank loci are computed over prime fields")
+        self.field = ring.field
         self.p = ring.field.p
         self.c = ring.c
         self.betti, self.table = section_ranks(ring, module).table(ring, module)
         self.n = sum(self.betti[0::2])
         if self.n != sum(self.betti[1::2]):
             raise AssertionError("the ambient resolution of a torsion module has dim E = dim O")
+        self.tail = (len(self.betti), len(self.betti) + 1)  # pd + 1, pd + 2
         self._points = {}
+        self._lines = {}
 
     def _pencil(self, u, v):
         """D_0 and D_1 at x u + v as stacks of coefficient matrices of
@@ -516,55 +539,43 @@ class RankLocus:
             d[i % 2][:, offset[k] : offset[k] + betti[k], offset[i] : offset[i] + betti[i]] = np.moveaxis(block, 2, 0)
         return d
 
-    def _exact_at(self, d, modulus) -> bool:
-        """Is D exact at the root x of the monic irreducible modulus, in the
-        field F_p[x]/(modulus)?"""
+    def _at_root(self, u, v, modulus) -> bool:
+        """Is x u + v in the locus, for x the root of the monic irreducible
+        modulus in the field F_p[x]/(modulus)?"""
         p, e = self.p, len(modulus) - 1
+        if e == 1:
+            x = -modulus[0] % p
+            return self.contains(tuple((x * a + b) % p for a, b in zip(u, v)))
         fld = ExtField(p, e, modulus)
-        root = tuple(int(k == 1) for k in range(e)) if e > 1 else (-modulus[0] % p,)
-        powers = [fld.one]
-        while len(powers) < len(d[0]):
-            powers.append(fld.mul(powers[-1], root))
-        powers = np.array(powers, dtype=np.int64)
-        rank = 0
-        for m in d:
-            if m[0].size:
-                at = modlinalg.matmul(m.reshape(len(m), -1).T, powers, p).reshape(m.shape[1:] + (e,))
-                rank += modlinalg.rank(modlinalg.regular_matrix(fld, at), p)
-        return rank == e * self.n
+        x = tuple(int(k == 1) for k in range(e))
+        a = tuple(fld.add(fld.mul(fld.from_int(s), x), fld.from_int(t)) for s, t in zip(u, v))
+        return any(_tor_ranks(fld, self.betti, self.table, a, self.tail))
 
     def contains(self, a) -> bool:
         """Is the point a of F_p^c in the rank locus?"""
         a = tuple(int(x) % self.p for x in a)
         if a not in self._points:
-            d = self._pencil((0,) * self.c, a)
-            self._points[a] = sum(modlinalg.rank(m[0], self.p) for m in d) < self.n
+            self._points[a] = any(_tor_ranks(self.field, self.betti, self.table, a, self.tail))
         return self._points[a]
 
     def on_line(self, u, v, ring2: PolyRing) -> Ideal:
         """The locus on the line {s1 u + s2 v}, as an ideal of ring2 = k[s1, s2]
         whose zero set it is."""
+        key = (tuple(u), tuple(v), ring2)
+        if key not in self._lines:
+            self._lines[key] = self._line_ideal(u, v, ring2)
+        return self._lines[key]
+
+    def _line_ideal(self, u, v, ring2: PolyRing) -> Ideal:
         p = self.p
-        rng = random.Random(repr((u, v)))
-        d = self._pencil(u, v)
-        ranks, gcds = [], []
-        for m in d:
-            r, g = _generic_rank(m, p)
-            for _ in range(2 if r else 0):
-                left = np.array([[rng.randrange(p) for _ in range(m.shape[1])] for _ in range(r)], dtype=np.int64)
-                right = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m.shape[2])], dtype=np.int64)
-                rc, det = _generic_rank(modlinalg.matmul(modlinalg.matmul(left, m, p), right, p), p)
-                if rc == r:
-                    g = _pgcd(g, det, p)
-            ranks.append(r)
-            gcds.append(g)
+        ranks, pivots = zip(*(_generic_rank(m, p) for m in self._pencil(u, v)))
         if sum(ranks) < self.n:
             return Ideal(ring2, [])
         s1, s2 = ring2.var_poly(0), ring2.var_poly(1)
         points = [
             ring2.from_terms(((k, len(h) - 1 - k), c) for k, c in enumerate(h))
-            for h in _irreducible_factors(_pmul(*gcds, p), p, rng)
-            if not self._exact_at(d, h)
+            for h in _irreducible_factors(_pmul(*pivots, p), p, random.Random(repr((u, v))))
+            if self._at_root(u, v, h)
         ]
         if self.contains(u):  # x = infinity
             points.append(s2)

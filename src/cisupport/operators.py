@@ -124,13 +124,6 @@ class ExtKModule:
     def chi(self, i: int, n: int) -> np.ndarray:
         return self.chi_maps[i][n]
 
-    def truncated(self, window: int) -> "ExtKModule":
-        """The same action over the shorter window [0, window]."""
-        if not 2 <= window <= self.window:
-            raise ValueError("can only truncate to a window in [2, current window]")
-        maps = [{n: m for n, m in cm.items() if n <= window - 2} for cm in self.chi_maps]
-        return ExtKModule(self.ring, self.dims[: window + 1], maps, window)
-
     def monomial_action(self, expo, n: int) -> np.ndarray:
         """Matrix of chi^expo acting from Ext^n, composing one variable at a time."""
         p = self.ring.field.p

@@ -170,6 +170,10 @@ class Poly:
         return self.ring.field.zero
 
     def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return Poly(self.ring, other.terms)
         return self.ring.from_terms(self.terms + other.terms)
 
     def __sub__(self, other):
@@ -189,6 +193,8 @@ class Poly:
         f = self.ring.field
         if c == f.zero:
             return Poly(self.ring, ())
+        if not self.terms:
+            return self
         return Poly(self.ring, tuple((m, f.mul(cc, c)) for m, cc in self.terms))
 
     def monic(self):
@@ -229,16 +235,22 @@ class Poly:
 
 def sum_of_products(ring: PolyRing, pairs, reduce=None) -> Poly:
     """sum a * b over the (a, b) pairs, collected in one dict and sorted
-    once, then passed through reduce if given."""
+    once, then passed through reduce if given.  Pairs with a zero factor
+    are skipped; when no pair contributes a term the sum is the zero
+    polynomial, neither sorted nor reduced."""
     field = ring.field
     acc = {}
     for a, b in pairs:
+        if not (a.terms and b.terms):
+            continue
         for m1, c1 in a.terms:
             for m2, c2 in b.terms:
                 m = mono_mul(m1, m2)
                 c = field.mul(c1, c2)
                 prev = acc.get(m)
                 acc[m] = c if prev is None else field.add(prev, c)
+    if not acc:
+        return Poly(ring, ())
     out = ring.from_terms(acc.items())
     return reduce(out) if reduce else out
 

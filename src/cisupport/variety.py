@@ -110,9 +110,10 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     The zero direction is always inside.  Otherwise f = sum a_i f_i cuts a
     hypersurface A = Q/(f); with s = dim A + 2, eventual nonvanishing of Ext
     over A is equivalent to Ext^s or Ext^{s+1} being nonzero.  Against k
-    the Exts are Tor ranks, which section_betti reads: the first direction
-    asked of a module builds the homotopies of f alone, and later ones
-    specialize the module's system of higher homotopies at a.
+    the Exts are Tor ranks, which section_betti reads in those two degrees
+    only: the first direction asked of a module builds the homotopies of f
+    alone, and later ones specialize the module's system of higher
+    homotopies at a.
     """
     coords, fld = _as_point(ring, a)
     if len(coords) != ring.c:
@@ -130,8 +131,7 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     if is_residue_field(other):
         # the module over R is one over A: every direction shares its
         # resolution over Q
-        dims = section_betti(work_ring, module, coords, s + 1)
-        return not (dims[s] == 0 and dims[s + 1] == 0)
+        return any(section_betti(work_ring, module, coords, (s, s + 1)))
     hyper = CIRing(work_ring.ambient, [work_ring.form(coords)], validate=False)
     m_a = restrict_to_ring(module, hyper)
     n_a = restrict_to_ring(other, hyper)
@@ -217,14 +217,21 @@ def _probes(ring: CIRing):
     """The points of F_p^c and the lines (u, v) where the ideal is compared
     with the rank locus.  For c = 2 the one line is all of P^1; for c >= 3,
     every point of P^(c-1)(F_p) when there are at most 31 (p <= 5 at c = 3),
-    else 8 seeded points, and two seeded lines."""
+    else 8 distinct ones drawn from the seeded stream of sample_points, and
+    two seeded lines.  Each point has first nonzero coordinate one."""
     p, c = ring.field.p, ring.c
     if c == 2:
         return [], [((1, 0), (0, 1))]
-    if (p**c - 1) // (p - 1) <= 31:  # first nonzero coordinate one
+    if (p**c - 1) // (p - 1) <= 31:
         points = [a for a in itertools.product(range(p), repeat=c) if any(a) and a[next(i for i, x in enumerate(a) if x)] == 1]
     else:
-        points = sample_points(ring, 8)
+        points, rng = [], random.Random(11)
+        while len(points) < 8:
+            a = digits(rng.randrange(1, p**c), p, c)
+            inv = pow(next(x for x in a if x), -1, p)
+            a = tuple(x * inv % p for x in a)
+            if a not in points:
+                points.append(a)
     rng = random.Random(f"lines {p} {c}")
     lines = []
     while len(lines) < 2:

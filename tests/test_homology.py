@@ -515,6 +515,15 @@ def test_block_differential_tor_ranks_equal_the_offset_table(case):
         assert hypersurface_betti(hyper, module, 6) == want, a
 
 
+@pytest.mark.parametrize("case", list(_catalog_complexes()), ids=lambda c: c[0])
+def test_tor_ranks_through_the_periodic_tail_equal_every_rank_of_the_reference(case):
+    # degree 12 is far past pd G <= 3: the tail's differentials are reused
+    _, ring, module, directions = case
+    for a in directions:
+        hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+        assert hypersurface_betti(hyper, module, 12) == reference_betti_over_a(ReferenceComplex(hyper, module), 12), a
+
+
 def _extension_cases():
     f4 = ExtField(2, 2)
     q = PolyRing(["x", "y"], field=f4)
@@ -886,7 +895,7 @@ def test_specialized_tor_ranks_equal_the_per_direction_build(case):
         for order in (points, points[::-1]):
             clear_memo()
             for a in order:
-                assert homology.section_betti(ring, module, a, upto) == want[a], (name, a)
+                assert homology.section_betti(ring, module, a, range(upto + 1)) == want[a], (name, a)
             sections = memo("homotopies", (ring.key(), module.content_key()), None)
             assert sections.first == order[0] and sections.consts is not None
 

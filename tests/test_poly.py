@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisupport.field import PrimeField
-from cisupport.poly import PolyParseError, PolyRing, parse_poly, render_poly
+from cisupport.poly import Poly, PolyParseError, PolyRing, mono_mul, parse_poly, render_poly, sum_of_products
 
 
 F5 = PrimeField(5)
@@ -84,3 +86,54 @@ def test_evaluate():
     r = ring2()
     q = parse_poly(r, "x^2 + 2*y")
     assert q.evaluate((2, 3)) == (4 + 6) % 5
+
+
+# ---------------------------------------------------------------------------
+# zero operands take short cuts; the general path is spelled out here
+
+
+def general_sum(a, b):
+    return a.ring.from_terms(a.terms + b.terms)
+
+
+def general_products(ring, pairs):
+    f = ring.field
+    return ring.from_terms(
+        (mono_mul(m1, m2), f.mul(c1, c2)) for a, b in pairs for m1, c1 in a.terms for m2, c2 in b.terms
+    )
+
+
+def general_scale(a, c):
+    f = a.ring.field
+    return Poly(a.ring, ()) if c == f.zero else Poly(a.ring, tuple((m, f.mul(cc, c)) for m, cc in a.terms))
+
+
+@st.composite
+def polys(draw, ring):
+    if draw(st.booleans()):  # half of them zero
+        return ring.zero()
+    monos = st.tuples(*[st.integers(0, 3)] * ring.n)
+    return ring.from_terms(draw(st.lists(st.tuples(monos, st.integers(0, 4)), max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_zero_operands_give_the_terms_and_ring_of_the_general_path(data):
+    r = ring2()
+    a, b = data.draw(polys(r)), data.draw(polys(r))
+    for got, want in ((a + b, general_sum(a, b)), (b + a, general_sum(b, a)), (a * b, general_products(r, [(a, b)]))):
+        assert got.terms == want.terms and got.ring is want.ring
+    c = data.draw(st.integers(0, 4))
+    assert a.scale(c).terms == general_scale(a, c).terms and a.scale(c).ring is r
+    pairs = [(data.draw(polys(r)), data.draw(polys(r))) for _ in range(data.draw(st.integers(0, 4)))]
+    got, want = sum_of_products(r, pairs), general_products(r, pairs)
+    assert got.terms == want.terms and got.ring is want.ring
+    nf = data.draw(st.sampled_from([None, lambda q: q.scale(2)]))
+    assert sum_of_products(r, pairs, nf).terms == (nf(want) if nf else want).terms
+
+
+def test_a_sum_with_a_zero_left_operand_keeps_the_left_ring():
+    left, right = ring2(), ring2()
+    x = parse_poly(right, "x + 2*y")
+    assert (left.zero() + x).ring is left and (x + left.zero()).ring is right
+    assert (left.zero() + x).terms == x.terms

@@ -11,23 +11,34 @@ src locus (RankLocus.on_line, and RankLocus.contains) and the membership
 oracle are checked against it at every point of P^(c-1)(F_p) and, for
 p <= 3, at every point over F_{p^2} of the lines used (for c = 2 that line
 is all of P^1).
+
+The two-rank reading of the periodic tail is checked against a routine that
+builds and ranks every Shamash differential, the candidate points of
+on_line against a copy of the route that also took the determinants of two
+random compressions, and the reuse of each line's answer across a degree
+ladder by spies.
 """
 
+import functools
 import itertools
+import random
 
+import numpy as np
 import pytest
 from sympy import GF, Poly as SymPoly, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
+from cisupport import homology, modlinalg, variety
+from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
-from cisupport.cimodule import residue_module
+from cisupport.cimodule import base_change_module, base_change_ring, residue_module
 from cisupport.field import ExtField, PrimeField
 from cisupport.groebner import Ideal, equal_up_to_radical
 from cisupport.homology import RankLocus, section_ranks
 from cisupport.poly import parse_poly
 from cisupport.realize import ConeSpec, realize_cone
-from cisupport.variety import PointK, membership
+from cisupport.variety import PointK, membership, variety_of
 
 X = symbols("x")
 
@@ -123,7 +134,16 @@ def repro_above_degree_bound():
     return ring, realize_cone(ring, ConeSpec([parse_poly(chi, "chi1^5 - 3*chi2^5")]))
 
 
-def _cases():
+def realized_cone(p, d):
+    """The module realize builds for chi1^d + 2 chi1 chi2^(d-1) + chi2^d
+    over k[x,y]/(x^2, y^2), the cones of tests/realize_cones.py."""
+    ring = two_var_ring(p)
+    chi = ring.chi_ring()
+    text = f"chi1^{d} + 2*chi1*chi2^{d - 1} + chi2^{d}" if d > 1 else "3*chi1 + chi2"
+    return ring, realize_cone(ring, ConeSpec([parse_poly(chi, text)]))
+
+
+def _cases(cones=()):
     for make, ps in ((two_var_ring, (2, 3, 5)), (three_var_ring, (2, 3))):
         for p in ps:
             ring = make(p)
@@ -132,6 +152,8 @@ def _cases():
     yield pytest.param(*repro_above_degree_bound(), id="repro_above_degree_bound")
     ring = three_var_ring(5)
     yield pytest.param(ring, catalog_modules(ring)["K_quadric"], id="repro_degree_bound_one")
+    for p, d in cones:
+        yield pytest.param(*realized_cone(p, d), id=f"cone_p{p}_d{d}")
 
 
 @pytest.mark.parametrize("ring, module", _cases())
@@ -149,3 +171,151 @@ def test_rank_locus_matches_the_minors_reference_and_membership(ring, module):
                 assert membership(ring, module, k, PointK(a, field)) == want, (a, field)
                 if field.e == 1:
                     assert locus.contains(a) == want, a
+
+
+# ---------------------------------------------------------------------------
+# two tail ranks, candidate points from one minor, answers kept per line
+
+CONES = [(3, 2), (3, 4), (5, 3), (5, 6)]
+
+
+def all_tor_ranks(field, betti, table, a, upto):
+    """Tor ranks in degrees 0..upto with every Shamash differential
+    d_0..d_{upto+1} built entry by entry and ranked, none reused."""
+
+    def entry(row, n):  # the coefficient of alpha number n in one row of the table
+        return tuple(int(z) for z in row[n * field.e : (n + 1) * field.e]) if field.e > 1 else int(row[n])
+
+    blocks = {}
+    for (t, i), (alphas, stacked) in table.items():
+        powers = [functools.reduce(field.mul, [c for c, e in zip(a, alpha) for _ in range(e)], field.one) for alpha in alphas]
+        flat = [functools.reduce(field.add, [field.mul(entry(row, n), c) for n, c in enumerate(powers)]) for row in stacked]
+        blocks[(t, i)] = [flat[r * betti[i] : (r + 1) * betti[i]] for r in range(betti[i + 2 * t - 1])]
+    sizes, ranks = [], []
+    for m in range(upto + 2):
+        src, dst, grid = homology._shamash_layout(m, len(betti) - 1)
+        sizes.append(sum(betti[i] for i, _ in src))
+        rows = []
+        for (k, _), row in zip(dst, grid):
+            for x in range(betti[k]):
+                rows.append([blocks[key][x][y] if key in blocks else field.zero for (i, _), key in zip(src, row) for y in range(betti[i])])
+        ranks.append(modlinalg.rank(modlinalg.regular_matrix(field, rows), field.p) // field.e if rows and rows[0] else 0)
+    return [sizes[m] - ranks[m] - ranks[m + 1] for m in range(upto + 1)]
+
+
+def projective_points(field, c):
+    for a in itertools.product(list(field.elements()), repeat=c):
+        nonzero = [x for x in a if x != field.zero]
+        if nonzero and nonzero[0] == field.one:
+            yield a
+
+
+@pytest.mark.parametrize("ring, module", _cases(CONES))
+def test_two_tail_ranks_decide_what_all_the_tor_ranks_decide(ring, module):
+    p, k = ring.field.p, residue_module(ring)
+    s = ring.ambient.n + 1  # the degrees membership reads: s > pd
+    locus = RankLocus(ring, module)
+    for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
+        work = ring if field.e == 1 else base_change_ring(ring, field)
+        moved = module if field.e == 1 else base_change_module(module, work)
+        betti, table = section_ranks(work, moved).table(work, moved)
+        for a in projective_points(field, ring.c):
+            dims = all_tor_ranks(field, betti, table, a, s + 1)
+            want = not (dims[s] == 0 and dims[s + 1] == 0)
+            assert homology._tor_ranks(field, betti, table, a, (s, s + 1)) == dims[s:], a
+            assert membership(ring, module, k, PointK(a, field)) == want, (a, field)
+            if field.e == 1:
+                assert locus.contains(a) == want, a
+
+
+def compression_route(locus, u, v, ring2):
+    """RankLocus.on_line as it was with two random r x r compressions U D V
+    besides the elimination's last pivot, and ranks read off the pencil."""
+    p = locus.p
+    rng = random.Random(repr((u, v)))
+    d = locus._pencil(u, v)
+    ranks, gcds = [], []
+    for m in d:
+        r, g = homology._generic_rank(m, p)
+        for _ in range(2 if r else 0):
+            left = np.array([[rng.randrange(p) for _ in range(m.shape[1])] for _ in range(r)], dtype=np.int64)
+            right = np.array([[rng.randrange(p) for _ in range(r)] for _ in range(m.shape[2])], dtype=np.int64)
+            rc, det = homology._generic_rank(modlinalg.matmul(modlinalg.matmul(left, m, p), right, p), p)
+            if rc == r:
+                g = homology._pgcd(g, det, p)
+        ranks.append(r)
+        gcds.append(g)
+    if sum(ranks) < locus.n:
+        return Ideal(ring2, [])
+
+    def exact_at(modulus):
+        e = len(modulus) - 1
+        fld = ExtField(p, e, modulus)
+        root = tuple(int(k == 1) for k in range(e)) if e > 1 else (-modulus[0] % p,)
+        powers = [fld.one]
+        while len(powers) < len(d[0]):
+            powers.append(fld.mul(powers[-1], root))
+        powers = np.array(powers, dtype=np.int64)
+        rank = 0
+        for m in d:
+            if m[0].size:
+                at = modlinalg.matmul(m.reshape(len(m), -1).T, powers, p).reshape(m.shape[1:] + (e,))
+                rank += modlinalg.rank(modlinalg.regular_matrix(fld, at), p)
+        return rank == e * locus.n
+
+    s1, s2 = ring2.var_poly(0), ring2.var_poly(1)
+    points = [
+        ring2.from_terms(((k, len(h) - 1 - k), c) for k, c in enumerate(h))
+        for h in homology._irreducible_factors(homology._pmul(*gcds, p), p, rng)
+        if not exact_at(h)
+    ]
+    at_u = locus._pencil((0,) * locus.c, u)
+    if sum(modlinalg.rank(m[0], p) for m in at_u) < locus.n:  # x = infinity
+        points.append(s2)
+    if not points:
+        return Ideal(ring2, [s1, s2])
+    return Ideal(ring2, [functools.reduce(lambda f, g: f * g, points)])
+
+
+@pytest.mark.parametrize("ring, module", _cases(CONES))
+def test_candidates_from_one_minor_give_the_compression_route_ideal(ring, module):
+    locus = RankLocus(ring, module)
+    ring2 = ring.chi_ring() if ring.c == 2 else ring.s_ring(2)
+    lines = reference_lines(ring) + variety._probes(ring)[1] if ring.c > 2 else reference_lines(ring)
+    for u, v in lines:
+        got, want = locus.on_line(u, v, ring2), compression_route(locus, u, v, ring2)
+        assert [g.terms for g in got.gens] == [g.terms for g in want.gens], (u, v)
+
+
+def _ladders():
+    """(ring, module, rungs climbed, asks of on_line across them)"""
+    # one line, P^1, asked on each of four rungs
+    yield pytest.param(*realized_cone(5, 4), 4, 4, id="cone_p5_d4")
+    # sampled probe points; rung 1 fails at a point, rung 2 asks both probe lines
+    ring = three_var_ring(7)
+    yield pytest.param(ring, catalog_modules(ring)["K_quadric"], 2, 2, id="3var_p7-K_quadric")
+
+
+@pytest.mark.parametrize("ring, module, top, asks", _ladders())
+def test_each_line_is_eliminated_once_across_the_ladder(ring, module, top, asks, monkeypatch):
+    calls, rungs = [], []
+    real_rank, real_line, real_ann = homology._generic_rank, RankLocus.on_line, variety.annihilator_ideal
+
+    def spy_line(self, u, v, ring2):
+        calls.append(("on_line", id(self), tuple(u), tuple(v)))
+        return real_line(self, u, v, ring2)
+
+    monkeypatch.setattr(homology, "_generic_rank", lambda m, p: calls.append(("rank",)) or real_rank(m, p))
+    monkeypatch.setattr(RankLocus, "on_line", spy_line)
+    monkeypatch.setattr(variety, "annihilator_ideal", lambda ext, d: rungs.append(d) or real_ann(ext, d))
+    clear_memo()
+    v = variety_of(ring, module)
+    assert v.stabilized and rungs == list(range(1, top + 1))
+    asked = [c for c in calls if c[0] == "on_line"]
+    assert len(asked) == asks and len({c[1] for c in asked}) == 1  # one locus for the whole ladder
+    # one elimination per D_i, right after the first ask of each line only
+    seen, want = set(), []
+    for c in asked:
+        want += [c] + ([("rank",)] * 2 if c not in seen else [])
+        seen.add(c)
+    assert calls == want

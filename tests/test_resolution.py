@@ -99,7 +99,7 @@ def test_clear_memo_forgets_every_table():
     module = cyclic_module(ring, [ring.ambient.var_poly(0)])
 
     def sections():
-        section_betti(ring, module, (1, 0), 3)
+        section_betti(ring, module, (1, 0), range(4))
         return cache.memo("homotopies", (ring.key(), module.content_key()), None)
 
     def fill():

@@ -25,6 +25,7 @@ from cisupport.variety import (
     Subspace,
     SupportVariety,
     _monic_candidates,
+    _probes,
     annihilator_ideal,
     complexity_estimate,
     dimension,
@@ -186,6 +187,19 @@ def test_cross_oracle_agreement_exhaustive_two_var_p3():
         for a in itertools.product(range(3), repeat=2):
             oracle = membership(ring, m, k, a)
             assert oracle == vanishes_at(v.ideal, a, ring.field), (name, a)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 101])
+def test_sampled_probes_are_eight_distinct_projective_points(p):
+    ring = three_var_ring(p)
+    assert ring.c == 3
+    points, lines = _probes(ring)
+    assert len(points) == len(set(points)) == 8
+    for a in points:
+        assert len(a) == 3 and all(0 <= x < p for x in a)
+        assert a[next(i for i, x in enumerate(a) if x)] == 1  # one point per line through 0
+    assert points == _probes(ring)[0]  # seeded
+    assert len(lines) == 2
 
 
 # ---------------------------------------------------------------------------
