@@ -51,9 +51,9 @@ from .variety import (
 )
 
 
-def cached_variety(ring: CIRing, module, **kw):
-    key = (ring.key(), module.content_key(), tuple(sorted(kw.items())))
-    return memo("variety", key, lambda: variety_of(ring, module, **kw))
+def cached_variety(ring: CIRing, module):
+    key = (ring.key(), module.content_key())
+    return memo("variety", key, lambda: variety_of(ring, module))
 
 
 def _result(name, passed, details="", stabilized=True):

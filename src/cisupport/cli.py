@@ -193,12 +193,10 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             results["identity_verified"] = True
             results["commutes_on_ext"] = True
         elif command == "variety":
-            window = _read_int(params, "window", None)
-            dbound = _read_int(params, "degree-bound", None)
-            v = variety_of(ring, module, window, dbound)
+            v = variety_of(ring, module, _read_int(params, "degree-bound", None))
             results["ideal"] = _ideal_report(v.ideal)
             results["dimension"] = dimension(v)
-            results["window_used"] = v.window_used
+            results["window_used"] = 2 * v.degree_bound + 2
             results["degree_bound"] = v.degree_bound
             flags.update(_stability_flags(v.stabilized, v.note))
         elif command == "member":
@@ -218,9 +216,7 @@ def execute(job: JobSpec, command: str, params: dict) -> dict:
             if "subspace" not in params:
                 raise JobSpecError("restrict needs a subspace")
             w = _parse_subspace(ring, params["subspace"])
-            window = _read_int(params, "window", None)
-            dbound = _read_int(params, "degree-bound", None)
-            v = variety_of(ring, module, window, dbound)
+            v = variety_of(ring, module, _read_int(params, "degree-bound", None))
             restricted = restrict_to_subspace(v, w)
             results["subspace"] = [list(r) for r in w.rows]
             results["variety_ideal"] = _ideal_report(v.ideal)

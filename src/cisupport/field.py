@@ -4,6 +4,8 @@ Prime-field elements are plain ints reduced into [0, p); extension elements
 are tuples of ints of length e (coefficients of the residue class modulo a
 fixed irreducible polynomial).  All arithmetic goes through a field object so
 the polynomial layer can stay agnostic about the element representation.
+Polynomials over F_p as coefficient lists, low first, are multiplied, divided
+and powered by the _p* helpers, which ExtField and homology's rank locus share.
 """
 
 from __future__ import annotations
@@ -91,22 +93,47 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-def _poly_mod_mul(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p); modulus is monic."""
-    e = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce degree down using x^e = -(lower part of modulus)
-    for i in range(len(prod) - 1, e - 1, -1):
-        c = prod[i]
+def _ptrim(a) -> list:
+    """A polynomial over F_p as a coefficient list, low first, without
+    trailing zeros (the zero polynomial is the empty list)."""
+    a = [int(x) for x in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a, b, p: int) -> list:
+    """Product of two polynomials over F_p, as coefficient lists low first."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _pdivmod(a, b, p: int):
+    """Quotient and remainder of a by a nonzero b."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = q[k] = r[k + db] * inv % p
         if c:
-            prod[i] = 0
-            for j in range(e):
-                prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-    return tuple(prod[:e])
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % p
+    return _ptrim(q), _ptrim(r[:db])
+
+
+def _ppowmod(a, n: int, m, p: int) -> list:
+    """a^n modulo m, by repeated squaring."""
+    out, a = [1], _pdivmod(a, m, p)[1]
+    while n:
+        if n & 1:
+            out = _pdivmod(_pmul(out, a, p), m, p)[1]
+        a = _pdivmod(_pmul(a, a, p), m, p)[1]
+        n >>= 1
+    return out
 
 
 def _find_irreducible(p: int, e: int):
@@ -150,8 +177,12 @@ class ExtField:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
+    def _residue(self, r):
+        """The coefficient list r, of degree below e, as an element."""
+        return tuple(r) + (0,) * (self.e - len(r))
+
     def mul(self, a, b):
-        return _poly_mod_mul(a, b, self.modulus, self.p)
+        return self._residue(_pdivmod(_pmul(a, b, self.p), self.modulus, self.p)[1])
 
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
@@ -162,14 +193,7 @@ class ExtField:
         return self.pow(a, self.p**self.e - 2)
 
     def pow(self, a, n: int):
-        r = self.one
-        b = a
-        while n:
-            if n & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            n >>= 1
-        return r
+        return self._residue(_ppowmod(a, n, self.modulus, self.p))
 
     def from_int(self, n: int):
         return tuple([n % self.p] + [0] * (self.e - 1))

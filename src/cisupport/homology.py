@@ -44,7 +44,7 @@ from .cimodule import (
     subquotient_presentation,
     zero_module,
 )
-from .field import ExtField, PrimeField
+from .field import ExtField, PrimeField, _pdivmod, _pmul, _ppowmod, _ptrim
 from .groebner import Ideal, vec_to_column
 from .pmatrix import PolyMatrix
 from .poly import PolyRing
@@ -337,40 +337,10 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
 # the rank locus of the homotopies
 
 
-def _pmul(a, b, p: int) -> list:
-    """Product of two polynomials over F_p, as coefficient lists low first."""
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _ptrim(a) -> list:
-    a = [int(x) for x in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _psub(a, b, p: int) -> list:
     n = max(len(a), len(b))
     a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
     return _ptrim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _pdivmod(a, b, p: int):
-    """Quotient and remainder of a by a nonzero b."""
-    r, db = list(a), len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(len(r) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = q[k] = r[k + db] * inv % p
-        if c:
-            for j, y in enumerate(b):
-                r[k + j] = (r[k + j] - c * y) % p
-    return _ptrim(q), _ptrim(r[:db])
 
 
 def _pgcd(a, b, p: int) -> list:
@@ -380,16 +350,6 @@ def _pgcd(a, b, p: int) -> list:
         a, b = b, _pdivmod(a, b, p)[1]
     inv = pow(a[-1], -1, p) if a else 0
     return [x * inv % p for x in a]
-
-
-def _ppowmod(a, n: int, m, p: int) -> list:
-    out, a = [1], _pdivmod(a, m, p)[1]
-    while n:
-        if n & 1:
-            out = _pdivmod(_pmul(out, a, p), m, p)[1]
-        a = _pdivmod(_pmul(a, a, p), m, p)[1]
-        n >>= 1
-    return out
 
 
 def _irreducible_factors(g, p: int, rng) -> list:

@@ -126,9 +126,9 @@ COMMANDS = {
     "resolve": ("module", "length"),
     "betti": ("module", "length"),
     "operators": ("module", "window"),
-    "variety": ("module", "window", "degree-bound", "allow-unstable"),
+    "variety": ("module", "degree-bound", "allow-unstable"),
     "member": ("module", "module2", "point"),
-    "restrict": ("module", "subspace", "window", "degree-bound", "allow-unstable"),
+    "restrict": ("module", "subspace", "degree-bound", "allow-unstable"),
     "realize": ("cone", "allow-unstable"),
     "check": (),
 }

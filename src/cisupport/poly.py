@@ -76,6 +76,8 @@ class PolyRing:
 
     def monomials_of_degree(self, d: int):
         """All exponent tuples of weighted degree exactly d, descending order."""
+        if self.n == 0:  # only the empty monomial, of degree 0
+            return [()] if d == 0 else []
         out = []
 
         def rec(i, remaining, prefix):

@@ -9,12 +9,11 @@ consecutive vanishing Exts past dim Q/(f) + 2 certify eventual vanishing.
 The annihilator route computes the ideal of forms in k[chi] killing the
 graded action on Ext(M, k) over a finite window.  It is certified by the
 rank locus of the module's own homotopies (homology.RankLocus), which
-needs no window: variety_of climbs the degree bound d = 1, 2, ... with
-window 2d + 2, extending one chi action, and stops at the first ideal whose
-zero set the locus confirms; past a cap, or at given bounds it cannot
-confirm, the result is flagged unstable with the reason.  A stable result
-thus means two independent routes agree: the locus shares the membership
-oracle's table but nothing with the chi action.
+needs no window: variety_of climbs the degree bound d with window 2d + 2,
+extending one chi action, and stops at the first ideal whose zero set the
+locus confirms; past a cap the result is flagged unstable with the reason.
+A stable result thus means two independent routes agree: the locus shares
+the membership oracle's table but nothing with the chi action.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ class SupportVariety:
 
     ring: CIRing
     ideal: Ideal
-    window_used: int
     stabilized: bool
     degree_bound: int = 0
     note: str = ""
@@ -205,14 +203,6 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
     return Ideal(chi, kept)
 
 
-def default_window(ring: CIRing) -> int:
-    return 2 * (ring.ambient.n + ring.c) + 4
-
-
-def default_degree_bound(ring: CIRing) -> int:
-    return ring.ambient.n + ring.c
-
-
 def _probes(ring: CIRing):
     """The points of F_p^c and the lines (u, v) where the ideal is compared
     with the rank locus.  For c = 2 the one line is all of P^1; for c >= 3,
@@ -264,55 +254,42 @@ def _disagreement(ring: CIRing, locus: RankLocus, ideal: Ideal) -> str:
     return ""
 
 
-def variety_of(
-    ring: CIRing,
-    module: GradedModule,
-    window: int = None,
-    degree_bound: int = None,
-) -> SupportVariety:
+def variety_of(ring: CIRing, module: GradedModule, degree_bound: int = None) -> SupportVariety:
     """Support variety of a module via the annihilator of the chi action,
     certified by the rank locus of the module's homotopies.
 
-    Without a window or a degree bound, the degree bound climbs d = 1, 2, ...
-    with window w = 2d + 2, extending one chi action, and stops at the
-    first annihilator ideal whose zero set the rank locus confirms (see
-    _disagreement).  With either given, the one (d, w) they name is
-    certified: d defaults to n + c and w to 2(n + c) + 4, and w is raised to
-    2d + 2.  An ideal the locus does not confirm is returned flagged
-    unstable, with the reason in its note, never silently.  The degree bound
-    must be at least 1: below that no annihilator element is ever looked at.
+    The degree bound climbs d, d + 1, ... with window w = 2d + 2, extending
+    one chi action, and stops at the first annihilator ideal whose zero set
+    the rank locus confirms (see _disagreement).  The climb starts at the
+    given degree bound, by default 1, and for c = 2 at no less than the
+    degree e of the locus' form on P^1: a nonzero binary form of degree
+    below e has fewer than e roots, so no lower rung can confirm.  After
+    2(n + c) + 1 rungs the last ideal is returned flagged unstable, with the
+    reason in its note, never silently.  The degree bound must be at least
+    1: below that no annihilator element is ever looked at.
     """
+    if ring.c == 0:
+        raise ValueError("the ring has no chi coordinates: its support variety is not defined")
     if degree_bound is not None and degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    if window is None and degree_bound is None:
-        # past twice the default degree bound, the chi action grows too
-        # long to climb further; realize cones of degree up to 2(n+c)+1 fit
-        top = 2 * default_degree_bound(ring) + 1
-        rungs = [(d, 2 * d + 2) for d in range(1, top + 1)]
-    else:
-        d = degree_bound if degree_bound is not None else default_degree_bound(ring)
-        rungs = [(d, max(window if window is not None else default_window(ring), 2 * d + 2))]
     locus = RankLocus(ring, module)
+    start = degree_bound or 1
+    if ring.c == 2:  # the first rung's _disagreement reads the same cached form
+        start = max([start] + [g.degree() for g in locus.on_line((1, 0), (0, 1), ring.chi_ring()).gens])
     ext = None
-    for d, w in rungs:
-        ext = chi_action(ring, module, w, ext)
+    # the chi action grows with the window, so the climb is capped
+    for d in range(start, start + 2 * (ring.ambient.n + ring.c) + 1):
+        ext = chi_action(ring, module, 2 * d + 2, ext)
         ideal = annihilator_ideal(ext, d)
         reason = _disagreement(ring, locus, ideal)
         if not reason:
-            return SupportVariety(ring, ideal, w, True, d)
-    if len(rungs) > 1:
-        reason = f"no degree bound up to {d} gives an ideal the rank locus confirms ({reason})"
-    else:
-        reason = f"at degree bound {d} and window {w}, {reason}"
-    return SupportVariety(ring, ideal, w, False, d, note=reason)
+            return SupportVariety(ring, ideal, True, d)
+    reason = f"no degree bound up to {d} gives an ideal the rank locus confirms ({reason})"
+    return SupportVariety(ring, ideal, False, d, note=reason)
 
 
 def variety_of_pair(
-    ring: CIRing,
-    module: GradedModule,
-    other: GradedModule,
-    window: int = None,
-    degree_bound: int = None,
+    ring: CIRing, module: GradedModule, other: GradedModule, degree_bound: int = None
 ) -> SupportVariety:
     """Support variety of a pair, as the intersection of the two varieties.
 
@@ -323,15 +300,15 @@ def variety_of_pair(
     returns the variety flagged unstable, with the point in its note.
     """
     if is_residue_field(other) or other.content_key() == module.content_key():
-        v = variety_of(ring, module, window, degree_bound)
+        v = variety_of(ring, module, degree_bound)
     else:
-        v1 = variety_of(ring, module, window, degree_bound)
-        v2 = variety_of(ring, other, window, degree_bound)
+        v1 = variety_of(ring, module, degree_bound)
+        v2 = variety_of(ring, other, degree_bound)
         v = intersection_variety(v1, v2)
     for coords in sample_points(ring, 3):
         if membership(ring, module, other, coords) != vanishes_at(v.ideal, coords, ring.field):
             reason = f"the membership oracle disagrees with the annihilator ideal at {coords}"
-            return SupportVariety(ring, v.ideal, v.window_used, False, v.degree_bound, note=reason)
+            return SupportVariety(ring, v.ideal, False, v.degree_bound, note=reason)
     return v
 
 
@@ -361,7 +338,6 @@ def _combine(v1: SupportVariety, v2: SupportVariety, op, note: str) -> SupportVa
     return SupportVariety(
         v1.ring,
         op(v1.ideal, v2.ideal),
-        min(v1.window_used, v2.window_used),
         not reasons,
         max(v1.degree_bound, v2.degree_bound),
         note="; ".join(reasons) or note,

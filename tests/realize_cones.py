@@ -5,10 +5,14 @@ For each degree d, `cisupport realize` builds a module over k[x,y]/(x^2, y^2)
 whose variety is the cone, and its presentation goes into a job file of its
 own.  `cisupport variety` on that file must give the cone up to radical
 (exit 0), or flag its answer unstable (exit 3): a wrong ideal with exit 0
-is a failure.  tests/test_cli.py runs d = 1..9 over F_5; other primes and
-degrees run by hand, one line per degree, exit 1 on a failure:
+is a failure.  Over F_101 and F_5 every d = 1..16 gives the cone with exit
+0, since the degree ladder starts at the degree of the rank locus' form;
+over F_2 the cones of d = 12 and 16, (chi1^3 + chi2^3)^4 and
+(chi1 + chi2)^16, come back flagged.
+tests/test_cli.py runs d = 1..12 over F_5 and asserts exit 0; other primes
+and degrees run by hand, one line per degree, exit 1 on a failure:
 
-    PYTHONPATH=src python tests/realize_cones.py --p 101 --degrees 1-12
+    PYTHONPATH=src python tests/realize_cones.py --p 101 --degrees 1-16
 """
 
 import argparse
@@ -40,8 +44,9 @@ def _cli(args):
     return code, json.loads(out.getvalue()), err.getvalue()
 
 
-def variety_of_realized_cone(p: int, d: int, work: str):
-    """(ok, one line of report) for the cone of degree d over F_p."""
+def realized_cone_job(p: int, d: int, work: str) -> str:
+    """The path of a job file presenting the realized module of the cone of
+    degree d over F_p."""
     path = os.path.join(work, f"realize_{p}_{d}.job")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(RING.format(p=p) + "module k\nresidue\n")
@@ -54,7 +59,12 @@ def variety_of_realized_cone(p: int, d: int, work: str):
             f"twists {' '.join(map(str, pres['row_twists']))}\ncolumns {cols}\n"
             f"coltwists {' '.join(map(str, pres['col_twists']))}\n"
         )
-    code, report, err = _cli(["variety", "--input", path])
+    return path
+
+
+def variety_of_realized_cone(p: int, d: int, work: str):
+    """(ok, one line of report) for the cone of degree d over F_p."""
+    code, report, err = _cli(["variety", "--input", realized_cone_job(p, d, work)])
     chi = two_var_ring(p).chi_ring()
     got = Ideal(chi, [parse_poly(chi, g) for g in report["results"]["ideal"]])
     right = equal_up_to_radical(got, Ideal(chi, [parse_poly(chi, cone(d))]))

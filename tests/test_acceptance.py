@@ -230,7 +230,7 @@ columns x
     cache = str(tmp_path / "cache")
     results = []
     for _ in range(2):
-        payload, hit = run_job(job, "variety", {"window": "10"}, cache)
+        payload, hit = run_job(job, "variety", {"degree-bound": "4"}, cache)
         results.append((payload, hit))
     same_bytes = results[0][0] == results[1][0]
     hit_pattern = (results[0][1], results[1][1]) == (False, True)

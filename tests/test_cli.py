@@ -335,9 +335,9 @@ def test_unstable_variety_exit_code(jobfile, capsys, monkeypatch):
 
     real = cli_mod.variety_of
 
-    def unstable(ring, module, window=None, dbound=None):
-        v = real(ring, module, window, dbound)
-        return SupportVariety(v.ring, v.ideal, v.window_used, False, v.degree_bound)
+    def unstable(ring, module, dbound=None):
+        v = real(ring, module, dbound)
+        return SupportVariety(v.ring, v.ideal, False, v.degree_bound)
 
     monkeypatch.setattr(cli_mod, "variety_of", unstable)
     path = jobfile(TWOVAR)
@@ -451,9 +451,11 @@ def test_a_socle_degree_above_200_gives_the_same_answer_on_every_route(jobfile, 
         (["variety", "--point", "1,1"], "variety does not read --point"),
         (["member", "--point", "1,0", "--allow-unstable"], "member does not read --allow-unstable"),
         (["betti", "--window", "3"], "betti does not read --window"),
+        (["variety", "--window", "8"], "variety does not read --window"),
+        (["restrict", "--subspace", "1x2:1,0", "--window", "8"], "restrict does not read --window"),
     ],
     ids=["realize-degree-bound", "variety-length", "variety-point", "member-allow-unstable",
-         "betti-window"],
+         "betti-window", "variety-window", "restrict-window"],
 )
 def test_a_flag_the_command_does_not_read_is_a_parse_error(jobfile, capsys, argv, reason):
     code, out, err = run_cli(capsys, argv[:1] + ["--input", jobfile(TWOVAR)] + argv[1:])
@@ -475,8 +477,11 @@ def test_a_flag_given_to_check_is_a_parse_error(capsys):
         (TWOVAR + "command realize\ncone chi1\ndegree-bound 9\n", ":9:1:", "realize does not read degree-bound"),
         (TWOVAR + "command realize\nmodule M\n", ":8:1:", "realize does not read module"),
         (TWOVAR + "command member\nwindow 3\n", ":8:1:", "member does not read window"),
+        (TWOVAR + "command variety\nwindow 8\n", ":8:1:", "variety does not read window"),
+        (TWOVAR + "command restrict\nsubspace 1x2:1,0\nwindow 8\n", ":9:1:", "restrict does not read window"),
     ],
-    ids=["betti-window", "realize-degree-bound", "realize-module", "member-window"],
+    ids=["betti-window", "realize-degree-bound", "realize-module", "member-window", "variety-window",
+         "restrict-window"],
 )
 def test_a_section_parameter_its_command_does_not_read_is_a_located_parse_error(
     jobfile, capsys, text, where, reason
@@ -569,31 +574,64 @@ def test_variety_at_degree_bound_one_agrees_with_member():
     assert not v.stabilized or not any(vanishes_at(v.ideal, a, ring.field) for a in outside)
 
 
-@pytest.mark.parametrize("d", range(1, 10))
+@pytest.mark.parametrize("d", range(1, 13))
 def test_variety_of_a_realized_cone_is_the_cone(d, tmp_path):
-    # the degree ladder climbs to the cone's degree by itself; realize passes
-    # no degree bound
+    # the degree ladder starts at the degree of the rank locus' form and
+    # finds the cone by itself; realize passes no degree bound
     import realize_cones
 
     ok, line = realize_cones.variety_of_realized_cone(5, d, str(tmp_path))
     assert ok and "exit 0" in line, line
 
 
-def test_a_certified_bound_the_locus_refutes_is_unstable_with_its_reason(jobfile, capsys):
-    # at degree bound 4 the chi1^5 - 3 chi2^5 cone goes unseen: the rank
-    # locus refutes the zero ideal, and the report and stderr say why
+def test_a_certified_bound_the_locus_refutes_is_unstable_with_its_reason(jobfile, capsys, tmp_path):
+    # at degree bound 4 the chi1^5 - 3 chi2^5 cone goes unseen, so the
+    # ladder starts at the degree 5 of the rank locus' form and finds it
     path = jobfile(realized_above_degree_bound_job())
-    code, out, err = run_cli(capsys, ["variety", "--input", path, "--degree-bound", "4"])
+    for argv in ([], ["--degree-bound", "4"]):
+        code, out, err = run_cli(capsys, ["variety", "--input", path] + argv)
+        report = json.loads(out)
+        assert code == EXIT_OK and err == "" and report["results"]["ideal"] == ["chi1^5 + 98*chi2^5"]
+        assert report["results"]["degree_bound"] == 5 and report["results"]["window_used"] == 12
+        assert "reason" not in report["flags"]
+    # over F_2 the cone chi1^12 + chi2^12 is (chi1^3 + chi2^3)^4: from the
+    # locus' degree 3 the ladder's 2(n + c) + 1 rungs end at 11, below the
+    # power 12 the annihilator needs, and the report and stderr say why
+    import realize_cones
+
+    path = realize_cones.realized_cone_job(2, 12, str(tmp_path))
+    code, out, err = run_cli(capsys, ["variety", "--input", path])
     report = json.loads(out)
     assert code == 3 and report["results"]["ideal"] == [] and report["flags"]["stabilized"] is False
+    assert report["results"]["degree_bound"] == 11 and report["results"]["window_used"] == 24
     reason = report["flags"]["reason"]
-    assert reason.startswith("at degree bound 4 and window 12, the annihilator ideal and the rank locus differ")
+    assert reason.startswith("no degree bound up to 11 gives an ideal the rank locus confirms (the annihilator")
     assert err == f"warning: variety computation did not stabilize: {reason}\n"
-    code, out, _ = run_cli(capsys, ["variety", "--input", path])
+    code, out, _ = run_cli(capsys, ["variety", "--input", path, "--degree-bound", "12"])
     report = json.loads(out)
-    assert code == EXIT_OK and report["results"]["ideal"] == ["chi1^5 + 98*chi2^5"]
-    assert report["results"]["degree_bound"] == 5 and report["results"]["window_used"] == 12
-    assert "reason" not in report["flags"]
+    assert code == EXIT_OK and report["results"]["ideal"] == ["chi1^12 + chi2^12"]
+    assert report["results"]["degree_bound"] == 12 and report["flags"] == {"stabilized": True}
+
+
+def test_the_ladder_starts_at_the_degree_of_the_locus_form(jobfile, capsys, monkeypatch):
+    # the module's locus is the form chi1^5 - 3 chi2^5 of degree 5 on P^1,
+    # so no rung below 5 runs; a larger degree bound is the first rung
+    import cisupport.variety as variety
+
+    bounds = []
+    real = variety.annihilator_ideal
+
+    def spy(ext, degree_bound):
+        bounds.append(degree_bound)
+        return real(ext, degree_bound)
+
+    monkeypatch.setattr(variety, "annihilator_ideal", spy)
+    path = jobfile(realized_above_degree_bound_job())
+    for argv, first in (([], 5), (["--degree-bound", "3"], 5), (["--degree-bound", "7"], 7)):
+        bounds.clear()
+        code, out, _ = run_cli(capsys, ["variety", "--input", path] + argv)
+        assert code == EXIT_OK and bounds == [first], (argv, bounds)
+        assert json.loads(out)["results"]["degree_bound"] == first
 
 
 def test_check_with_an_unstable_pair_variety_exits_unstable(capsys, monkeypatch):
@@ -603,7 +641,7 @@ def test_check_with_an_unstable_pair_variety_exits_unstable(capsys, monkeypatch)
 
     def unstable(ring, module, other):
         v = real(ring, module, other)
-        return SupportVariety(v.ring, v.ideal, v.window_used, False, v.degree_bound, note="sampled point disagrees")
+        return SupportVariety(v.ring, v.ideal, False, v.degree_bound, note="sampled point disagrees")
 
     monkeypatch.setattr(checksuite, "variety_of_pair", unstable)
     code, out, err = run_cli(capsys, ["check"])

@@ -275,7 +275,7 @@ def test_variety_of_computes_one_chi_action(monkeypatch):
         solved.clear()
         v = variety_of(ring, module)
         assert v.stabilized
-        assert solved == list(range(2, v.window_used + 1))
+        assert solved == list(range(2, 2 * v.degree_bound + 2 + 1))
     assert v.degree_bound == 2  # K_quadric's quadric needs a second rung
 
 

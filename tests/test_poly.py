@@ -82,6 +82,12 @@ def test_monomials_of_degree_ordered_descending():
     assert keys == sorted(keys, reverse=True)
 
 
+def test_a_ring_without_variables_has_one_monomial_of_degree_zero():
+    r = PolyRing([], field=F5)
+    assert r.monomials_of_degree(0) == [()]
+    assert r.monomials_of_degree(1) == r.monomials_of_degree(3) == r.monomials_of_degree(-1) == []
+
+
 def test_evaluate():
     r = ring2()
     q = parse_poly(r, "x^2 + 2*y")

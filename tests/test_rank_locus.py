@@ -289,15 +289,18 @@ def test_candidates_from_one_minor_give_the_compression_route_ideal(ring, module
 
 def _ladders():
     """(ring, module, rungs climbed, asks of on_line across them)"""
-    # one line, P^1, asked on each of four rungs
-    yield pytest.param(*realized_cone(5, 4), 4, 4, id="cone_p5_d4")
+    # one line, P^1, asked for the ladder's start and on its one rung: the
+    # locus' form has the cone's degree 4
+    yield pytest.param(*realized_cone(5, 4), [4], 2, id="cone_p5_d4")
+    # over F_2 the cone is (chi1 + chi2)^2: the start asks, then two rungs
+    yield pytest.param(*realized_cone(2, 2), [1, 2], 3, id="cone_p2_d2")
     # sampled probe points; rung 1 fails at a point, rung 2 asks both probe lines
     ring = three_var_ring(7)
-    yield pytest.param(ring, catalog_modules(ring)["K_quadric"], 2, 2, id="3var_p7-K_quadric")
+    yield pytest.param(ring, catalog_modules(ring)["K_quadric"], [1, 2], 2, id="3var_p7-K_quadric")
 
 
-@pytest.mark.parametrize("ring, module, top, asks", _ladders())
-def test_each_line_is_eliminated_once_across_the_ladder(ring, module, top, asks, monkeypatch):
+@pytest.mark.parametrize("ring, module, climbed, asks", _ladders())
+def test_each_line_is_eliminated_once_across_the_ladder(ring, module, climbed, asks, monkeypatch):
     calls, rungs = [], []
     real_rank, real_line, real_ann = homology._generic_rank, RankLocus.on_line, variety.annihilator_ideal
 
@@ -310,7 +313,7 @@ def test_each_line_is_eliminated_once_across_the_ladder(ring, module, top, asks,
     monkeypatch.setattr(variety, "annihilator_ideal", lambda ext, d: rungs.append(d) or real_ann(ext, d))
     clear_memo()
     v = variety_of(ring, module)
-    assert v.stabilized and rungs == list(range(1, top + 1))
+    assert v.stabilized and rungs == climbed
     asked = [c for c in calls if c[0] == "on_line"]
     assert len(asked) == asks and len({c[1] for c in asked}) == 1  # one locus for the whole ladder
     # one elimination per D_i, right after the first ask of each line only
@@ -319,3 +322,32 @@ def test_each_line_is_eliminated_once_across_the_ladder(ring, module, top, asks,
         want += [c] + ([("rank",)] * 2 if c not in seen else [])
         seen.add(c)
     assert calls == want
+
+
+@pytest.mark.parametrize("u, v", [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 4)), ((1, 2), (0, 1))])
+def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
+    # a synthetic table on betti (1, 2, 1): sigma_e1 on G_0 is (1, 0)^T and
+    # sigma_e2 on G_1 is (0, 1), so D_0(chi) has rank 1 off chi1 = 0 and
+    # D_1(chi) rank 1 off chi2 = 0, and the locus is {chi1 chi2 = 0}: (0, 1)
+    # from D_0 alone, (1, 0) from D_1 alone.  On each line one of the two is
+    # a root of D_1's pivot alone, or u itself
+    betti = (1, 2, 1)
+    table = {
+        (1, 0): ([(1, 0)], np.array([[1], [0]], dtype=np.int64)),
+        (1, 1): ([(0, 1)], np.array([[0], [1]], dtype=np.int64)),
+    }
+
+    class Ranks:
+        def table(self, ring, module):
+            return betti, table
+
+    monkeypatch.setattr(homology, "section_ranks", lambda ring, module: Ranks())
+    ring = two_var_ring(5)
+    locus = RankLocus(ring, residue_module(ring))
+    assert [a for a in [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)] if locus.contains(a)] == [(1, 0), (0, 1)]
+    chi = ring.chi_ring()
+    s1, s2 = chi.var_poly(0), chi.var_poly(1)
+    # s1 u + s2 v is (1, 0) where its second coordinate vanishes, and (0, 1)
+    # where its first does
+    want = Ideal(chi, [(s1.scale(u[1]) + s2.scale(v[1])) * (s1.scale(u[0]) + s2.scale(v[0]))])
+    assert equal_up_to_radical(locus.on_line(u, v, chi), want)

@@ -121,6 +121,15 @@ def test_degree_bound_below_one_is_rejected(bound):
         variety_of(ring, module, degree_bound=bound)
 
 
+def test_a_ring_without_defining_forms_has_no_variety():
+    # codimension 0: k[chi] has no coordinates, so variety_of refuses the
+    # ring before any chi action is built
+    q = PolyRing(["x", "y"], field=PrimeField(3))
+    ring = CIRing(q, [])
+    with pytest.raises(ValueError, match="no chi coordinates"):
+        variety_of(ring, residue_module(ring))
+
+
 def test_variety_of_zero_module_is_origin():
     ring = two_var_ring(3)
     v = variety_of(ring, zero_module(ring))
@@ -208,7 +217,7 @@ def test_sampled_probes_are_eight_distinct_projective_points(p):
 
 def quadric_variety(ring):
     chi = ring.chi_ring()
-    return SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2 - chi3^2")]), 0, True)
+    return SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2 - chi3^2")]), True)
 
 
 def test_restrict_examples():
@@ -222,7 +231,7 @@ def test_restrict_examples():
     out2 = restrict_to_subspace(vq, wid)
     assert equal_up_to_radical(out2, rename_ideal(vq.ideal, out2.ring))
     # whole space restricts to the zero ideal
-    vk = SupportVariety(ring, Ideal(ring.chi_ring(), []), 0, True)
+    vk = SupportVariety(ring, Ideal(ring.chi_ring(), []), True)
     assert restrict_to_subspace(vk, w).is_zero()
 
 
@@ -279,11 +288,11 @@ def test_irreducible_examples():
     ring = three_var_ring(5)
     chi = ring.chi_ring()
     assert irreducible_principal(quadric_variety(ring)).verdict == "yes"
-    v2 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2")]), 0, True)
+    v2 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2")]), True)
     assert irreducible_principal(v2).verdict == "no"
-    v3 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1")]), 0, True)
+    v3 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1")]), True)
     assert irreducible_principal(v3).verdict == "yes"
-    v4 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1^2")]), 0, True)
+    v4 = SupportVariety(ring, Ideal(chi, [P(chi, "chi1^2")]), True)
     assert irreducible_principal(v4).verdict == "yes"  # powered single factor
     v5 = SupportVariety(
         ring, Ideal(chi, [P(chi, "chi1*chi2"), P(chi, "chi2*chi3")]), 0, True
@@ -294,7 +303,7 @@ def test_irreducible_examples():
 def test_irreducible_budget_exhaustion_is_flagged():
     ring = three_var_ring(101)
     chi = ring.chi_ring()
-    v = SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2 - chi3^2")]), 0, True)
+    v = SupportVariety(ring, Ideal(chi, [P(chi, "chi1*chi2 - chi3^2")]), True)
     out = irreducible_principal(v, budget_limit=10)
     assert out.verdict == "unknown"
 
@@ -524,7 +533,7 @@ def test_weighted_grading_end_to_end():
     ring = CIRing(q, [P(q, "x^4"), P(q, "y^2")])
     assert ring.note  # the degree convention is flagged, not silent
     m = cyclic_module(ring, [P(q, "x")])
-    v = variety_of(ring, m, window=14, degree_bound=3)
+    v = variety_of(ring, m, degree_bound=3)
     assert v.stabilized
     assert [render_poly(g) for g in v.ideal.gens] == ["chi2"]
     k = residue_module(ring)
