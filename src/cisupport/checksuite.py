@@ -31,7 +31,7 @@ from .cimodule import (
 )
 from .field import PrimeField
 from .groebner import Ideal, equal_up_to_radical
-from .homology import ext_k_dims, ext_module_ring_coeffs
+from .homology import ext_k_dims, ext_module_ring_coeffs, hypersurface_betti
 from .operators import chi_action, chi_action_from_family, operator_family
 from .poly import PolyRing, parse_poly
 from .realize import ConeSpec, certify_cone_ses, mapping_cone_module, realize_cone
@@ -402,17 +402,25 @@ def check_scaling_invariance(ring: CIRing):
     """Membership is constant on the scalar multiples of sampled directions.
 
     The scalars are 2..min(p - 1, 7): each costs one membership call per
-    point, so over a large field this stays a bounded spot check.
+    point, so over a large field this stays a bounded spot check.  The
+    oracle keeps its ranks per projective point, so a scaled direction
+    reads the answer kept for the direction itself; each scaled direction
+    is therefore also decided from the table of f_{lambda a} alone, by
+    hypersurface_betti over Q/(f_{lambda a}) in the degrees membership
+    reads: a homotopy system that no cache serves.
     """
     mods = catalog_modules(ring)
     k = mods["k"]
     m = mods["R/(x)"]
+    s = ring.ambient.n + 1  # dim Q/(f) + 2
     bad = []
     for coords in sample_points(ring, 4, 37):
         base = membership(ring, m, k, coords)
         for lam in range(2, min(ring.field.p, 8)):
             scaled = tuple(lam * c % ring.field.p for c in coords)
-            if membership(ring, m, k, scaled) != base:
+            hyper = CIRing(ring.ambient, [ring.form(scaled)], validate=False)
+            alone = any(hypersurface_betti(hyper, m, s + 1)[s:])
+            if not membership(ring, m, k, scaled) == alone == base:
                 bad.append(f"{coords} vs {scaled}")
     return _result("membership_scaling_invariance", not bad, "; ".join(bad))
 

@@ -8,12 +8,13 @@ recursion, homotopy_system, builds Eisenbud's homotopies sigma_alpha of a
 whole sequence f_1..f_c, one per multi-index alpha.  Those of f_a =
 sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
 table of constant parts, homotopy_constants, serves every direction, and
-one routine, _tor_ranks, reads it at a point, in whatever field the point
+one TorReader per table reads it at a point, in whatever field the point
 lies: hypersurface_betti reads the table of (f,) at a = (1,), section_betti
 the table of f_1..f_c at each direction after the first, and RankLocus the
-same table at points of F_p^c and of its extensions.  Past pd G the Shamash
-resolution is 2-periodic, so _tor_ranks builds only the differentials the
-asked degrees need and two ranks decide eventual vanishing.  RankLocus
+same reader at points of F_p^c and of its extensions.  Past pd G the
+Shamash resolution is 2-periodic, so a reader builds only the differentials
+the asked degrees need, and two ranks, kept per projective point, decide
+eventual vanishing.  RankLocus
 also reads the table as a polynomial matrix in chi along a line: the
 support variety is where its constant parts fail to be exact, with no
 window and no degree bound, which certifies the annihilator route's
@@ -205,51 +206,114 @@ def homotopy_constants(ambient: AmbientResolution, fs, field) -> dict:
     }
 
 
-def _tor_ranks(field, betti, table, a, degrees):
-    """Tor ranks over Q/(f_a) in the given homological degrees, from the
-    homotopy_constants table of f_1..f_c read at the direction a: the rank
-    of F_m less those of the Shamash differentials d_m and d_{m+1} mod the
-    irrelevant ideal.
+def _projective(field, a) -> tuple:
+    """The point a scaled so that its first nonzero coordinate is one; the
+    zero vector as it is.  Q/(f_{lambda a}) = Q/(f_a), so every Tor rank
+    over it depends on this point only."""
+    a = [field.mul(field.one, x) for x in a]  # reduced: p is zero over F_p
+    lead = next((x for x in a if x != field.zero), field.one)
+    if lead == field.one:
+        return tuple(a)
+    inv = field.inv(lead)
+    return tuple(field.mul(inv, x) for x in a)
 
-    Only the differentials those degrees need are built.  Past pd G every
-    F_m holds all of G_i of one parity, so d_{m+2} = d_m for m > pd (the
-    2-periodic tail): the degrees s, s + 1 with s > pd take two ranks.  The
-    constant part of sigma_t(a) on G_i is sum_{|alpha|=t} a^alpha
-    const(sigma_alpha); a key missing from the table is a zero block.  Over
-    F_{p^e} a differential's rank is that of its regular representation
-    over F_p, divided by e; the table may be over F_p or over F_{p^e}.
+
+class TorReader:
+    """Tor ranks over Q/(f_a) read off one homotopy_constants table of
+    f_1..f_c at directions a: the rank of F_m less those of the Shamash
+    differentials d_m and d_{m+1} mod the irrelevant ideal.
+
+    The constant part of sigma_t(a) on G_i is sum_{|alpha|=t} a^alpha
+    const(sigma_alpha); a key missing from the table is a zero block.  So
+    each d_m is one matrix over F_p times the column of monomials a^alpha,
+    built the first time a degree asks for it.  Past pd G every F_m holds
+    all of G_i of one parity, so d_{m+2} = d_m for m > pd (the 2-periodic
+    tail), and the degrees s, s + 1 with s > pd take two ranks.  A rank is
+    kept per projective point (see _projective) and period, so the scalar
+    multiples of a point read its ranks.  Over F_{p^e} a differential's
+    rank is that of its regular representation over F_p, divided by e; the
+    table may be over F_p or over F_{p^e}.
     """
-    pd = len(betti) - 1
 
-    def power(alpha):  # a^alpha
-        return functools.reduce(field.mul, [c for c, e in zip(a, alpha) for _ in range(e)], field.one)
+    def __init__(self, betti, table):
+        self.betti = betti  # ranks of G_0, ..., G_pd
+        self.table = table
+        self.pd = len(betti) - 1
+        self._maps = {}  # period m: d_m as (shape, alphas, matrix)
+        self._ranks = {}  # (field, projective point, period m): rank of d_m there
 
-    def period(m):  # the m' <= pd + 2 with d_m' = d_m
+    def period(self, m: int) -> int:
+        """The m' <= pd + 2 with d_m' = d_m."""
+        pd = self.pd
         return m if m <= pd + 2 else pd + 1 + (m - pd - 1) % 2
 
-    blocks = {}
-    for (t, i), (alphas, stacked) in table.items():
+    def _map(self, m: int):
+        """d_m as (shape, alphas, matrix): its (rows, cols) entries, read
+        row by row, are matrix times the column of monomials a^alpha, alpha
+        in alphas (e coefficients each when the table is over F_{p^e})."""
+        if m not in self._maps:
+            betti = self.betti
+            src, dst, grid = _shamash_layout(m, self.pd)
+            col_at = np.cumsum([0] + [betti[i] for i, _ in src])
+            row_at = np.cumsum([0] + [betti[k] for k, _ in dst])
+            blocks = [
+                (r, c, self.table[key]) for r, row in enumerate(grid) for c, key in enumerate(row) if key in self.table
+            ]
+            column = {}  # alpha: its column of the matrix (its e columns over F_{p^e})
+            for *_, (alphas, _) in blocks:
+                for alpha in alphas:
+                    column.setdefault(alpha, len(column))
+            e = blocks[0][2][1].shape[1] // len(blocks[0][2][0]) if blocks else 1
+            matrix = np.zeros((row_at[-1], col_at[-1], len(column) * e), dtype=np.int64)
+            for r, c, (alphas, stacked) in blocks:
+                place = matrix[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]]
+                block = stacked.reshape(place.shape[:2] + (len(alphas) * e,))
+                for n, alpha in enumerate(alphas):
+                    j = column[alpha]
+                    place[..., j * e : (j + 1) * e] = block[..., n * e : (n + 1) * e]
+            shape = (int(row_at[-1]), int(col_at[-1]))
+            self._maps[m] = (shape, list(column), matrix.reshape(shape[0] * shape[1], len(column) * e))
+        return self._maps[m]
+
+    def _rank(self, field, a, m: int) -> int:
+        shape, alphas, matrix = self._map(m)
+        if not alphas:
+            return 0
+        powers = [  # a^alpha
+            functools.reduce(field.mul, [c for c, e in zip(a, alpha) for _ in range(e)], field.one) for alpha in alphas
+        ]
         # block alpha of scale is the transposed matrix of multiplication
         # by a^alpha, so row x of the product is sum_alpha a^alpha C_alpha[x];
         # for a table over F_p only row 0 of each block, a^alpha, is read
-        scale = modlinalg.regular_matrix(field, [[power(alpha) for alpha in alphas]]).T
-        if stacked.shape[1] == len(alphas):
+        scale = modlinalg.regular_matrix(field, [powers]).T
+        if matrix.shape[1] == len(alphas):
             scale = scale[:: field.e]
-        shape = (betti[i + 2 * t - 1], betti[i], field.e)
-        blocks[(t, i)] = modlinalg.matmul(stacked, scale, field.p).reshape(shape)
-    sizes, ranks = {}, {}
-    for m in sorted({period(k) for m in degrees for k in (m, m + 1)}):
-        src, dst, grid = _shamash_layout(m, pd)
-        col_at = np.cumsum([0] + [betti[i] for i, _ in src])
-        row_at = np.cumsum([0] + [betti[k] for k, _ in dst])
-        d = np.zeros((row_at[-1], col_at[-1], field.e), dtype=np.int64)
-        for r, row in enumerate(grid):
-            for c, key in enumerate(row):
-                if key in blocks:
-                    d[row_at[r] : row_at[r + 1], col_at[c] : col_at[c + 1]] = blocks[key]
-        sizes[m] = d.shape[1]
-        ranks[m] = modlinalg.rank(modlinalg.regular_matrix(field, d), field.p) // field.e if d.size else 0
-    return [sizes[period(m)] - ranks[period(m)] - ranks[period(m + 1)] for m in degrees]
+        d = modlinalg.matmul(matrix, scale, field.p).reshape(shape + (field.e,))
+        return modlinalg.rank(modlinalg.regular_matrix(field, d), field.p) // field.e
+
+    def read(self, field, a, degrees) -> list:
+        """The Tor ranks over Q/(f_a) in the given degrees, in their order,
+        for a point a over field."""
+        a = _projective(field, a)
+
+        def rank(m):
+            key = (field, a, m)
+            if key not in self._ranks:
+                self._ranks[key] = self._rank(field, a, m)
+            return self._ranks[key]
+
+        out = []
+        for m in degrees:
+            m0, m1 = self.period(m), self.period(m + 1)
+            out.append(self._map(m0)[0][1] - rank(m0) - rank(m1))
+        return out
+
+
+def _tor_ranks(field, betti, table, a, degrees):
+    """Tor ranks over Q/(f_a) in the given homological degrees, from the
+    homotopy_constants table of f_1..f_c read at the direction a, by a
+    reader of its own (see TorReader)."""
+    return TorReader(betti, table).read(field, a, degrees)
 
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
@@ -265,39 +329,41 @@ def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
 
 class SectionRanks:
     """Tor ranks of one module over R = Q/(f_1..f_c) over the hypersurfaces
-    Q/(f_a), one direction a at a time.
+    Q/(f_a), one direction a at a time, each table read by one TorReader.
 
-    The first direction asked reads the table of f_a alone, kept for when it
-    is asked again: a process that asks about one direction (a `member` job)
-    pays for nothing more.  From the second direction on, the table of
-    f_1..f_c is built once and read at each direction; RankLocus reads the
-    same table.
+    The first direction asked reads the table of f_a alone, kept with its
+    reader for when it or a scalar multiple is asked again: a process that
+    asks about one direction (a `member` job) pays for nothing more.  From
+    the next projective point on, the table of f_1..f_c is built once and
+    its reader serves every direction; RankLocus reads through the same
+    reader, so the oracle and the locus take two ranks per projective point
+    between them.
     """
 
     def __init__(self):
         self.first = None  # the first direction asked
-        self.first_table = None  # (betti, table of f_first alone)
-        self.betti = None  # ranks of G_0, ..., G_pd, once consts is built
-        self.consts = None  # homotopy_constants of f_1..f_c
+        self.first_reader = None  # reader of the table of f_first alone
+        self.module_reader = None  # reader of the table of f_1..f_c
 
-    def table(self, ring: CIRing, module: GradedModule):
-        """The ranks of G and the homotopy_constants table of f_1..f_c."""
-        if self.consts is None:
+    def reader(self, ring: CIRing, module: GradedModule) -> TorReader:
+        """The reader of the homotopy_constants table of f_1..f_c."""
+        if self.module_reader is None:
             ambient = ambient_resolution(module)
-            self.betti = ambient.res.betti
-            self.consts = homotopy_constants(ambient, ring.fs, ring.field)
-        return self.betti, self.consts
+            self.module_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, ring.fs, ring.field))
+        return self.module_reader
 
     def betti_at(self, ring: CIRing, module: GradedModule, a, degrees):
-        if self.consts is None and self.first in (None, a):
-            if self.first is None:
-                ambient = ambient_resolution(module)
-                self.first = a
-                self.first_table = (ambient.res.betti, homotopy_constants(ambient, [ring.form(a)], ring.field))
-            betti, table = self.first_table
-            return _tor_ranks(ring.field, betti, table, (ring.field.one,), degrees)
-        betti, table = self.table(ring, module)
-        return _tor_ranks(ring.field, betti, table, a, degrees)
+        field = ring.field
+        point = _projective(field, a)
+        # f_0 = 0 has no homotopies: the zero direction reads the module's table
+        single = self.module_reader is None and any(x != field.zero for x in point)
+        if single and self.first is None:
+            ambient = ambient_resolution(module)
+            self.first = a
+            self.first_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, [ring.form(a)], field))
+        if single and point == _projective(field, self.first):
+            return self.first_reader.read(field, (field.one,), degrees)
+        return self.reader(ring, module).read(field, a, degrees)
 
 
 def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
@@ -447,9 +513,10 @@ class RankLocus:
     section 7; Avramov-Buchweitz, Invent. Math. 142 (2000)).  It is a cone:
     the block of sigma_alpha on G_i has chi-degree |alpha|.
 
-    contains(a) is the rank test at a point of F_p^c: _tor_ranks in the
-    degrees pd + 1, pd + 2 of the periodic tail, the two ranks membership
-    reads from the same table.  on_line(u, v, ring2) is the locus on the
+    contains(a) is the rank test at a point of F_p^c: the Tor ranks in the
+    degrees pd + 1, pd + 2 of the periodic tail, read by the TorReader that
+    membership reads too, so a projective point costs the two of them two
+    ranks in all.  on_line(u, v, ring2) is the locus on the
     line {s1 u + s2 v}, exact: it is the whole line when the generic ranks
     r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to less than N, and
     otherwise the finitely many points where one of them drops.  The last
@@ -457,12 +524,12 @@ class RankLocus:
     r_i-minor of D_i, so each such point is a root of one of those two
     pivots; every irreducible factor h of their product, read as the point
     x u + v over F_p[x]/(h), and the point x = infinity (u itself) are kept
-    or dropped by _tor_ranks there.  The only randomness left is
+    or dropped by the same reader there.  The only randomness left is
     Cantor-Zassenhaus in the factoring, which changes the running time,
     never the answer.  For c = 2 the line through (1, 0) and (0, 1) is all
-    of P^1, so its ideal is V(M) itself, up to radical.  The answers are
-    kept per point and per line, so later rungs of a degree ladder reuse
-    them.  Nothing here reads the chi action.
+    of P^1, so its ideal is V(M) itself, up to radical.  The reader keeps
+    each point's ranks and the locus each line's answer, so later rungs of
+    a degree ladder reuse them.  Nothing here reads the chi action.
     """
 
     def __init__(self, ring: CIRing, module: GradedModule):
@@ -471,12 +538,12 @@ class RankLocus:
         self.field = ring.field
         self.p = ring.field.p
         self.c = ring.c
-        self.betti, self.table = section_ranks(ring, module).table(ring, module)
+        self.reader = section_ranks(ring, module).reader(ring, module)
+        self.betti, self.table = self.reader.betti, self.reader.table
         self.n = sum(self.betti[0::2])
         if self.n != sum(self.betti[1::2]):
             raise AssertionError("the ambient resolution of a torsion module has dim E = dim O")
         self.tail = (len(self.betti), len(self.betti) + 1)  # pd + 1, pd + 2
-        self._points = {}
         self._lines = {}
 
     def _pencil(self, u, v):
@@ -509,14 +576,11 @@ class RankLocus:
         fld = ExtField(p, e, modulus)
         x = tuple(int(k == 1) for k in range(e))
         a = tuple(fld.add(fld.mul(fld.from_int(s), x), fld.from_int(t)) for s, t in zip(u, v))
-        return any(_tor_ranks(fld, self.betti, self.table, a, self.tail))
+        return any(self.reader.read(fld, a, self.tail))
 
     def contains(self, a) -> bool:
         """Is the point a of F_p^c in the rank locus?"""
-        a = tuple(int(x) % self.p for x in a)
-        if a not in self._points:
-            self._points[a] = any(_tor_ranks(self.field, self.betti, self.table, a, self.tail))
-        return self._points[a]
+        return any(self.reader.read(self.field, tuple(int(x) % self.p for x in a), self.tail))
 
     def on_line(self, u, v, ring2: PolyRing) -> Ideal:
         """The locus on the line {s1 u + s2 v}, as an ideal of ring2 = k[s1, s2]

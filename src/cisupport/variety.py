@@ -105,13 +105,17 @@ def vanishes_at(ideal: Ideal, coords, fld) -> bool:
 def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bool:
     """Is the direction a in the support variety of the pair (module, other)?
 
-    The zero direction is always inside.  Otherwise f = sum a_i f_i cuts a
-    hypersurface A = Q/(f); with s = dim A + 2, eventual nonvanishing of Ext
-    over A is equivalent to Ext^s or Ext^{s+1} being nonzero.  Against k
-    the Exts are Tor ranks, which section_betti reads in those two degrees
-    only: the first direction asked of a module builds the homotopies of f
-    alone, and later ones specialize the module's system of higher
-    homotopies at a.
+    The zero direction is always inside, answered before any read.
+    Otherwise f = sum a_i f_i cuts a hypersurface A = Q/(f); with
+    s = dim A + 2, eventual nonvanishing of Ext over A is equivalent to
+    Ext^s or Ext^{s+1} being nonzero.  Against k the Exts are Tor ranks, which
+    section_betti reads in those two degrees only: the first direction
+    asked of a module builds the homotopies of f alone, and later ones
+    specialize the module's system of higher homotopies at a.  A scalar
+    multiple of a direction cuts the same hypersurface, so the table's
+    reader keeps two ranks per projective point, shared with the RankLocus
+    of the module: a multiple of a point the oracle or the locus has read
+    costs no rank.
     """
     coords, fld = _as_point(ring, a)
     if len(coords) != ring.c:

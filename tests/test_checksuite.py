@@ -61,3 +61,26 @@ def test_scaling_invariance_stays_a_spot_check_over_a_large_field(monkeypatch):
     result = check_scaling_invariance(two_var_ring(32003))
     assert result["passed"], result["details"]
     assert len(calls) == 4 * 7
+
+
+def test_scaling_invariance_sees_a_wrong_kept_answer(monkeypatch):
+    # a scaled direction reads the ranks kept for its projective point, so
+    # membership alone would agree with itself; flip one kept answer and the
+    # table of f_{lambda a} alone must tell
+    from cisupport import homology
+    from cisupport.cache import clear_memo
+
+    ring = two_var_ring(5)
+    clear_memo()
+    assert check_scaling_invariance(ring)["passed"]
+    reader = homology.section_ranks(ring, catalog_modules(ring)["R/(x)"]).module_reader
+    s = ring.ambient.n + 1
+    m0, m1 = reader.period(s), reader.period(s + 1)
+    field, point, _ = next(key for key in reader._ranks if key[2] == m0)
+    r0, r1 = reader._ranks[(field, point, m0)], reader._ranks[(field, point, m1)]
+    size = reader._map(m0)[0][1]  # = size of F_{m1}: dim E = dim O
+    # inside (a Tor rank nonzero): make both Tor ranks zero; outside: make one nonzero
+    flipped = size - r1 if size - r0 - r1 else r0 - 1
+    monkeypatch.setitem(reader._ranks, (field, point, m0), flipped)
+    result = check_scaling_invariance(ring)
+    assert not result["passed"] and result["details"]

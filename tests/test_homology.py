@@ -882,9 +882,10 @@ def _section_cases():
 
 @pytest.mark.parametrize("case", list(_section_cases()), ids=lambda c: c[0])
 def test_specialized_tor_ranks_equal_the_per_direction_build(case):
-    """Every point is asked in two orders: the first asked of a module takes
-    the single-f build, every later one the specialized system, and each
-    point is a later one in at least one order."""
+    """Every point is asked in two orders: the first asked of a module and
+    its scalar multiples take the single-f build, every other point the
+    specialized system, and the two first points lie on different lines, so
+    each point takes the specialized system in at least one order."""
     _, ring, modules, points = case
     upto = ring.ambient.n + 2  # the degrees membership reads
     for name, module in modules.items():
@@ -897,7 +898,35 @@ def test_specialized_tor_ranks_equal_the_per_direction_build(case):
             for a in order:
                 assert homology.section_betti(ring, module, a, range(upto + 1)) == want[a], (name, a)
             sections = memo("homotopies", (ring.key(), module.content_key()), None)
-            assert sections.first == order[0] and sections.consts is not None
+            assert sections.first == order[0] and sections.module_reader is not None
+
+
+@pytest.mark.parametrize(
+    "make, p, name, want",
+    [
+        (two_var_ring, 5, "cone(chi1*chi2)", [4, 8, 8, 8, 8, 8, 8]),
+        (three_var_ring, 3, "K_quadric", [10, 26, 33, 33, 33, 33, 33]),
+    ],
+)
+def test_the_zero_direction_reads_every_rank_of_the_shamash_complex(make, p, name, want):
+    # f_0 = 0, so no homotopy acts and each Tor rank is the rank of F_m, as
+    # it was when zero was asked after another direction; asked first, it
+    # reads the module's table too (a table of f_0 alone cannot be built),
+    # and no normalisation of the point divides by zero
+    ring = make(p)
+    module = catalog_modules(ring)[name]
+    zero, e1 = (0,) * ring.c, (1,) + (0,) * (ring.c - 1)
+    for before in ([], [e1], [e1, (2,) * ring.c]):
+        clear_memo()
+        for a in before:
+            homology.section_betti(ring, module, a, range(7))
+        # coordinates not reduced mod p name the same point
+        assert homology.section_betti(ring, module, (p,) * ring.c, range(7)) == want, before
+        assert homology.section_betti(ring, module, zero, range(7)) == want, before
+        assert membership(ring, module, residue_module(ring), zero)
+        assert homology.section_betti(ring, module, (p + 1,) + e1[1:], range(7)) == homology.section_betti(
+            ring, module, e1, range(7)
+        )
 
 
 def _identity_cases():
@@ -1022,12 +1051,14 @@ def test_the_module_system_is_built_once_and_later_directions_lift_nothing(monke
     monkeypatch.setattr(homology, "homotopy_system", spy)
     clear_memo()
     per_direction = []
-    for a in _points(ring.field, 3):
+    lines = _projective_points(ring.field, 3)
+    for a in lines + [a for a in _points(ring.field, 3) if a not in lines]:
         before = len(lifts)
         membership(ring, module, k, a)
         per_direction.append(len(lifts) - before)
-    # the first direction builds f_a's homotopies, the second the module's
-    # system over f_1, f_2, f_3, and every later one only specializes it
+    # the first direction builds f_a's homotopies, the second (a point of
+    # another line) the module's system over f_1, f_2, f_3, and every later
+    # one, the multiples of the first included, only specializes it
     assert systems == [1, 3]
     assert per_direction[0] > 0 and per_direction[1] > per_direction[0]
     assert per_direction[2:] == [0] * (len(per_direction) - 2)

@@ -48,7 +48,8 @@ def chart_divisor(ring, module, u, v):
     generic ranks of D_0 and D_1 over GF(p)(x) sum below N, and otherwise
     the product of the gcds of their r-minors."""
     p = ring.field.p
-    betti, table = section_ranks(ring, module).table(ring, module)
+    reader = section_ranks(ring, module).reader(ring, module)
+    betti, table = reader.betti, reader.table
     dom = GF(p)[X]
     lin = [u[j] * dom.convert(X) + v[j] for j in range(ring.c)]
     rank, divisor = 0, dom.one
@@ -218,7 +219,8 @@ def test_two_tail_ranks_decide_what_all_the_tor_ranks_decide(ring, module):
     for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
         work = ring if field.e == 1 else base_change_ring(ring, field)
         moved = module if field.e == 1 else base_change_module(module, work)
-        betti, table = section_ranks(work, moved).table(work, moved)
+        reader = section_ranks(work, moved).reader(work, moved)
+        betti, table = reader.betti, reader.table
         for a in projective_points(field, ring.c):
             dims = all_tor_ranks(field, betti, table, a, s + 1)
             want = not (dims[s] == 0 and dims[s + 1] == 0)
@@ -226,6 +228,43 @@ def test_two_tail_ranks_decide_what_all_the_tor_ranks_decide(ring, module):
             assert membership(ring, module, k, PointK(a, field)) == want, (a, field)
             if field.e == 1:
                 assert locus.contains(a) == want, a
+
+
+def reader_points(field, c):
+    """The points a reader is checked at: for p <= 5 every point of F_p^c,
+    the zero vector and every scalar multiple included; otherwise zero and
+    each projective point with its multiples by 2 and -1 (F_101^2 has 10201
+    points); over F_{p^2} zero and the multiple of each projective point by
+    a scalar outside F_p."""
+    if field.e == 1 and field.p <= 5:
+        return list(itertools.product(list(field.elements()), repeat=c))
+    if field.e == 1:
+        scalars = [field.one, field.from_int(2), field.from_int(-1)]
+    else:
+        scalars = [next(x for x in field.elements() if any(x[1:]))]
+    multiples = [tuple(field.mul(s, x) for x in a) for a in projective_points(field, c) for s in scalars]
+    return [(field.zero,) * c] + multiples
+
+
+@pytest.mark.parametrize("ring, module", _cases(CONES))
+def test_one_reader_gives_every_tor_rank_at_every_multiple(ring, module):
+    # one reader read at every point in turn and at its projective
+    # representative, so a multiple of a point read before takes that
+    # point's kept ranks, and a fresh one per point (_tor_ranks), against
+    # every differential built entry by entry at the point itself
+    p = ring.field.p
+    for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
+        work = ring if field.e == 1 else base_change_ring(ring, field)
+        moved = module if field.e == 1 else base_change_module(module, work)
+        clear_memo()
+        reader = section_ranks(work, moved).reader(work, moved)
+        betti, table = reader.betti, reader.table
+        upto = len(betti) + 3  # pd + 4
+        for a in reader_points(field, ring.c):
+            want = all_tor_ranks(field, betti, table, a, upto)
+            assert reader.read(field, a, range(upto + 1)) == want, (a, field)
+            assert reader.read(field, homology._projective(field, a), range(upto + 1)) == want, (a, field)
+            assert homology._tor_ranks(field, betti, table, a, range(upto + 1)) == want, (a, field)
 
 
 def compression_route(locus, u, v, ring2):
@@ -324,6 +363,47 @@ def test_each_line_is_eliminated_once_across_the_ladder(ring, module, climbed, a
     assert calls == want
 
 
+def test_the_oracle_and_the_locus_take_two_ranks_per_projective_point(monkeypatch):
+    calls = []
+    real = modlinalg.rank
+    monkeypatch.setattr(modlinalg, "rank", lambda a, p: calls.append(a.shape) or real(a, p))
+    # after variety_of over F_3, c = 3, the locus has read every projective
+    # point, and membership reads its kept ranks at all 27 points
+    ring = three_var_ring(3)
+    module, k = catalog_modules(ring)["R/(x)"], residue_module(ring)
+    clear_memo()
+    v = variety_of(ring, module)
+    assert v.stabilized
+    before = len(calls)
+    points = list(itertools.product(range(3), repeat=3))
+    assert [membership(ring, module, k, a) for a in points] == [variety.vanishes_at(v.ideal, a, ring.field) for a in points]
+    assert len(calls) == before
+    # membership alone over F_5, c = 2: two ranks for each of the six
+    # projective points, the first asked from the table of its f_a alone,
+    # and none for the other 18 nonzero points or for zero
+    ring = two_var_ring(5)
+    module, k = catalog_modules(ring)["cone(chi1*chi2)"], residue_module(ring)
+    clear_memo()
+    del calls[:]
+    points = list(itertools.product(range(5), repeat=2))
+    answers = [membership(ring, module, k, a) for a in points]
+    assert answers == [a[0] * a[1] == 0 for a in points]
+    assert len(calls) == 2 * 6
+
+
+@pytest.mark.parametrize("moduli", [[(1, 0, 1), (2, 1, 1)], [(2, 1, 1), (1, 0, 1)]])
+def test_points_with_one_coordinate_tuple_over_two_fields_are_told_apart(moduli):
+    # x u + v = (1, x), its first coordinate one, has the same coordinates
+    # over F_3[x]/(x^2 + 1) and over F_3[x]/(x^2 + x + 2), read in either
+    # order; only the first x lies on the cone chi1^2 + chi2^2, so the
+    # reader keeps each rank with its field
+    ring = two_var_ring(3)
+    module = realize_cone(ring, ConeSpec([parse_poly(ring.chi_ring(), "chi1^2 + chi2^2")]))
+    clear_memo()
+    locus = RankLocus(ring, module)
+    assert [locus._at_root((0, 1), (1, 0), h) for h in moduli] == [h == (1, 0, 1) for h in moduli]
+
+
 @pytest.mark.parametrize("u, v", [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 4)), ((1, 2), (0, 1))])
 def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
     # a synthetic table on betti (1, 2, 1): sigma_e1 on G_0 is (1, 0)^T and
@@ -338,8 +418,8 @@ def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
     }
 
     class Ranks:
-        def table(self, ring, module):
-            return betti, table
+        def reader(self, ring, module):
+            return homology.TorReader(betti, table)
 
     monkeypatch.setattr(homology, "section_ranks", lambda ring, module: Ranks())
     ring = two_var_ring(5)
