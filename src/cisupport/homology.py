@@ -8,19 +8,19 @@ recursion, homotopy_system, builds Eisenbud's homotopies sigma_alpha of a
 whole sequence f_1..f_c, one per multi-index alpha.  Those of f_a =
 sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
 table of constant parts, homotopy_constants, serves every direction, and
-one TorReader per table reads it at a point, in whatever field the point
-lies: hypersurface_betti reads the table of (f,) at a = (1,), section_betti
-the table of f_1..f_c at each direction after the first, and RankLocus the
-same reader at points of F_p^c and of its extensions.  Past pd G the
-Shamash resolution is 2-periodic, so a reader builds only the differentials
-the asked degrees need, and two ranks, kept per projective point, decide
-eventual vanishing.  RankLocus
-also reads the table as a polynomial matrix in chi along a line: the
-support variety is where its constant parts fail to be exact, with no
-window and no degree bound, which certifies the annihilator route's
-ideal.  The general Ext test applies
-Hom(-, N) to a minimal resolution and compares kernel and image by Groebner
-containments.
+one TorReader per table answers every Tor-rank question about it, in
+whatever field the point lies: hypersurface_betti reads the table of (f,)
+at a = (1,), section_betti the table of f_1..f_c at each direction after
+the first (Q = k[x] included), membership the same F_p table at points
+over F_{p^e}, and RankLocus the same reader at points of F_p^c and of its
+extensions.  Past pd G the Shamash resolution is 2-periodic, so a reader
+builds only the differentials the asked degrees need, and two ranks, kept
+per projective point, decide eventual vanishing.  RankLocus also reads the
+tail differentials along a line, as polynomial matrices in x: the support
+variety is where their constant parts fail to be exact, with no window
+and no degree bound, which certifies the annihilator route's ideal.  The
+general Ext test applies Hom(-, N) to a minimal resolution and compares
+kernel and image by Groebner containments.
 """
 
 from __future__ import annotations
@@ -232,7 +232,8 @@ class TorReader:
     kept per projective point (see _projective) and period, so the scalar
     multiples of a point read its ranks.  Over F_{p^e} a differential's
     rank is that of its regular representation over F_p, divided by e; the
-    table may be over F_p or over F_{p^e}.
+    table may be over F_p or over F_{p^e}.  line() reads d_m of a table over
+    F_p along a line x u + v: a^alpha becomes the polynomial (x u + v)^alpha.
     """
 
     def __init__(self, betti, table):
@@ -308,12 +309,20 @@ class TorReader:
             out.append(self._map(m0)[0][1] - rank(m0) - rank(m1))
         return out
 
-
-def _tor_ranks(field, betti, table, a, degrees):
-    """Tor ranks over Q/(f_a) in the given homological degrees, from the
-    homotopy_constants table of f_1..f_c read at the direction a, by a
-    reader of its own (see TorReader)."""
-    return TorReader(betti, table).read(field, a, degrees)
+    def line(self, field, u, v, m: int) -> np.ndarray:
+        """d_m along the line x u + v, for a table over the prime field: the
+        stack of its coefficient matrices of x^0, ..., x^top, top the
+        largest |alpha| of the table, so every degree's stack is as deep."""
+        shape, alphas, matrix = self._map(self.period(m))
+        top = max((t for t, _ in self.table), default=0)
+        powers = np.zeros((len(alphas), top + 1), dtype=np.int64)  # (x u + v)^alpha
+        for row, alpha in zip(powers, alphas):
+            f = functools.reduce(
+                lambda g, j: _pmul(g, [v[j], u[j]], field.p), [j for j, e in enumerate(alpha) for _ in range(e)], [1]
+            )
+            row[: len(f)] = f
+        stack = modlinalg.matmul(matrix, powers, field.p).reshape(shape + (top + 1,))
+        return np.moveaxis(stack, 2, 0)
 
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
@@ -324,7 +333,7 @@ def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
         raise ValueError("hypersurface Tor ranks need a codimension-1 quotient")
     ambient = ambient_resolution(module)
     table = homotopy_constants(ambient, ring_a.fs, ring_a.field)
-    return _tor_ranks(ring_a.field, ambient.res.betti, table, (ring_a.field.one,), range(upto + 1))
+    return TorReader(ambient.res.betti, table).read(ring_a.field, (ring_a.field.one,), range(upto + 1))
 
 
 class SectionRanks:
@@ -340,36 +349,37 @@ class SectionRanks:
     between them.
     """
 
-    def __init__(self):
+    def __init__(self, ring: CIRing, module: GradedModule):
+        self.ring, self.module = ring, module
         self.first = None  # the first direction asked
         self.first_reader = None  # reader of the table of f_first alone
         self.module_reader = None  # reader of the table of f_1..f_c
 
-    def reader(self, ring: CIRing, module: GradedModule) -> TorReader:
+    def reader(self) -> TorReader:
         """The reader of the homotopy_constants table of f_1..f_c."""
         if self.module_reader is None:
-            ambient = ambient_resolution(module)
+            ring, ambient = self.ring, ambient_resolution(self.module)
             self.module_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, ring.fs, ring.field))
         return self.module_reader
 
-    def betti_at(self, ring: CIRing, module: GradedModule, a, degrees):
-        field = ring.field
+    def betti_at(self, a, degrees):
+        field = self.ring.field
         point = _projective(field, a)
         # f_0 = 0 has no homotopies: the zero direction reads the module's table
         single = self.module_reader is None and any(x != field.zero for x in point)
         if single and self.first is None:
-            ambient = ambient_resolution(module)
+            ambient = ambient_resolution(self.module)
             self.first = a
-            self.first_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, [ring.form(a)], field))
+            self.first_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, [self.ring.form(a)], field))
         if single and point == _projective(field, self.first):
             return self.first_reader.read(field, (field.one,), degrees)
-        return self.reader(ring, module).read(field, a, degrees)
+        return self.reader().read(field, a, degrees)
 
 
 def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
     """The SectionRanks of one module over one ring, in the memo table
     `homotopies`: the homotopies depend on the forms as well as the module."""
-    return memo("homotopies", (ring.key(), module.content_key()), SectionRanks)
+    return memo("homotopies", (ring.key(), module.content_key()), lambda: SectionRanks(ring, module))
 
 
 def section_betti(ring: CIRing, module: GradedModule, a, degrees):
@@ -377,13 +387,9 @@ def section_betti(ring: CIRing, module: GradedModule, a, degrees):
     ring = Q/(f_1..f_c), in the given homological degrees, in their order.
 
     The directions asked of one module share a SectionRanks in the memo
-    table `homotopies`; an artinian Q/(f_a) is resolved over directly.
+    table `homotopies`.
     """
-    degrees = list(degrees)
-    if ring.ambient.n < 2:
-        dims = ext_k_dims(CIRing(ring.ambient, [ring.form(a)], validate=False), module, max(degrees))
-        return [dims[m] for m in degrees]
-    return section_ranks(ring, module).betti_at(ring, module, tuple(a), degrees)
+    return section_ranks(ring, module).betti_at(tuple(a), list(degrees))
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int):
@@ -513,10 +519,11 @@ class RankLocus:
     section 7; Avramov-Buchweitz, Invent. Math. 142 (2000)).  It is a cone:
     the block of sigma_alpha on G_i has chi-degree |alpha|.
 
-    contains(a) is the rank test at a point of F_p^c: the Tor ranks in the
-    degrees pd + 1, pd + 2 of the periodic tail, read by the TorReader that
-    membership reads too, so a projective point costs the two of them two
-    ranks in all.  on_line(u, v, ring2) is the locus on the
+    D_0 and D_1 are, up to block order, the Shamash differentials in the
+    tail degrees pd + 1, pd + 2, so the TorReader membership reads serves
+    both tests.  contains(a) is the rank test at a point of F_p^c: the Tor
+    ranks in those degrees, two ranks per projective point for the oracle
+    and the locus together.  on_line(u, v, ring2) is the locus on the
     line {s1 u + s2 v}, exact: it is the whole line when the generic ranks
     r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to less than N, and
     otherwise the finitely many points where one of them drops.  The last
@@ -538,33 +545,18 @@ class RankLocus:
         self.field = ring.field
         self.p = ring.field.p
         self.c = ring.c
-        self.reader = section_ranks(ring, module).reader(ring, module)
-        self.betti, self.table = self.reader.betti, self.reader.table
-        self.n = sum(self.betti[0::2])
-        if self.n != sum(self.betti[1::2]):
+        self.reader = section_ranks(ring, module).reader()
+        betti = self.reader.betti
+        self.n = sum(betti[0::2])
+        if self.n != sum(betti[1::2]):
             raise AssertionError("the ambient resolution of a torsion module has dim E = dim O")
-        self.tail = (len(self.betti), len(self.betti) + 1)  # pd + 1, pd + 2
+        self.tail = (len(betti), len(betti) + 1)  # pd + 1, pd + 2
         self._lines = {}
 
     def _pencil(self, u, v):
-        """D_0 and D_1 at x u + v as stacks of coefficient matrices of
-        x^0, x^1, ... over F_p."""
-        p, betti = self.p, self.betti
-        offset = [sum(betti[j] for j in range(i % 2, i, 2)) for i in range(len(betti))]
-        size = (sum(betti[1::2]), sum(betti[0::2]))  # (|O|, |E|)
-        top = max((t for t, _ in self.table), default=0)
-        d = [np.zeros((top + 1,) + size, dtype=np.int64), np.zeros((top + 1,) + size[::-1], dtype=np.int64)]
-        for (t, i), (alphas, stacked) in self.table.items():
-            powers = np.zeros((len(alphas), top + 1), dtype=np.int64)  # (x u + v)^alpha
-            for row, alpha in zip(powers, alphas):
-                f = functools.reduce(
-                    lambda g, j: _pmul(g, [v[j], u[j]], p), [j for j, e in enumerate(alpha) for _ in range(e)], [1]
-                )
-                row[: len(f)] = f
-            k = i + 2 * t - 1
-            block = modlinalg.matmul(stacked, powers, p).reshape(betti[k], betti[i], top + 1)
-            d[i % 2][:, offset[k] : offset[k] + betti[k], offset[i] : offset[i] + betti[i]] = np.moveaxis(block, 2, 0)
-        return d
+        """D_0 and D_1, in some order, at x u + v as stacks of coefficient
+        matrices of x^0, x^1, ... over F_p."""
+        return [self.reader.line(self.field, u, v, m) for m in self.tail]
 
     def _at_root(self, u, v, modulus) -> bool:
         """Is x u + v in the locus, for x the root of the monic irreducible

@@ -35,7 +35,7 @@ from .cimodule import (
 )
 from .field import ExtField, PrimeField, digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import RankLocus, ext_vanishes, section_betti
+from .homology import RankLocus, _projective, ext_vanishes, section_betti, section_ranks
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -88,6 +88,8 @@ def _as_point(ring: CIRing, a):
     """The coordinates of a and their field; prime-field coordinates are
     reduced mod p, as the CLI and Subspace read them."""
     coords, fld = (a.coords, a.field or ring.field) if isinstance(a, PointK) else (a, ring.field)
+    if fld.p != ring.field.p:
+        raise ValueError(f"a point over a field of characteristic {fld.p} is not a direction over F_{ring.field.p}")
     if isinstance(fld, PrimeField):
         coords = [fld.from_int(c) for c in coords]
     return tuple(coords), fld
@@ -111,11 +113,12 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     Ext^s or Ext^{s+1} being nonzero.  Against k the Exts are Tor ranks, which
     section_betti reads in those two degrees only: the first direction
     asked of a module builds the homotopies of f alone, and later ones
-    specialize the module's system of higher homotopies at a.  A scalar
-    multiple of a direction cuts the same hypersurface, so the table's
-    reader keeps two ranks per projective point, shared with the RankLocus
-    of the module: a multiple of a point the oracle or the locus has read
-    costs no rank.
+    specialize the module's system of higher homotopies at a; a point over
+    F_{p^e} reads that system's F_p table in its field, as the RankLocus
+    does, and only a pair is base-changed.  A scalar multiple of a
+    direction cuts the same hypersurface, so the table's reader keeps two
+    ranks per projective point, shared with the RankLocus of the module: a
+    multiple of a point the oracle or the locus has read costs no rank.
     """
     coords, fld = _as_point(ring, a)
     if len(coords) != ring.c:
@@ -124,17 +127,17 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     if all(c == zero for c in coords):
         return True
     ring.check_direction(coords, fld)
-    work_ring = ring
-    if isinstance(fld, ExtField):
-        work_ring = base_change_ring(ring, fld)
-        module = base_change_module(module, work_ring)
-        other = base_change_module(other, work_ring)
     s = ring.ambient.n + 1  # dim A + 2
     if is_residue_field(other):
         # the module over R is one over A: every direction shares its
         # resolution over Q
-        return any(section_betti(work_ring, module, coords, (s, s + 1)))
-    hyper = CIRing(work_ring.ambient, [work_ring.form(coords)], validate=False)
+        if isinstance(fld, ExtField):
+            return any(section_ranks(ring, module).reader().read(fld, coords, (s, s + 1)))
+        return any(section_betti(ring, module, coords, (s, s + 1)))
+    if isinstance(fld, ExtField):
+        ring = base_change_ring(ring, fld)
+        module, other = base_change_module(module, ring), base_change_module(other, ring)
+    hyper = CIRing(ring.ambient, [ring.form(coords)], validate=False)
     m_a = restrict_to_ring(module, hyper)
     n_a = restrict_to_ring(other, hyper)
     van_s = ext_vanishes(hyper, m_a, n_a, s)
@@ -217,13 +220,11 @@ def _probes(ring: CIRing):
     if c == 2:
         return [], [((1, 0), (0, 1))]
     if (p**c - 1) // (p - 1) <= 31:
-        points = [a for a in itertools.product(range(p), repeat=c) if any(a) and a[next(i for i, x in enumerate(a) if x)] == 1]
+        points = [a for a in itertools.product(range(p), repeat=c) if any(a) and _projective(ring.field, a) == a]
     else:
         points, rng = [], random.Random(11)
         while len(points) < 8:
-            a = digits(rng.randrange(1, p**c), p, c)
-            inv = pow(next(x for x in a if x), -1, p)
-            a = tuple(x * inv % p for x in a)
+            a = _projective(ring.field, digits(rng.randrange(1, p**c), p, c))
             if a not in points:
                 points.append(a)
     rng = random.Random(f"lines {p} {c}")

@@ -867,7 +867,7 @@ def _section_cases():
     q = ring.ambient
     mods = {"k": residue_module(ring), "R/(x)": cyclic_module(ring, [parse_poly(q, "x")])}
     yield "mixed_degree_p3", ring, mods, [a for a in _points(ring.field, 2) if not all(a)]
-    # points over F_4 and F_9, on the catalogs base-changed as membership does
+    # points over F_4 and F_9, on the catalogs base-changed to those fields
     for name, make, fld, points in (
         ("2var", two_var_ring, ExtField(2, 2), _points),
         ("3var", three_var_ring, ExtField(2, 2), _projective_points),
@@ -927,6 +927,32 @@ def test_the_zero_direction_reads_every_rank_of_the_shamash_complex(make, p, nam
         assert homology.section_betti(ring, module, (p + 1,) + e1[1:], range(7)) == homology.section_betti(
             ring, module, e1, range(7)
         )
+
+
+def _one_variable_cases():
+    for m in range(2, 5):
+        for p in (2, 3, 5):
+            q = PolyRing(["x"], field=PrimeField(p))
+            ring = CIRing(q, [parse_poly(q, f"x^{m}")])
+            modules = {"k": residue_module(ring), "R": free_module(ring)}
+            modules.update({f"R/(x^{j})": cyclic_module(ring, [parse_poly(q, f"x^{j}")]) for j in range(1, m)})
+            yield pytest.param(ring, modules, id=f"x^{m}_p{p}")
+
+
+@pytest.mark.parametrize("ring, modules", _one_variable_cases())
+def test_one_variable_sections_are_read_off_the_table(ring, modules):
+    # Q = k[x] takes the reader like any Q: at a nonzero a the Tor ranks of
+    # Q/(a x^m) are the Groebner engine's Betti numbers, and at zero each
+    # is the rank of F_m, the G_i with i <= m of the parity of m
+    for name, module in modules.items():
+        clear_memo()
+        for a in range(1, ring.field.p):
+            hyper = CIRing(ring.ambient, [ring.form((a,))], validate=False)
+            want = minimal_resolution(hyper, restrict_to_ring(module, hyper), 6, engine="groebner").betti[:7]
+            assert homology.section_betti(ring, module, (a,), range(7)) == want, (name, a)
+        betti = ambient_resolution(module).res.betti
+        want = [sum(betti[m % 2 : m + 1 : 2]) for m in range(7)]
+        assert homology.section_betti(ring, module, (0,), range(7)) == want, name
 
 
 def _identity_cases():

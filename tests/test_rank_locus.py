@@ -48,7 +48,7 @@ def chart_divisor(ring, module, u, v):
     generic ranks of D_0 and D_1 over GF(p)(x) sum below N, and otherwise
     the product of the gcds of their r-minors."""
     p = ring.field.p
-    reader = section_ranks(ring, module).reader(ring, module)
+    reader = section_ranks(ring, module).reader()
     betti, table = reader.betti, reader.table
     dom = GF(p)[X]
     lin = [u[j] * dom.convert(X) + v[j] for j in range(ring.c)]
@@ -219,12 +219,12 @@ def test_two_tail_ranks_decide_what_all_the_tor_ranks_decide(ring, module):
     for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
         work = ring if field.e == 1 else base_change_ring(ring, field)
         moved = module if field.e == 1 else base_change_module(module, work)
-        reader = section_ranks(work, moved).reader(work, moved)
+        reader = section_ranks(work, moved).reader()
         betti, table = reader.betti, reader.table
         for a in projective_points(field, ring.c):
             dims = all_tor_ranks(field, betti, table, a, s + 1)
             want = not (dims[s] == 0 and dims[s + 1] == 0)
-            assert homology._tor_ranks(field, betti, table, a, (s, s + 1)) == dims[s:], a
+            assert homology.TorReader(betti, table).read(field, a, (s, s + 1)) == dims[s:], a
             assert membership(ring, module, k, PointK(a, field)) == want, (a, field)
             if field.e == 1:
                 assert locus.contains(a) == want, a
@@ -250,21 +250,21 @@ def reader_points(field, c):
 def test_one_reader_gives_every_tor_rank_at_every_multiple(ring, module):
     # one reader read at every point in turn and at its projective
     # representative, so a multiple of a point read before takes that
-    # point's kept ranks, and a fresh one per point (_tor_ranks), against
+    # point's kept ranks, and a fresh reader per point, against
     # every differential built entry by entry at the point itself
     p = ring.field.p
     for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
         work = ring if field.e == 1 else base_change_ring(ring, field)
         moved = module if field.e == 1 else base_change_module(module, work)
         clear_memo()
-        reader = section_ranks(work, moved).reader(work, moved)
+        reader = section_ranks(work, moved).reader()
         betti, table = reader.betti, reader.table
         upto = len(betti) + 3  # pd + 4
         for a in reader_points(field, ring.c):
             want = all_tor_ranks(field, betti, table, a, upto)
             assert reader.read(field, a, range(upto + 1)) == want, (a, field)
             assert reader.read(field, homology._projective(field, a), range(upto + 1)) == want, (a, field)
-            assert homology._tor_ranks(field, betti, table, a, range(upto + 1)) == want, (a, field)
+            assert homology.TorReader(betti, table).read(field, a, range(upto + 1)) == want, (a, field)
 
 
 def compression_route(locus, u, v, ring2):
@@ -418,7 +418,7 @@ def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
     }
 
     class Ranks:
-        def reader(self, ring, module):
+        def reader(self):
             return homology.TorReader(betti, table)
 
     monkeypatch.setattr(homology, "section_ranks", lambda ring, module: Ranks())

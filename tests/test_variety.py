@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisupport import modlinalg
+from cisupport import cimodule, homology, modlinalg, variety
+from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
 from cisupport.cimodule import (
     CIRing,
+    base_change_module,
+    base_change_ring,
     cyclic_module,
     free_module,
     residue_module,
@@ -83,6 +86,41 @@ def test_membership_over_extension_point():
     # variety of R/(x) is the chi2 axis: (omega, 0) lies inside, (0, omega) not
     assert membership(ring, m, k, PointK((omega, f9.zero), f9))
     assert not membership(ring, m, k, PointK((f9.zero, omega), f9))
+
+
+@pytest.mark.parametrize("char", ["F_5", "F_25"])
+def test_a_point_of_another_characteristic_is_rejected(char):
+    # read as before, the F_5 point (3, 1) became the F_3 point (0, 1), and
+    # the F_25 point (1, 0) base-changed the ring over F_3 to F_25
+    ring = two_var_ring(3)
+    m = cyclic_module(ring, [P(ring.ambient, "x")])
+    f25 = ExtField(5, 2)
+    point = PointK((3, 1), PrimeField(5)) if char == "F_5" else PointK((f25.one, f25.zero), f25)
+    with pytest.raises(ValueError, match="characteristic 5"):
+        membership(ring, m, residue_module(ring), point)
+
+
+def test_k_membership_over_f9_reads_the_f3_table(monkeypatch):
+    # each point of P^1(F_9) reads the module's table over F_3 in F_9: one
+    # ambient resolution, over F_3, and no base change of the module; the
+    # answers are those of the module base-changed to F_9
+    ring, f9 = two_var_ring(3), ExtField(3, 2)
+    k = residue_module(ring)
+    points = [(f9.one, x) for x in f9.elements()] + [(f9.zero, f9.one)]
+    s = ring.ambient.n + 1  # the degrees membership reads
+    real_ambient, real_move = homology.AmbientResolution, cimodule.base_change_module
+    for name, module in catalog_modules(ring).items():
+        built, moved = [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "AmbientResolution", lambda m: built.append(m.ring.field) or real_ambient(m))
+            for where in (cimodule, variety):
+                mp.setattr(where, "base_change_module", lambda m, r: moved.append(r) or real_move(m, r))
+            clear_memo()
+            got = [membership(ring, module, k, PointK(a, f9)) for a in points]
+        assert built == [ring.field] and moved == [], name
+        work = base_change_ring(ring, f9)
+        moved_module = base_change_module(module, work)
+        assert got == [any(homology.section_betti(work, moved_module, a, (s, s + 1))) for a in points], name
 
 
 def test_membership_pair_general_second_argument():
@@ -209,6 +247,30 @@ def test_sampled_probes_are_eight_distinct_projective_points(p):
         assert a[next(i for i, x in enumerate(a) if x)] == 1  # one point per line through 0
     assert points == _probes(ring)[0]  # seeded
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize(
+    "p, c, want",
+    [
+        (7, 3, [(1, 5, 4), (0, 1, 2), (1, 6, 4), (1, 1, 6), (0, 1, 6), (0, 0, 1), (1, 5, 2), (1, 4, 3)]),
+        (
+            101,
+            3,
+            [(1, 95, 47), (1, 56, 21), (1, 62, 43), (1, 70, 72), (1, 0, 27), (1, 59, 90), (1, 95, 49), (1, 36, 56)],
+        ),
+        (
+            3,
+            4,
+            [(1, 1, 0, 2), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 0), (0, 1, 1, 0), (1, 2, 0, 2)],
+        ),
+    ],
+)
+def test_sampled_probes_keep_their_points_and_order(p, c, want):
+    # drawn from the seeded stream of sample_points, scaled to first
+    # nonzero coordinate one, in the order drawn
+    q = PolyRing([f"x{i}" for i in range(c)], field=PrimeField(p))
+    ring = CIRing(q, [P(q, f"x{i}^2") for i in range(c)])
+    assert _probes(ring)[0] == want
 
 
 # ---------------------------------------------------------------------------
