@@ -406,8 +406,8 @@ def check_scaling_invariance(ring: CIRing):
     oracle keeps its ranks per projective point, so a scaled direction
     reads the answer kept for the direction itself; each scaled direction
     is therefore also decided from the table of f_{lambda a} alone, by
-    hypersurface_betti over Q/(f_{lambda a}) in the degrees membership
-    reads: a homotopy system that no cache serves.
+    hypersurface_betti over Q/(f_{lambda a}): the RankLocus of that
+    hypersurface ring, apart from the one the oracle reads.
     """
     mods = catalog_modules(ring)
     k = mods["k"]

@@ -9,14 +9,15 @@ whole sequence f_1..f_c, one per multi-index alpha.  Those of f_a =
 sum a_i f_i are sigma_t(a) = sum_{|alpha|=t} a^alpha sigma_alpha, so one
 table of constant parts, homotopy_constants, serves every direction, and
 one TorReader per table answers every Tor-rank question about it, in
-whatever field the point lies: hypersurface_betti reads the table of (f,)
-at a = (1,), section_betti the table of f_1..f_c at each direction after
-the first (Q = k[x] included), membership the same F_p table at points
-over F_{p^e}, and RankLocus the same reader at points of F_p^c and of its
-extensions.  Past pd G the Shamash resolution is 2-periodic, so a reader
-builds only the differentials the asked degrees need, and two ranks, kept
-per projective point, decide eventual vanishing.  RankLocus also reads the
-tail differentials along a line, as polynomial matrices in x: the support
+whatever field the point lies.  One RankLocus per (ring, module) holds a
+module's readers and answers every question about its hypersurface
+sections: hypersurface_betti reads it at a = (1,) over Q/(f), and
+membership against k and the certificate of variety_of read it at points
+of F_p^c and of its extensions (Q = k[x] included).  Past pd G the
+Shamash resolution is 2-periodic, so a reader builds only the
+differentials the asked degrees need, and two ranks, kept per projective
+point, decide eventual vanishing.  RankLocus also reads the tail
+differentials along a line, as polynomial matrices in x: the support
 variety is where their constant parts fail to be exact, with no window
 and no degree bound, which certifies the annihilator route's ideal.  The
 general Ext test applies Hom(-, N) to a minimal resolution and compares
@@ -327,69 +328,12 @@ class TorReader:
 
 def hypersurface_betti(ring_a: CIRing, module: GradedModule, upto: int):
     """Tor ranks over the hypersurface ring_a = Q/(f) for homological
-    degrees 0..upto: the table of (f,) read at a = (1,).  The module may be
-    given over a quotient of ring_a; only its presentation over Q is read."""
+    degrees 0..upto: the module's RankLocus over ring_a read at a = (1,),
+    which builds the table of f alone.  The module may be given over a
+    quotient of ring_a; only its presentation over Q is read."""
     if ring_a.c != 1:
         raise ValueError("hypersurface Tor ranks need a codimension-1 quotient")
-    ambient = ambient_resolution(module)
-    table = homotopy_constants(ambient, ring_a.fs, ring_a.field)
-    return TorReader(ambient.res.betti, table).read(ring_a.field, (ring_a.field.one,), range(upto + 1))
-
-
-class SectionRanks:
-    """Tor ranks of one module over R = Q/(f_1..f_c) over the hypersurfaces
-    Q/(f_a), one direction a at a time, each table read by one TorReader.
-
-    The first direction asked reads the table of f_a alone, kept with its
-    reader for when it or a scalar multiple is asked again: a process that
-    asks about one direction (a `member` job) pays for nothing more.  From
-    the next projective point on, the table of f_1..f_c is built once and
-    its reader serves every direction; RankLocus reads through the same
-    reader, so the oracle and the locus take two ranks per projective point
-    between them.
-    """
-
-    def __init__(self, ring: CIRing, module: GradedModule):
-        self.ring, self.module = ring, module
-        self.first = None  # the first direction asked
-        self.first_reader = None  # reader of the table of f_first alone
-        self.module_reader = None  # reader of the table of f_1..f_c
-
-    def reader(self) -> TorReader:
-        """The reader of the homotopy_constants table of f_1..f_c."""
-        if self.module_reader is None:
-            ring, ambient = self.ring, ambient_resolution(self.module)
-            self.module_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, ring.fs, ring.field))
-        return self.module_reader
-
-    def betti_at(self, a, degrees):
-        field = self.ring.field
-        point = _projective(field, a)
-        # f_0 = 0 has no homotopies: the zero direction reads the module's table
-        single = self.module_reader is None and any(x != field.zero for x in point)
-        if single and self.first is None:
-            ambient = ambient_resolution(self.module)
-            self.first = a
-            self.first_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, [self.ring.form(a)], field))
-        if single and point == _projective(field, self.first):
-            return self.first_reader.read(field, (field.one,), degrees)
-        return self.reader().read(field, a, degrees)
-
-
-def section_ranks(ring: CIRing, module: GradedModule) -> SectionRanks:
-    """The SectionRanks of one module over one ring, in the memo table
-    `homotopies`: the homotopies depend on the forms as well as the module."""
-    return memo("homotopies", (ring.key(), module.content_key()), lambda: SectionRanks(ring, module))
-
-
-def section_betti(ring: CIRing, module: GradedModule, a, degrees):
-    """Tor ranks over Q/(f_a), f_a = sum a_i f_i, of a module over
-    ring = Q/(f_1..f_c), in the given homological degrees, in their order.
-
-    The directions asked of one module share a SectionRanks in the memo
-    table `homotopies`.
-    """
-    return section_ranks(ring, module).betti_at(tuple(a), list(degrees))
+    return rank_locus(ring_a, module).betti_at((ring_a.field.one,), range(upto + 1))
 
 
 def ext_k_dims(ring, module: GradedModule, upto: int):
@@ -398,7 +342,7 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
     The module may be given over a quotient of ring (its ideal containing
     that of ring); it is then viewed over ring.
     """
-    if ring.c == 1 and ring.dim >= 1:
+    if ring.c == 1:
         return hypersurface_betti(ring, module, upto)
     if module.ring != ring:
         module = restrict_to_ring(module, ring)
@@ -505,85 +449,124 @@ def _generic_rank(stack: np.ndarray, p: int):
 
 
 class RankLocus:
-    """The support variety V(M) read from the module's own homotopies.
+    """The support variety V(M) of one module over R = Q/(f_1..f_c), read
+    from the module's own homotopies: Tor ranks over each hypersurface
+    Q/(f_a), the test "is a in V(M)?" at a point, and the exact locus on a
+    line.  One per (ring, module), in the memo table `homotopies` (see
+    rank_locus).
+
+    betti_at(a, degrees) reads Tor over Q/(f_a) with a TorReader.  The
+    first direction asked reads the table of f_a alone, kept with its
+    reader for when it or a scalar multiple is asked again: a process that
+    asks about one direction (a `member` job) pays for nothing more.  From
+    the next projective point on, and at any point over an extension
+    field, the table of f_1..f_c is built once and its reader serves every
+    direction.
 
     Let G = E + O be the ambient resolution split into its even and odd
-    parts, and D(chi) = sum_alpha chi^alpha const(sigma_alpha) (the one
-    homotopy_constants table of f_1..f_c, with sigma_0 = d) as maps D_0(chi):
-    E -> O and D_1(chi): O -> E.  Reduced mod the irrelevant ideal, the
-    Shamash resolution over Q/(f_a) is, past pd G, the Z/2-graded complex
-    D(a); so Tor over Q/(f_a) is eventually zero exactly when D(a) is exact,
-    and since M is torsion over Q, dim E = dim O = N and
+    parts, and D(chi) = sum_alpha chi^alpha const(sigma_alpha) (the table
+    of f_1..f_c, with sigma_0 = d) as maps D_0(chi): E -> O and D_1(chi):
+    O -> E.  Reduced mod the irrelevant ideal, the Shamash resolution over
+    Q/(f_a) is, past pd G, the Z/2-graded complex D(a); so Tor over Q/(f_a)
+    is eventually zero exactly when D(a) is exact, and since M is torsion
+    over Q, dim E = dim O = N and
         V(M) = {a : rank D_0(a) + rank D_1(a) < N}
     with no window and no degree bound (Eisenbud, Trans. AMS 260 (1980),
     section 7; Avramov-Buchweitz, Invent. Math. 142 (2000)).  It is a cone:
     the block of sigma_alpha on G_i has chi-degree |alpha|.
 
     D_0 and D_1 are, up to block order, the Shamash differentials in the
-    tail degrees pd + 1, pd + 2, so the TorReader membership reads serves
-    both tests.  contains(a) is the rank test at a point of F_p^c: the Tor
-    ranks in those degrees, two ranks per projective point for the oracle
-    and the locus together.  on_line(u, v, ring2) is the locus on the
-    line {s1 u + s2 v}, exact: it is the whole line when the generic ranks
-    r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to less than N, and
-    otherwise the finitely many points where one of them drops.  The last
-    pivot of the fraction-free elimination that finds r_i is a nonzero
-    r_i-minor of D_i, so each such point is a root of one of those two
-    pivots; every irreducible factor h of their product, read as the point
-    x u + v over F_p[x]/(h), and the point x = infinity (u itself) are kept
-    or dropped by the same reader there.  The only randomness left is
-    Cantor-Zassenhaus in the factoring, which changes the running time,
-    never the answer.  For c = 2 the line through (1, 0) and (0, 1) is all
-    of P^1, so its ideal is V(M) itself, up to radical.  The reader keeps
-    each point's ranks and the locus each line's answer, so later rungs of
-    a degree ladder reuse them.  Nothing here reads the chi action.
+    tail degrees pd + 1, pd + 2, so contains(a) is betti_at in those two
+    degrees: two ranks per projective point, whether the membership oracle
+    or the locus asks.  on_line(u, v, ring2), over a prime field only, is
+    the locus on the line {s1 u + s2 v}, exact: it is the whole line when
+    the generic ranks r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to
+    less than N, and otherwise the finitely many points where one of them
+    drops.  The last pivot of the fraction-free elimination that finds r_i
+    is a nonzero r_i-minor of D_i, so each such point is a root of one of
+    those two pivots; every irreducible factor h of their product, read as
+    the point x u + v over F_p[x]/(h), and the point x = infinity (u
+    itself) are kept or dropped by contains there.  The only randomness
+    left is Cantor-Zassenhaus in the factoring, which changes the running
+    time, never the answer.  For c = 2 the line through (1, 0) and (0, 1)
+    is all of P^1, so its ideal is V(M) itself, up to radical.  The reader
+    keeps each point's ranks and the locus each line's answer, so later
+    rungs of a degree ladder reuse them.  Nothing here reads the chi action.
     """
 
     def __init__(self, ring: CIRing, module: GradedModule):
-        if not isinstance(ring.field, PrimeField):
-            raise ValueError("rank loci are computed over prime fields")
-        self.field = ring.field
-        self.p = ring.field.p
-        self.c = ring.c
-        self.reader = section_ranks(ring, module).reader()
-        betti = self.reader.betti
-        self.n = sum(betti[0::2])
-        if self.n != sum(betti[1::2]):
+        self.ring, self.module = ring, module
+        pd = ambient_resolution(module).pd
+        self.tail = (pd + 1, pd + 2)
+        self.first = None  # the first direction asked
+        self.first_reader = None  # reader of the table of f_first alone
+        self.module_reader = None  # reader of the table of f_1..f_c
+        self._lines = {}  # (u, v, ring2): the locus on that line
+
+    def reader(self) -> TorReader:
+        """The reader of the homotopy_constants table of f_1..f_c."""
+        if self.module_reader is None:
+            ring, ambient = self.ring, ambient_resolution(self.module)
+            self.module_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, ring.fs, ring.field))
+        return self.module_reader
+
+    @property
+    def n(self) -> int:
+        """N = dim E = dim O."""
+        betti = ambient_resolution(self.module).res.betti
+        if sum(betti[0::2]) != sum(betti[1::2]):
             raise AssertionError("the ambient resolution of a torsion module has dim E = dim O")
-        self.tail = (len(betti), len(betti) + 1)  # pd + 1, pd + 2
-        self._lines = {}
+        return sum(betti[0::2])
+
+    def betti_at(self, a, degrees, field=None) -> list:
+        """The Tor ranks over Q/(f_a) in the given degrees, in their order,
+        for a point a over field, by default the ring's."""
+        field = field or self.ring.field
+        if field != self.ring.field:  # a point over an extension has no f_a over the ring
+            return self.reader().read(field, a, degrees)
+        point = _projective(field, a)
+        # f_0 = 0 has no homotopies: the zero direction reads the module's table
+        single = self.module_reader is None and any(x != field.zero for x in point)
+        if single and self.first is None:
+            ambient = ambient_resolution(self.module)
+            self.first = a
+            self.first_reader = TorReader(ambient.res.betti, homotopy_constants(ambient, [self.ring.form(a)], field))
+        if single and point == _projective(field, self.first):
+            return self.first_reader.read(field, (field.one,), degrees)
+        return self.reader().read(field, a, degrees)
+
+    def contains(self, a, field=None) -> bool:
+        """Is the point a over field, by default the ring's, in V(M)?"""
+        return any(self.betti_at(a, self.tail, field))
 
     def _pencil(self, u, v):
         """D_0 and D_1, in some order, at x u + v as stacks of coefficient
         matrices of x^0, x^1, ... over F_p."""
-        return [self.reader.line(self.field, u, v, m) for m in self.tail]
+        return [self.reader().line(self.ring.field, u, v, m) for m in self.tail]
 
     def _at_root(self, u, v, modulus) -> bool:
         """Is x u + v in the locus, for x the root of the monic irreducible
         modulus in the field F_p[x]/(modulus)?"""
-        p, e = self.p, len(modulus) - 1
+        p, e = self.ring.field.p, len(modulus) - 1
         if e == 1:
             x = -modulus[0] % p
             return self.contains(tuple((x * a + b) % p for a, b in zip(u, v)))
         fld = ExtField(p, e, modulus)
         x = tuple(int(k == 1) for k in range(e))
-        a = tuple(fld.add(fld.mul(fld.from_int(s), x), fld.from_int(t)) for s, t in zip(u, v))
-        return any(self.reader.read(fld, a, self.tail))
-
-    def contains(self, a) -> bool:
-        """Is the point a of F_p^c in the rank locus?"""
-        return any(self.reader.read(self.field, tuple(int(x) % self.p for x in a), self.tail))
+        return self.contains(tuple(fld.add(fld.mul(fld.from_int(s), x), fld.from_int(t)) for s, t in zip(u, v)), fld)
 
     def on_line(self, u, v, ring2: PolyRing) -> Ideal:
         """The locus on the line {s1 u + s2 v}, as an ideal of ring2 = k[s1, s2]
         whose zero set it is."""
+        if not isinstance(self.ring.field, PrimeField):
+            raise ValueError("rank loci are computed over prime fields")
         key = (tuple(u), tuple(v), ring2)
         if key not in self._lines:
             self._lines[key] = self._line_ideal(u, v, ring2)
         return self._lines[key]
 
     def _line_ideal(self, u, v, ring2: PolyRing) -> Ideal:
-        p = self.p
+        p = self.ring.field.p
         ranks, pivots = zip(*(_generic_rank(m, p) for m in self._pencil(u, v)))
         if sum(ranks) < self.n:
             return Ideal(ring2, [])
@@ -598,6 +581,12 @@ class RankLocus:
         if not points:
             return Ideal(ring2, [s1, s2])
         return Ideal(ring2, [functools.reduce(lambda f, g: f * g, points)])
+
+
+def rank_locus(ring: CIRing, module: GradedModule) -> RankLocus:
+    """The RankLocus of one module over one ring, in the memo table
+    `homotopies`: the homotopies depend on the forms as well as the module."""
+    return memo("homotopies", (ring.key(), module.content_key()), lambda: RankLocus(ring, module))
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ from .cimodule import (
     is_residue_field,
     restrict_to_ring,
 )
-from .field import ExtField, PrimeField, digits
+from .field import ExtField, digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import RankLocus, _projective, ext_vanishes, section_betti, section_ranks
+from .homology import RankLocus, _projective, ext_vanishes, rank_locus
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -85,14 +85,12 @@ class PointK:
 
 
 def _as_point(ring: CIRing, a):
-    """The coordinates of a and their field; prime-field coordinates are
-    reduced mod p, as the CLI and Subspace read them."""
+    """The coordinates of a and their field; int coordinates are read as
+    elements of the field, reduced mod p, as the CLI and Subspace read them."""
     coords, fld = (a.coords, a.field or ring.field) if isinstance(a, PointK) else (a, ring.field)
     if fld.p != ring.field.p:
         raise ValueError(f"a point over a field of characteristic {fld.p} is not a direction over F_{ring.field.p}")
-    if isinstance(fld, PrimeField):
-        coords = [fld.from_int(c) for c in coords]
-    return tuple(coords), fld
+    return tuple(c if isinstance(c, tuple) else fld.from_int(c) for c in coords), fld
 
 
 def vanishes_at(ideal: Ideal, coords, fld) -> bool:
@@ -110,15 +108,15 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     The zero direction is always inside, answered before any read.
     Otherwise f = sum a_i f_i cuts a hypersurface A = Q/(f); with
     s = dim A + 2, eventual nonvanishing of Ext over A is equivalent to
-    Ext^s or Ext^{s+1} being nonzero.  Against k the Exts are Tor ranks, which
-    section_betti reads in those two degrees only: the first direction
+    Ext^s or Ext^{s+1} being nonzero.  Against k the Exts are Tor ranks,
+    and the module's RankLocus decides the point, over F_p or over
+    F_{p^e}, from two of them (see RankLocus.contains): the first direction
     asked of a module builds the homotopies of f alone, and later ones
-    specialize the module's system of higher homotopies at a; a point over
-    F_{p^e} reads that system's F_p table in its field, as the RankLocus
-    does, and only a pair is base-changed.  A scalar multiple of a
-    direction cuts the same hypersurface, so the table's reader keeps two
-    ranks per projective point, shared with the RankLocus of the module: a
-    multiple of a point the oracle or the locus has read costs no rank.
+    specialize the module's system of higher homotopies at a.  Only a pair
+    is base-changed.  A scalar multiple of a direction cuts the same
+    hypersurface, so the reader keeps two ranks per projective point,
+    shared by the oracle and the locus: a multiple of a point either has
+    read costs no rank.
     """
     coords, fld = _as_point(ring, a)
     if len(coords) != ring.c:
@@ -127,13 +125,11 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     if all(c == zero for c in coords):
         return True
     ring.check_direction(coords, fld)
-    s = ring.ambient.n + 1  # dim A + 2
     if is_residue_field(other):
         # the module over R is one over A: every direction shares its
         # resolution over Q
-        if isinstance(fld, ExtField):
-            return any(section_ranks(ring, module).reader().read(fld, coords, (s, s + 1)))
-        return any(section_betti(ring, module, coords, (s, s + 1)))
+        return rank_locus(ring, module).contains(coords, fld)
+    s = ring.ambient.n + 1  # dim A + 2
     if isinstance(fld, ExtField):
         ring = base_change_ring(ring, fld)
         module, other = base_change_module(module, ring), base_change_module(other, ring)
@@ -277,7 +273,8 @@ def variety_of(ring: CIRing, module: GradedModule, degree_bound: int = None) -> 
         raise ValueError("the ring has no chi coordinates: its support variety is not defined")
     if degree_bound is not None and degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    locus = RankLocus(ring, module)
+    locus = rank_locus(ring, module)
+    locus.reader()  # the certificate reads many directions: build the table of f_1..f_c now
     start = degree_bound or 1
     if ring.c == 2:  # the first rung's _disagreement reads the same cached form
         start = max([start] + [g.degree() for g in locus.on_line((1, 0), (0, 1), ring.chi_ring()).gens])

@@ -5,12 +5,13 @@ For each degree d, `cisupport realize` builds a module over k[x,y]/(x^2, y^2)
 whose variety is the cone, and its presentation goes into a job file of its
 own.  `cisupport variety` on that file must give the cone up to radical
 (exit 0), or flag its answer unstable (exit 3): a wrong ideal with exit 0
-is a failure.  Over F_101 and F_5 every d = 1..16 gives the cone with exit
-0, since the degree ladder starts at the degree of the rank locus' form;
-over F_2 the cones of d = 12 and 16, (chi1^3 + chi2^3)^4 and
+is a failure.  Over F_101, F_5 and F_3 every d = 1..16 gives the cone with
+exit 0, since the degree ladder starts at the degree of the rank locus'
+form; over F_2 the cones of d = 12 and 16, (chi1^3 + chi2^3)^4 and
 (chi1 + chi2)^16, come back flagged.
-tests/test_cli.py runs d = 1..12 over F_5 and asserts exit 0; other primes
-and degrees run by hand, one line per degree, exit 1 on a failure:
+tests/test_cli.py runs d = 1..12 over F_5 and asserts exit 0, and CI runs
+d = 1..16 over p = 101, 5, 3 and 2, one line per degree, exit 1 on a
+failure:
 
     PYTHONPATH=src python tests/realize_cones.py --p 101 --degrees 1-16
 """

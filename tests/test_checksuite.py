@@ -73,7 +73,7 @@ def test_scaling_invariance_sees_a_wrong_kept_answer(monkeypatch):
     ring = two_var_ring(5)
     clear_memo()
     assert check_scaling_invariance(ring)["passed"]
-    reader = homology.section_ranks(ring, catalog_modules(ring)["R/(x)"]).module_reader
+    reader = homology.rank_locus(ring, catalog_modules(ring)["R/(x)"]).module_reader
     s = ring.ambient.n + 1
     m0, m1 = reader.period(s), reader.period(s + 1)
     field, point, _ = next(key for key in reader._ranks if key[2] == m0)

@@ -32,12 +32,13 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from cisupport import homology, modlinalg, variety
 from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
-from cisupport.cimodule import base_change_module, base_change_ring, residue_module
+from cisupport.cimodule import CIRing, base_change_module, base_change_ring, residue_module, restrict_to_ring
 from cisupport.field import ExtField, PrimeField
 from cisupport.groebner import Ideal, equal_up_to_radical
-from cisupport.homology import RankLocus, section_ranks
+from cisupport.homology import RankLocus, rank_locus
 from cisupport.poly import parse_poly
 from cisupport.realize import ConeSpec, realize_cone
+from cisupport.resolution import minimal_resolution
 from cisupport.variety import PointK, membership, variety_of
 
 X = symbols("x")
@@ -48,7 +49,7 @@ def chart_divisor(ring, module, u, v):
     generic ranks of D_0 and D_1 over GF(p)(x) sum below N, and otherwise
     the product of the gcds of their r-minors."""
     p = ring.field.p
-    reader = section_ranks(ring, module).reader()
+    reader = rank_locus(ring, module).reader()
     betti, table = reader.betti, reader.table
     dom = GF(p)[X]
     lin = [u[j] * dom.convert(X) + v[j] for j in range(ring.c)]
@@ -219,7 +220,7 @@ def test_two_tail_ranks_decide_what_all_the_tor_ranks_decide(ring, module):
     for field in [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else []):
         work = ring if field.e == 1 else base_change_ring(ring, field)
         moved = module if field.e == 1 else base_change_module(module, work)
-        reader = section_ranks(work, moved).reader()
+        reader = rank_locus(work, moved).reader()
         betti, table = reader.betti, reader.table
         for a in projective_points(field, ring.c):
             dims = all_tor_ranks(field, betti, table, a, s + 1)
@@ -257,7 +258,7 @@ def test_one_reader_gives_every_tor_rank_at_every_multiple(ring, module):
         work = ring if field.e == 1 else base_change_ring(ring, field)
         moved = module if field.e == 1 else base_change_module(module, work)
         clear_memo()
-        reader = section_ranks(work, moved).reader()
+        reader = rank_locus(work, moved).reader()
         betti, table = reader.betti, reader.table
         upto = len(betti) + 3  # pd + 4
         for a in reader_points(field, ring.c):
@@ -270,7 +271,7 @@ def test_one_reader_gives_every_tor_rank_at_every_multiple(ring, module):
 def compression_route(locus, u, v, ring2):
     """RankLocus.on_line as it was with two random r x r compressions U D V
     besides the elimination's last pivot, and ranks read off the pencil."""
-    p = locus.p
+    p = locus.ring.field.p
     rng = random.Random(repr((u, v)))
     d = locus._pencil(u, v)
     ranks, gcds = [], []
@@ -308,7 +309,7 @@ def compression_route(locus, u, v, ring2):
         for h in homology._irreducible_factors(homology._pmul(*gcds, p), p, rng)
         if not exact_at(h)
     ]
-    at_u = locus._pencil((0,) * locus.c, u)
+    at_u = locus._pencil((0,) * locus.ring.c, u)
     if sum(modlinalg.rank(m[0], p) for m in at_u) < locus.n:  # x = infinity
         points.append(s2)
     if not points:
@@ -405,7 +406,7 @@ def test_points_with_one_coordinate_tuple_over_two_fields_are_told_apart(moduli)
 
 
 @pytest.mark.parametrize("u, v", [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 4)), ((1, 2), (0, 1))])
-def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
+def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v):
     # a synthetic table on betti (1, 2, 1): sigma_e1 on G_0 is (1, 0)^T and
     # sigma_e2 on G_1 is (0, 1), so D_0(chi) has rank 1 off chi1 = 0 and
     # D_1(chi) rank 1 off chi2 = 0, and the locus is {chi1 chi2 = 0}: (0, 1)
@@ -416,14 +417,9 @@ def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
         (1, 0): ([(1, 0)], np.array([[1], [0]], dtype=np.int64)),
         (1, 1): ([(0, 1)], np.array([[0], [1]], dtype=np.int64)),
     }
-
-    class Ranks:
-        def reader(self):
-            return homology.TorReader(betti, table)
-
-    monkeypatch.setattr(homology, "section_ranks", lambda ring, module: Ranks())
     ring = two_var_ring(5)
-    locus = RankLocus(ring, residue_module(ring))
+    locus = RankLocus(ring, residue_module(ring))  # k: betti (1, 2, 1) too
+    locus.module_reader = homology.TorReader(betti, table)
     assert [a for a in [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)] if locus.contains(a)] == [(1, 0), (0, 1)]
     chi = ring.chi_ring()
     s1, s2 = chi.var_poly(0), chi.var_poly(1)
@@ -431,3 +427,23 @@ def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v, monkeypatch):
     # where its first does
     want = Ideal(chi, [(s1.scale(u[1]) + s2.scale(v[1])) * (s1.scale(u[0]) + s2.scale(v[0]))])
     assert equal_up_to_radical(locus.on_line(u, v, chi), want)
+
+
+@pytest.mark.parametrize("name", ["R/(x)", "cone(chi1*chi2)"])
+def test_over_an_extension_field_the_locus_reads_tor_ranks_but_no_line(name):
+    # a ring over F_9: betti_at gives the Groebner engine's Betti numbers
+    # over each section, the first direction from the table of its f_a
+    # alone; the line elimination is over F_p only
+    ring, f9 = two_var_ring(3), ExtField(3, 2)
+    work = base_change_ring(ring, f9)
+    module = base_change_module(catalog_modules(ring)[name], work)
+    omega = (0, 1)
+    clear_memo()
+    locus = rank_locus(work, module)
+    for a in [(f9.one, omega), (f9.one, f9.zero), (omega, f9.one)]:
+        hyper = CIRing(work.ambient, [work.form(a)], validate=False)
+        want = minimal_resolution(hyper, restrict_to_ring(module, hyper), 5, engine="groebner").betti[:6]
+        assert locus.betti_at(a, range(6)) == want, a
+    assert locus.first == (f9.one, omega) and locus.module_reader is not None
+    with pytest.raises(ValueError, match="rank loci are computed over prime fields"):
+        locus.on_line((1, 0), (0, 1), work.chi_ring())

@@ -15,7 +15,7 @@ from cisupport.cimodule import (
     zero_module,
 )
 from cisupport.field import PrimeField
-from cisupport.homology import ambient_resolution, section_betti
+from cisupport.homology import ambient_resolution, rank_locus
 from cisupport.jobspec import parse_input
 from cisupport.pmatrix import PolyMatrix
 from cisupport.poly import PolyRing, parse_poly, render_poly
@@ -99,7 +99,7 @@ def test_clear_memo_forgets_every_table():
     module = cyclic_module(ring, [ring.ambient.var_poly(0)])
 
     def sections():
-        section_betti(ring, module, (1, 0), range(4))
+        rank_locus(ring, module).betti_at((1, 0), range(4))
         return cache.memo("homotopies", (ring.key(), module.content_key()), None)
 
     def fill():

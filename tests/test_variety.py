@@ -100,6 +100,19 @@ def test_a_point_of_another_characteristic_is_rejected(char):
         membership(ring, m, residue_module(ring), point)
 
 
+@pytest.mark.parametrize("route", ["k", "pair"])
+def test_int_coordinates_of_a_point_over_f9_are_read_as_elements_of_f9(route):
+    # ints name the elements of F_3 inside F_9 on either route; they used to
+    # reach the arithmetic of F_9 as ints and raise TypeError
+    ring = two_var_ring(3)
+    m = cyclic_module(ring, [P(ring.ambient, "x")])
+    other = residue_module(ring) if route == "k" else m
+    f9 = ExtField(3, 2)
+    for ints, elements in (((1, 0), (f9.one, f9.zero)), ((0, 4), (f9.zero, f9.one)), ((2, 1), (f9.from_int(2), f9.one))):
+        want = membership(ring, m, other, ints)
+        assert membership(ring, m, other, PointK(ints, f9)) == membership(ring, m, other, PointK(elements, f9)) == want
+
+
 def test_k_membership_over_f9_reads_the_f3_table(monkeypatch):
     # each point of P^1(F_9) reads the module's table over F_3 in F_9: one
     # ambient resolution, over F_3, and no base change of the module; the
@@ -120,7 +133,7 @@ def test_k_membership_over_f9_reads_the_f3_table(monkeypatch):
         assert built == [ring.field] and moved == [], name
         work = base_change_ring(ring, f9)
         moved_module = base_change_module(module, work)
-        assert got == [any(homology.section_betti(work, moved_module, a, (s, s + 1))) for a in points], name
+        assert got == [any(homology.rank_locus(work, moved_module).betti_at(a, (s, s + 1))) for a in points], name
 
 
 def test_membership_pair_general_second_argument():
