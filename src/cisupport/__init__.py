@@ -30,7 +30,6 @@ from .groebner import (
     buchberger,
     equal_up_to_radical,
     is_regular_sequence,
-    krull_dimension,
     member_witness,
     normal_form,
     radical_member,

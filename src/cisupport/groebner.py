@@ -57,7 +57,7 @@ def vec_to_column(ring: PolyRing, nrows: int, v: dict):
     rows = [[] for _ in range(nrows)]
     for (i, m), c in v.items():
         rows[i].append((m, c))
-    return [ring.from_terms(r) for r in rows]
+    return [ring.from_terms(r) if r else ring.zero() for r in rows]
 
 
 class GroebnerBasis:
@@ -417,16 +417,6 @@ def krull_dimension_of_gb(ring: PolyRing, gb) -> int:
         if all(not s <= subset for s in supports):
             best = size
     return best
-
-
-def krull_dimension(ideal_gens, ring: PolyRing = None) -> int:
-    gens = [g for g in ideal_gens if not g.is_zero()]
-    if ring is None:
-        if not gens:
-            raise ValueError("need a ring for the empty ideal")
-        ring = gens[0].ring
-    gb = buchberger(gens) if gens else []
-    return krull_dimension_of_gb(ring, gb)
 
 
 @dataclass

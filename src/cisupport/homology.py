@@ -422,11 +422,47 @@ def _exact_quotient(num: np.ndarray, d: np.ndarray, p: int) -> np.ndarray:
     return q[..., : top[-1] + 1 if top.size else 1]
 
 
+def _blocks(support: np.ndarray):
+    """The connected components of the bipartite row/column graph of a
+    boolean matrix, as (rows, columns) index arrays; a zero row or column
+    lies in none of them."""
+    out, left = [], support.any(axis=1)
+    while left.any():
+        rows = np.zeros_like(left)
+        rows[np.argmax(left)] = True
+        while True:
+            cols = support[rows].any(axis=0)
+            grown = support[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        left &= ~rows
+        out.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return out
+
+
 def _generic_rank(stack: np.ndarray, p: int):
     """Rank over F_p(x) of the polynomial matrix sum_k x^k stack[k], and one
-    nonzero minor of that size: fraction-free (Bareiss) elimination, where
-    each step's entries are minors of the matrix and the last pivot is the
-    minor returned."""
+    nonzero minor of that size.
+
+    The union of the supports of the stack[k] splits into the connected
+    components of its row/column graph; up to a permutation of rows and
+    columns the matrix is block-diagonal at every x, so its rank is the sum
+    of the blocks' ranks and the product of their minors is a nonzero minor
+    of that size.  Each block is eliminated on its own by _bareiss: the
+    Shamash pencils are sparse, and their blocks are small."""
+    stack = stack % p
+    rank, minor = 0, [1]
+    for rows, cols in _blocks(stack.any(axis=0)):
+        r, m = _bareiss(stack[:, rows][:, :, cols], p)
+        rank, minor = rank + r, _pmul(minor, m, p)
+    return rank, minor
+
+
+def _bareiss(stack: np.ndarray, p: int):
+    """_generic_rank by fraction-free (Bareiss) elimination of the whole
+    matrix, where each step's entries are minors of the matrix and the last
+    pivot is the minor returned."""
     a = np.moveaxis(stack % p, 0, -1)
     prev, rank = np.ones(1, dtype=np.int64), 0
     while a.shape[0] and a.shape[1] and a.any():
@@ -482,13 +518,14 @@ class RankLocus:
     the locus on the line {s1 u + s2 v}, exact: it is the whole line when
     the generic ranks r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to
     less than N, and otherwise the finitely many points where one of them
-    drops.  The last pivot of the fraction-free elimination that finds r_i
-    is a nonzero r_i-minor of D_i, so each such point is a root of one of
-    those two pivots; every irreducible factor h of their product, read as
-    the point x u + v over F_p[x]/(h), and the point x = infinity (u
-    itself) are kept or dropped by contains there.  The only randomness
-    left is Cantor-Zassenhaus in the factoring, which changes the running
-    time, never the answer.  For c = 2 the line through (1, 0) and (0, 1)
+    drops.  The support of D_i(x u + v) splits into independent blocks
+    (_generic_rank); the product of the last pivots of their fraction-free
+    eliminations is a nonzero r_i-minor of D_i, so each such point is a
+    root of one of those two products; every irreducible factor h of their
+    product, read as the point x u + v over F_p[x]/(h), and the point
+    x = infinity (u itself) are kept or dropped by contains there.  The
+    only randomness left is Cantor-Zassenhaus in the factoring, which
+    changes the running time, never the answer.  For c = 2 the line through (1, 0) and (0, 1)
     is all of P^1, so its ideal is V(M) itself, up to radical.  The reader
     keeps each point's ranks and the locus each line's answer, so later
     rungs of a degree ladder reuse them.  Nothing here reads the chi action.

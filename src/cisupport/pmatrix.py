@@ -155,14 +155,27 @@ class PolyMatrix:
         return self.scale(self.ring.field.neg(self.ring.field.one))
 
     def mul(self, other: "PolyMatrix", reduce=None) -> "PolyMatrix":
-        """Matrix product, optionally reducing entries with the given map."""
+        """Matrix product, optionally reducing entries with the given map.
+
+        Each nonzero entry (r, k) is paired only with the nonzero entries of
+        row k of other, so the work follows the nonzero structure.  An
+        output entry that no pair reaches is the ring's zero, shared and
+        never passed to reduce."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.columns()
-        out = [
-            [sum_of_products(self.ring, zip(row, col), reduce) for col in cols]
-            for row in self.entries
-        ]
+        z = self.ring.zero()
+        other_rows = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        out = []
+        for row in self.entries:
+            pairs = {}
+            for a, other_row in zip(row, other_rows):
+                if a.terms:
+                    for j, b in other_row:
+                        pairs.setdefault(j, []).append((a, b))
+            new = [z] * other.ncols
+            for j, ab in pairs.items():
+                new[j] = sum_of_products(self.ring, ab, reduce)
+            out.append(new)
         return PolyMatrix(self.ring, out, self.row_twists, other.col_twists)
 
     def coefficient_arrays(self):

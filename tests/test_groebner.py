@@ -9,7 +9,6 @@ from cisupport.groebner import (
     buchberger,
     equal_up_to_radical,
     is_regular_sequence,
-    krull_dimension,
     member_witness,
     normal_form,
     radical_member,
@@ -169,12 +168,12 @@ def test_equal_up_to_radical():
 
 def test_dimension_examples():
     r2 = PolyRing(["chi1", "chi2"], field=F5)
-    assert krull_dimension([P(r2, "chi2")]) == 1
+    assert Ideal(r2, [P(r2, "chi2")]).dimension() == 1
     r3 = PolyRing(["chi1", "chi2", "chi3"], field=F5)
-    assert krull_dimension([P(r3, v) for v in ("chi1", "chi2", "chi3")]) == 0
-    assert krull_dimension([P(r3, "chi1*chi2 - chi3^2")]) == 2
-    assert krull_dimension([], r3) == 3
-    assert krull_dimension([P(r3, "1")], r3) == -1
+    assert Ideal(r3, [P(r3, v) for v in ("chi1", "chi2", "chi3")]).dimension() == 0
+    assert Ideal(r3, [P(r3, "chi1*chi2 - chi3^2")]).dimension() == 2
+    assert Ideal(r3, []).dimension() == 3
+    assert Ideal(r3, [P(r3, "1")]).dimension() == -1
 
 
 def _monomial_count_growth_order(ring, lead_monos, dmax=14):
@@ -209,7 +208,7 @@ def test_dimension_matches_standard_monomial_growth():
         polys = [P(r3, s) for s in gens]
         gb = buchberger(polys)
         oracle = _monomial_count_growth_order(r3, [g.lm() for g in gb])
-        assert krull_dimension(polys) == oracle
+        assert Ideal(r3, polys).dimension() == oracle
 
 
 # ---------------------------------------------------------------------------

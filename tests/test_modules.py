@@ -24,7 +24,7 @@ from cisupport.cimodule import (
 )
 from cisupport.field import PrimeField
 from cisupport.pmatrix import PolyMatrix
-from cisupport.poly import PolyRing, parse_poly, render_poly
+from cisupport.poly import PolyRing, parse_poly, render_poly, sum_of_products
 
 F5 = PrimeField(5)
 
@@ -147,6 +147,61 @@ def test_polymatrix_mul_cancels_to_the_zero_polynomial():
     b = PolyMatrix(q, [[y], [parse_poly(q, "4*x")]], (1, 1), (2,))
     assert a.mul(b).entries[0][0].terms == ()
     assert a.mul(b).column(0) == [q.zero()]
+
+
+@st.composite
+def sparse_homogeneous_products(draw):
+    """Two homogeneous matrices over F_5[x, y], each entry of degree column
+    twist - row twist and zero at random, with whole rows and columns of
+    zeros on both sides of the product."""
+    q, ring = ring2()
+
+    def twists():
+        return draw(st.lists(st.integers(0, 3), max_size=4))
+
+    def matrix(row_twists, col_twists):
+        zero_rows = draw(st.sets(st.integers(0, 3)))
+        zero_cols = draw(st.sets(st.integers(0, 3)))
+        entries = []
+        for i, r in enumerate(row_twists):
+            row = []
+            for j, c in enumerate(col_twists):
+                monos = q.monomials_of_degree(c - r) if c >= r else []
+                terms = []
+                if monos and i not in zero_rows and j not in zero_cols and draw(st.booleans()):
+                    terms = draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(1, 4)), min_size=1, max_size=2))
+                row.append(q.from_terms(terms))
+            entries.append(row)
+        return PolyMatrix(q, entries, row_twists, col_twists).check_homogeneous()
+
+    inner = twists()
+    return ring, matrix(twists(), inner), matrix(inner, twists())
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_homogeneous_products())
+def test_sparse_polymatrix_mul_equals_the_dense_sums_and_reduces_only_reached_entries(case):
+    ring, a, b = case
+    q = a.ring
+    for reduce in (None, ring.nf):
+        want = [[sum_of_products(q, zip(row, col), reduce) for col in b.columns()] for row in a.entries]
+        assert a.mul(b, reduce=reduce) == PolyMatrix(q, want, a.row_twists, b.col_twists)
+    reached = {
+        (i, j)
+        for i, k, j in itertools.product(range(a.nrows), range(a.ncols), range(b.ncols))
+        if a.entries[i][k].terms and b.entries[k][j].terms
+    }
+    reduced = []
+
+    def spy(f):
+        reduced.append(f)
+        return ring.nf(f)
+
+    got = a.mul(b, reduce=spy)
+    assert len(reduced) == len(reached)
+    for i, j in itertools.product(range(a.nrows), range(b.ncols)):
+        if (i, j) not in reached:
+            assert got.entries[i][j].terms == ()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import GF, Poly as SymPoly, symbols
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
@@ -447,3 +449,52 @@ def test_over_an_extension_field_the_locus_reads_tor_ranks_but_no_line(name):
     assert locus.first == (f9.one, omega) and locus.module_reader is not None
     with pytest.raises(ValueError, match="rank loci are computed over prime fields"):
         locus.on_line((1, 0), (0, 1), work.chi_ring())
+
+
+# ---------------------------------------------------------------------------
+# the block split of the generic rank
+
+
+@st.composite
+def permuted_block_stacks(draw):
+    """(p, stack): x-coefficient matrices that are block-diagonal up to a
+    random permutation of rows and columns.  One to four blocks of 1 x 1 up
+    to 4 x 4, 1 x k and k x 1 among them, some rank-deficient (the last row
+    a multiple of the first), plus a few zero rows and columns."""
+    p = draw(st.sampled_from([2, 3, 5, 101]))
+    depth = draw(st.integers(1, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        size = depth * r * c
+        b = np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)), dtype=np.int64)
+        b = b.reshape(depth, r, c)
+        if r > 1 and draw(st.booleans()):
+            b[:, -1] = b[:, 0] * draw(st.integers(0, p - 1)) % p
+        blocks.append(b)
+    rows = sum(b.shape[1] for b in blocks) + draw(st.integers(0, 2))
+    cols = sum(b.shape[2] for b in blocks) + draw(st.integers(0, 2))
+    stack = np.zeros((depth, rows, cols), dtype=np.int64)
+    i = j = 0
+    for b in blocks:
+        stack[:, i : i + b.shape[1], j : j + b.shape[2]] = b
+        i, j = i + b.shape[1], j + b.shape[2]
+    row_order, col_order = draw(st.permutations(range(rows))), draw(st.permutations(range(cols)))
+    return p, stack[:, row_order][:, :, col_order]
+
+
+def monic(f, p):
+    return [x * pow(f[-1], -1, p) % p for x in f]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_block_stacks())
+def test_the_block_split_gives_the_rank_and_minor_of_the_whole_elimination(case):
+    # the split sums the blocks' ranks and multiplies their minors; the
+    # elimination of the whole matrix, in the same pivot order within each
+    # block, ends on the same minor up to a scalar
+    p, stack = case
+    rank, minor = homology._generic_rank(stack, p)
+    whole_rank, whole_minor = homology._bareiss(stack, p)
+    assert rank == whole_rank
+    assert minor and monic(minor, p) == monic(whole_minor, p)
