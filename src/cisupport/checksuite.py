@@ -31,7 +31,7 @@ from .cimodule import (
 )
 from .field import PrimeField
 from .groebner import Ideal, equal_up_to_radical
-from .homology import ext_k_dims, ext_module_ring_coeffs, hypersurface_betti
+from .homology import ext_k_dims, ext_module_ring_coeffs, ext_vanishes, hypersurface_betti
 from .operators import chi_action, chi_action_from_family, operator_family
 from .poly import PolyRing, parse_poly
 from .realize import ConeSpec, certify_cone_ses, mapping_cone_module, realize_cone
@@ -108,18 +108,33 @@ def check_pair_intersection(rings):
     return _result("pair_variety_is_intersection", not (bad or unstable), "; ".join(bad + unstable), not unstable)
 
 
+def hom_route_membership(ring: CIRing, module, other, a) -> bool:
+    """Is the nonzero direction a, over the ring's field, in V(module, other)?
+
+    The reference for pair membership: over A = Q/(f_a), Ext^s and Ext^(s+1)
+    for s = dim A + 2, in the 2-periodic part, by Groebner containments in
+    the Hom complex (homology.ext_vanishes), with no rank locus of R read.
+    """
+    s = ring.ambient.n + 1  # dim A + 2
+    hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)
+    m_a, n_a = restrict_to_ring(module, hyper), restrict_to_ring(other, hyper)
+    return not (ext_vanishes(hyper, m_a, n_a, s) and ext_vanishes(hyper, m_a, n_a, s + 1))
+
+
 def check_self_pair_reduction(rings):
+    """Membership of pairs against the Hom route, at sampled points.  k and
+    syz1(k) have full varieties and M = R/(x) does not, so a pair branch
+    reading one of the two loci only is wrong outside V(M) on (k, M) or on
+    (M, syz1(k))."""
     bad = []
     for ring in rings:
         mods = catalog_modules(ring)
-        k = mods["k"]
-        m = mods["R/(x)"]
-        for coords in sample_points(ring, 4, 23) + [tuple([0] * ring.c)]:
-            mm = membership(ring, m, m, coords)
-            km = membership(ring, k, m, coords)
-            mk = membership(ring, m, k, coords)
-            if not (mm == km == mk):
-                bad.append(f"{ring!r}:{coords} -> {mm},{km},{mk}")
+        k, m, syz = mods["k"], mods["R/(x)"], mods["syz1(k)"]
+        for coords in sample_points(ring, 4, 23):
+            for name, (a, b) in (("M,M", (m, m)), ("k,M", (k, m)), ("M,k", (m, k)), ("M,syz1(k)", (m, syz))):
+                got = membership(ring, a, b, coords)
+                if got != hom_route_membership(ring, a, b, coords):
+                    bad.append(f"{ring!r}:{name}@{coords} -> {got}")
     return _result("self_pair_reduces_to_single_variety", not bad, "; ".join(bad))
 
 

@@ -572,23 +572,6 @@ def restrict_to_ring(module: GradedModule, target) -> GradedModule:
     return GradedModule(target, PolyMatrix.block(amb_t, [blocks]))
 
 
-def base_change_ring(ring: CIRing, new_field) -> CIRing:
-    amb = ring.ambient.with_field(new_field)
-    return CIRing(amb, [f.map_coefficients(new_field.from_int, amb) for f in ring.fs], validate=False)
-
-
-def base_change_module(module: GradedModule, new_ring) -> GradedModule:
-    amb = new_ring.ambient
-    pres = module.presentation
-    entries = [
-        [pres.entries[i][j].map_coefficients(amb.field.from_int, amb) for j in range(pres.ncols)]
-        for i in range(pres.nrows)
-    ]
-    return GradedModule(
-        new_ring, PolyMatrix(amb, entries, pres.row_twists, pres.col_twists)
-    )
-
-
 def subquotient_presentation(ring, twists, ker_cols, im_cols) -> GradedModule:
     """Presentation of (span of ker_cols) / (span of im_cols) inside a free module."""
     ker_cols = [col for col in ker_cols if any(not p.is_zero() for p in col)]

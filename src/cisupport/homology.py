@@ -12,16 +12,17 @@ one TorReader per table answers every Tor-rank question about it, in
 whatever field the point lies.  One RankLocus per (ring, module) holds a
 module's readers and answers every question about its hypersurface
 sections: hypersurface_betti reads it at a = (1,) over Q/(f), and
-membership against k and the certificate of variety_of read it at points
-of F_p^c and of its extensions (Q = k[x] included).  Past pd G the
-Shamash resolution is 2-periodic, so a reader builds only the
-differentials the asked degrees need, and two ranks, kept per projective
-point, decide eventual vanishing.  RankLocus also reads the tail
+membership (against k, and for each module of a pair) and the certificate
+of variety_of read it at points of F_p^c and of its extensions (Q = k[x]
+included).  Past pd G the Shamash resolution is 2-periodic, so a reader
+builds only the differentials the asked degrees need, and two ranks, kept
+per projective point, decide eventual vanishing.  RankLocus also reads the tail
 differentials along a line, as polynomial matrices in x: the support
 variety is where their constant parts fail to be exact, with no window
 and no degree bound, which certifies the annihilator route's ideal.  The
 general Ext test applies Hom(-, N) to a minimal resolution and compares
-kernel and image by Groebner containments.
+kernel and image by Groebner containments; no command reads it for a pair,
+and it is the reference that pair membership is checked against.
 """
 
 from __future__ import annotations
@@ -489,7 +490,9 @@ class RankLocus:
     from the module's own homotopies: Tor ranks over each hypersurface
     Q/(f_a), the test "is a in V(M)?" at a point, and the exact locus on a
     line.  One per (ring, module), in the memo table `homotopies` (see
-    rank_locus).
+    rank_locus).  The module must live over the ring or a quotient of it
+    (the same Q, with every f_i zero there), else f_1..f_c have no
+    homotopies on its resolution: any other module raises ValueError.
 
     betti_at(a, degrees) reads Tor over Q/(f_a) with a TorReader.  The
     first direction asked reads the table of f_a alone, kept with its
@@ -532,13 +535,19 @@ class RankLocus:
     """
 
     def __init__(self, ring: CIRing, module: GradedModule):
+        if module.ring.ambient != ring.ambient or any(not module.ring.nf(f).is_zero() for f in ring.fs):
+            raise ValueError(f"the module is over {module.ring!r}, which is neither {ring!r} nor a quotient of it")
         self.ring, self.module = ring, module
-        pd = ambient_resolution(module).pd
-        self.tail = (pd + 1, pd + 2)
         self.first = None  # the first direction asked
         self.first_reader = None  # reader of the table of f_first alone
         self.module_reader = None  # reader of the table of f_1..f_c
         self._lines = {}  # (u, v, ring2): the locus on that line
+
+    @functools.cached_property
+    def tail(self) -> tuple:
+        """pd + 1, pd + 2: the ambient resolution is built at the first read."""
+        pd = ambient_resolution(self.module).pd
+        return pd + 1, pd + 2
 
     def reader(self) -> TorReader:
         """The reader of the homotopy_constants table of f_1..f_c."""

@@ -103,9 +103,6 @@ class PolyRing:
             weights=self.weights + (1,) * len(tuple(extra_variables)),
         )
 
-    def with_field(self, field):
-        return PolyRing(self.variables, field=field, weights=self.weights)
-
     def key(self) -> tuple:
         return ("ring", self.variables, self.weights, self.field.key())
 
@@ -217,9 +214,6 @@ class Poly:
                     v = f.mul(v, a)
             total = f.add(total, v)
         return total
-
-    def map_coefficients(self, func, new_ring):
-        return new_ring.from_terms((m, func(c)) for m, c in self.terms)
 
     def __eq__(self, other):
         return (

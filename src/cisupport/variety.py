@@ -4,11 +4,14 @@ The membership oracle follows the hypersurface-section definition: a nonzero
 direction a in k^c determines f = sum a_i f_i, and a lies in the variety of
 (M, N) iff Ext over Q/(f) is nonzero in infinitely many degrees.  Over a
 hypersurface that is decidable: resolutions are eventually 2-periodic, so two
-consecutive vanishing Exts past dim Q/(f) + 2 certify eventual vanishing.
+consecutive vanishing Tor ranks in the periodic part decide eventual
+vanishing.  Ext over Q/(f) of a pair eventually vanishes exactly when M or N
+has finite projective dimension there, so V(M, N) = V(M) cap V(N), and every
+question is one about a single module's rank locus (homology.RankLocus).
 
 The annihilator route computes the ideal of forms in k[chi] killing the
 graded action on Ext(M, k) over a finite window.  It is certified by the
-rank locus of the module's own homotopies (homology.RankLocus), which
+rank locus of the module's own homotopies, which
 needs no window: variety_of climbs the degree bound d with window 2d + 2,
 extending one chi action, and stops at the first ideal whose zero set the
 locus confirms; past a cap the result is flagged unstable with the reason.
@@ -25,17 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modlinalg
-from .cimodule import (
-    CIRing,
-    GradedModule,
-    base_change_module,
-    base_change_ring,
-    is_residue_field,
-    restrict_to_ring,
-)
-from .field import ExtField, digits
+from .cimodule import CIRing, GradedModule, is_residue_field
+from .field import digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import RankLocus, _projective, ext_vanishes, rank_locus
+from .homology import RankLocus, _projective, rank_locus
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -106,15 +102,16 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
     """Is the direction a in the support variety of the pair (module, other)?
 
     The zero direction is always inside, answered before any read.
-    Otherwise f = sum a_i f_i cuts a hypersurface A = Q/(f); with
-    s = dim A + 2, eventual nonvanishing of Ext over A is equivalent to
-    Ext^s or Ext^{s+1} being nonzero.  Against k the Exts are Tor ranks,
-    and the module's RankLocus decides the point, over F_p or over
-    F_{p^e}, from two of them (see RankLocus.contains): the first direction
-    asked of a module builds the homotopies of f alone, and later ones
-    specialize the module's system of higher homotopies at a.  Only a pair
-    is base-changed.  A scalar multiple of a direction cuts the same
-    hypersurface, so the reader keeps two ranks per projective point,
+    Otherwise f = sum a_i f_i cuts a hypersurface A = Q/(f).  Against k,
+    eventual nonvanishing of Ext over A is that of the Tor ranks, which the
+    module's RankLocus decides, over F_p or over F_{p^e}, from two of them
+    (see RankLocus.contains): the first direction asked of a module builds
+    the homotopies of f alone, and later ones specialize the module's
+    system of higher homotopies at a.  Ext over A of a pair eventually
+    vanishes exactly when one of the two has finite projective dimension
+    over A (Avramov-Buchweitz, Invent. Math. 142 (2000)), so a pair asks
+    the loci of both modules.  A scalar multiple of a direction cuts the
+    same hypersurface, so the reader keeps two ranks per projective point,
     shared by the oracle and the locus: a multiple of a point either has
     read costs no rank.
     """
@@ -129,16 +126,9 @@ def membership(ring: CIRing, module: GradedModule, other: GradedModule, a) -> bo
         # the module over R is one over A: every direction shares its
         # resolution over Q
         return rank_locus(ring, module).contains(coords, fld)
-    s = ring.ambient.n + 1  # dim A + 2
-    if isinstance(fld, ExtField):
-        ring = base_change_ring(ring, fld)
-        module, other = base_change_module(module, ring), base_change_module(other, ring)
-    hyper = CIRing(ring.ambient, [ring.form(coords)], validate=False)
-    m_a = restrict_to_ring(module, hyper)
-    n_a = restrict_to_ring(other, hyper)
-    van_s = ext_vanishes(hyper, m_a, n_a, s)
-    van_s1 = ext_vanishes(hyper, m_a, n_a, s + 1)
-    return not (van_s and van_s1)
+    # both loci first: each refuses a module over another ring
+    m_locus, n_locus = rank_locus(ring, module), rank_locus(ring, other)
+    return m_locus.contains(coords, fld) and n_locus.contains(coords, fld)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +285,12 @@ def variety_of_pair(
 ) -> SupportVariety:
     """Support variety of a pair, as the intersection of the two varieties.
 
-    Pairs reduce to single-module varieties (the pair variety is the
-    intersection); when the second argument is k or the module itself the
+    Pairs reduce to single-module varieties (V(M, N) = V(M) cap V(N), see
+    membership); when the second argument is k or the module itself the
     single variety is returned directly.  Three sampled directions are
-    always cross-validated against the membership oracle; a disagreement
-    returns the variety flagged unstable, with the point in its note.
+    checked against the membership oracle, which reads the two rank loci
+    and not the chi action; a disagreement returns the variety flagged
+    unstable, with the point in its note.
     """
     if is_residue_field(other) or other.content_key() == module.content_key():
         v = variety_of(ring, module, degree_bound)

@@ -857,7 +857,7 @@ def _projective_points(field, c):
 
 
 def _section_cases():
-    from cisupport.cimodule import base_change_module, base_change_ring
+    from basechange import base_change_module, base_change_ring
 
     for name, make in (("2var", two_var_ring), ("3var", three_var_ring)):
         for p in (2, 3, 5):

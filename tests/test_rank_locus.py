@@ -34,7 +34,7 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from cisupport import homology, modlinalg, variety
 from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
-from cisupport.cimodule import CIRing, base_change_module, base_change_ring, residue_module, restrict_to_ring
+from cisupport.cimodule import CIRing, residue_module, restrict_to_ring
 from cisupport.field import ExtField, PrimeField
 from cisupport.groebner import Ideal, equal_up_to_radical
 from cisupport.homology import RankLocus, rank_locus
@@ -42,6 +42,8 @@ from cisupport.poly import parse_poly
 from cisupport.realize import ConeSpec, realize_cone
 from cisupport.resolution import minimal_resolution
 from cisupport.variety import PointK, membership, variety_of
+
+from basechange import base_change_module, base_change_ring
 
 X = symbols("x")
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisupport import cimodule, homology, modlinalg, variety
+from cisupport import homology, modlinalg
 from cisupport.cache import clear_memo
 from cisupport.catalog import catalog_modules, three_var_ring, two_var_ring
+from cisupport.checksuite import hom_route_membership
 from cisupport.cimodule import (
     CIRing,
-    base_change_module,
-    base_change_ring,
+    GradedModule,
     cyclic_module,
     free_module,
     residue_module,
@@ -44,6 +44,8 @@ from cisupport.variety import (
     variety_of,
     variety_of_pair,
 )
+
+from basechange import base_change_module, base_change_ring
 
 
 def P(ring, s):
@@ -115,22 +117,21 @@ def test_int_coordinates_of_a_point_over_f9_are_read_as_elements_of_f9(route):
 
 def test_k_membership_over_f9_reads_the_f3_table(monkeypatch):
     # each point of P^1(F_9) reads the module's table over F_3 in F_9: one
-    # ambient resolution, over F_3, and no base change of the module; the
+    # ambient resolution, over F_3, and no module over F_9 is built; the
     # answers are those of the module base-changed to F_9
     ring, f9 = two_var_ring(3), ExtField(3, 2)
     k = residue_module(ring)
     points = [(f9.one, x) for x in f9.elements()] + [(f9.zero, f9.one)]
     s = ring.ambient.n + 1  # the degrees membership reads
-    real_ambient, real_move = homology.AmbientResolution, cimodule.base_change_module
+    real_ambient, real_module = homology.AmbientResolution, GradedModule.__init__
     for name, module in catalog_modules(ring).items():
-        built, moved = [], []
+        built, fields = [], set()
         with monkeypatch.context() as mp:
             mp.setattr(homology, "AmbientResolution", lambda m: built.append(m.ring.field) or real_ambient(m))
-            for where in (cimodule, variety):
-                mp.setattr(where, "base_change_module", lambda m, r: moved.append(r) or real_move(m, r))
+            mp.setattr(GradedModule, "__init__", lambda m, r, *a, **kw: fields.add(r.field) or real_module(m, r, *a, **kw))
             clear_memo()
             got = [membership(ring, module, k, PointK(a, f9)) for a in points]
-        assert built == [ring.field] and moved == [], name
+        assert built == [ring.field] and fields <= {ring.field}, name
         work = base_change_ring(ring, f9)
         moved_module = base_change_module(module, work)
         assert got == [any(homology.rank_locus(work, moved_module).betti_at(a, (s, s + 1))) for a in points], name
@@ -146,6 +147,72 @@ def test_membership_pair_general_second_argument():
     assert not membership(ring, mx, my, (0, 1))
     assert not membership(ring, mx, my, (1, 1))
     assert membership(ring, mx, my, (0, 0))
+
+
+def test_a_module_over_a_larger_ring_is_refused_where_its_locus_is_read():
+    # Q/(x) presented over Q is no module over R = Q/(x^2, y^2): f_1..f_c
+    # have no homotopies on its resolution; every reader of a rank locus
+    # names the two rings instead of failing in the homotopy solve or
+    # answering a pair from it
+    ring = two_var_ring(3)
+    q = ring.ambient
+    over_q = cyclic_module(CIRing(q, ()), [P(q, "x")])
+    mx, my, k = cyclic_module(ring, [P(q, "x")]), cyclic_module(ring, [P(q, "y")]), residue_module(ring)
+    section = CIRing(q, [ring.form((1, 0))], validate=False)
+    calls = [
+        lambda: variety_of(ring, over_q),
+        lambda: variety_of_pair(ring, mx, over_q),
+        lambda: membership(ring, mx, over_q, (1, 0)),
+        lambda: membership(ring, my, over_q, (1, 0)),  # (1, 0) is outside V(R/(y))
+        lambda: membership(ring, over_q, k, (1, 0)),
+        lambda: homology.hypersurface_betti(section, over_q, 4),
+    ]
+    for call in calls:
+        clear_memo()
+        with pytest.raises(ValueError, match=r"the module is over CIRing\(\('x', 'y'\) / \(\)\), which is neither "):
+            call()
+    # a module over R is one over each of its sections
+    assert homology.hypersurface_betti(section, mx, 4) == [1, 2, 2, 2, 2]
+
+
+def _projective_points(field, c):
+    """One point of each line of field^c: first nonzero coordinate one."""
+    points = itertools.product(list(field.elements()), repeat=c)
+    return [a for a in points if next((x for x in a if x != field.zero), None) == field.one]
+
+
+def _pair_cases():
+    for make, p in ((two_var_ring, 3), (three_var_ring, 2)):
+        ring = make(p)
+        yield f"catalog_{ring.c}var_p{p}", ring, catalog_modules(ring)
+    q = PolyRing(["x", "y", "z"], field=PrimeField(7))
+    ring = CIRing(q, [P(q, "x^2 + y^2"), P(q, "y^2 + 3*z^2"), P(q, "x*z + 5*y^2")])
+    mods = {"k": residue_module(ring)}
+    for rels in (["x + 2*y"], ["x + 2*y", "z"], ["z"]):
+        mods[f"R/({', '.join(rels)})"] = cyclic_module(ring, [P(q, r) for r in rels])
+    yield "nonmonomial_p7", ring, mods
+
+
+@pytest.mark.parametrize("case", list(_pair_cases()), ids=lambda c: c[0])
+def test_pair_membership_is_the_hom_route_at_every_point(case):
+    # V(M, N) = V(M) cap V(N): membership reads the two rank loci, the
+    # reference restricts both modules to each section and decides Ext there
+    # by Groebner containments in the Hom complex
+    _, ring, mods = case
+    for a in _projective_points(ring.field, ring.c):
+        for (m, mod), (n, other) in itertools.product(mods.items(), repeat=2):
+            assert membership(ring, mod, other, a) == hom_route_membership(ring, mod, other, a), (m, n, a)
+
+
+def test_pair_membership_over_f9_is_the_base_changed_hom_route():
+    ring, f9 = two_var_ring(3), ExtField(3, 2)
+    work = base_change_ring(ring, f9)
+    mods = catalog_modules(ring)
+    moved = {name: base_change_module(mod, work) for name, mod in mods.items()}
+    for a in _projective_points(f9, ring.c):
+        for m, n in itertools.product(mods, repeat=2):
+            want = hom_route_membership(work, moved[m], moved[n], a)
+            assert membership(ring, mods[m], mods[n], PointK(a, f9)) == want, (m, n, a)
 
 
 # ---------------------------------------------------------------------------
