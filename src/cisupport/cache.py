@@ -13,7 +13,7 @@ HEADER = "cisupport-cache v1"
 FORMAT_VERSION = "1"
 # Bumped whenever the engine's computation changes, so reports cached by an
 # earlier engine are never served.
-ENGINE_VERSION = "7"
+ENGINE_VERSION = "8"
 
 _MEMO: dict = {}  # table name -> {key: value}
 

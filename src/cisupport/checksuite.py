@@ -113,7 +113,9 @@ def hom_route_membership(ring: CIRing, module, other, a) -> bool:
 
     The reference for pair membership: over A = Q/(f_a), Ext^s and Ext^(s+1)
     for s = dim A + 2, in the 2-periodic part, by Groebner containments in
-    the Hom complex (homology.ext_vanishes), with no rank locus of R read.
+    the Hom complex (homology.ext_vanishes), and against k by the Betti
+    numbers of the minimal resolution over A (homology.ext_k_dims): no
+    rank locus is read, of R or of A.
     """
     s = ring.ambient.n + 1  # dim A + 2
     hyper = CIRing(ring.ambient, [ring.form(a)], validate=False)

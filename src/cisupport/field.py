@@ -70,9 +70,6 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
-    def nonzero_elements(self):
-        return range(1, self.p)
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -201,11 +198,6 @@ class ExtField:
     def elements(self):
         for code in range(self.p**self.e):
             yield tuple(digits(code, self.p, self.e))
-
-    def nonzero_elements(self):
-        for a in self.elements():
-            if a != self.zero:
-                yield a
 
     def to_str(self, a) -> str:
         return "(" + ",".join(str(c) for c in a) + ")"

@@ -21,8 +21,9 @@ differentials along a line, as polynomial matrices in x: the support
 variety is where their constant parts fail to be exact, with no window
 and no degree bound, which certifies the annihilator route's ideal.  The
 general Ext test applies Hom(-, N) to a minimal resolution and compares
-kernel and image by Groebner containments; no command reads it for a pair,
-and it is the reference that pair membership is checked against.
+kernel and image by Groebner containments, and ext_k_dims reads the Betti
+numbers of a minimal resolution; no command reads them for membership,
+and they are the reference that membership is checked against.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .cimodule import (
 from .field import ExtField, PrimeField, _pdivmod, _pmul, _ppowmod, _ptrim
 from .groebner import Ideal, vec_to_column
 from .pmatrix import PolyMatrix
-from .poly import PolyRing
 from .resolution import FreeResolution, groebner_kernel_step, minimal_resolution
 
 
@@ -341,10 +341,10 @@ def ext_k_dims(ring, module: GradedModule, upto: int):
     """dim_k Ext^i(M, k) for i = 0..upto (the betti numbers of M over ring).
 
     The module may be given over a quotient of ring (its ideal containing
-    that of ring); it is then viewed over ring.
+    that of ring); it is then viewed over ring.  It reads the minimal
+    resolution for every ring, a hypersurface included, and so shares no
+    code with the rank locus it is a reference for.
     """
-    if ring.c == 1:
-        return hypersurface_betti(ring, module, upto)
     if module.ring != ring:
         module = restrict_to_ring(module, ring)
     return minimal_resolution(ring, module, upto).betti[: upto + 1]
@@ -517,8 +517,8 @@ class RankLocus:
     D_0 and D_1 are, up to block order, the Shamash differentials in the
     tail degrees pd + 1, pd + 2, so contains(a) is betti_at in those two
     degrees: two ranks per projective point, whether the membership oracle
-    or the locus asks.  on_line(u, v, ring2), over a prime field only, is
-    the locus on the line {s1 u + s2 v}, exact: it is the whole line when
+    or the locus asks.  on_line(u, v), over a prime field only, is the
+    locus on the line {s1 u + s2 v}, exact: it is the whole line when
     the generic ranks r_0, r_1 of the pencil D(x u + v) over F_p(x) sum to
     less than N, and otherwise the finitely many points where one of them
     drops.  The support of D_i(x u + v) splits into independent blocks
@@ -528,10 +528,11 @@ class RankLocus:
     product, read as the point x u + v over F_p[x]/(h), and the point
     x = infinity (u itself) are kept or dropped by contains there.  The
     only randomness left is Cantor-Zassenhaus in the factoring, which
-    changes the running time, never the answer.  For c = 2 the line through (1, 0) and (0, 1)
-    is all of P^1, so its ideal is V(M) itself, up to radical.  The reader
-    keeps each point's ranks and the locus each line's answer, so later
-    rungs of a degree ladder reuse them.  Nothing here reads the chi action.
+    changes the running time, never the answer.  For c = 2 the line
+    through (1, 0) and (0, 1) is all of P^1, so its ideal is V(M) itself,
+    up to radical.  The reader keeps each point's ranks; a line's answer
+    is kept by its caller (variety_of reads each probe line once).
+    Nothing here reads the chi action.
     """
 
     def __init__(self, ring: CIRing, module: GradedModule):
@@ -541,7 +542,6 @@ class RankLocus:
         self.first = None  # the first direction asked
         self.first_reader = None  # reader of the table of f_first alone
         self.module_reader = None  # reader of the table of f_1..f_c
-        self._lines = {}  # (u, v, ring2): the locus on that line
 
     @functools.cached_property
     def tail(self) -> tuple:
@@ -601,18 +601,12 @@ class RankLocus:
         x = tuple(int(k == 1) for k in range(e))
         return self.contains(tuple(fld.add(fld.mul(fld.from_int(s), x), fld.from_int(t)) for s, t in zip(u, v)), fld)
 
-    def on_line(self, u, v, ring2: PolyRing) -> Ideal:
-        """The locus on the line {s1 u + s2 v}, as an ideal of ring2 = k[s1, s2]
-        whose zero set it is."""
+    def on_line(self, u, v) -> Ideal:
+        """The locus on the line {s1 u + s2 v}, as an ideal of
+        ring.s_ring(2) = k[s1, s2] whose zero set it is."""
         if not isinstance(self.ring.field, PrimeField):
             raise ValueError("rank loci are computed over prime fields")
-        key = (tuple(u), tuple(v), ring2)
-        if key not in self._lines:
-            self._lines[key] = self._line_ideal(u, v, ring2)
-        return self._lines[key]
-
-    def _line_ideal(self, u, v, ring2: PolyRing) -> Ideal:
-        p = self.ring.field.p
+        p, ring2 = self.ring.field.p, self.ring.s_ring(2)
         ranks, pivots = zip(*(_generic_rank(m, p) for m in self._pencil(u, v)))
         if sum(ranks) < self.n:
             return Ideal(ring2, [])

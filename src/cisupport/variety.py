@@ -11,10 +11,11 @@ question is one about a single module's rank locus (homology.RankLocus).
 
 The annihilator route computes the ideal of forms in k[chi] killing the
 graded action on Ext(M, k) over a finite window.  It is certified by the
-rank locus of the module's own homotopies, which
-needs no window: variety_of climbs the degree bound d with window 2d + 2,
-extending one chi action, and stops at the first ideal whose zero set the
-locus confirms; past a cap the result is flagged unstable with the reason.
+rank locus of the module's own homotopies, which needs no window:
+variety_of reads the locus at its probes once, starts no lower than a rung
+could confirm, climbs the degree bound d with window 2d + 2, extending one
+chi action, and stops at the first ideal whose zero set the locus confirms;
+past a cap the result is flagged unstable with the reason.
 A stable result thus means two independent routes agree: the locus shares
 the membership oracle's table but nothing with the chi action.
 """
@@ -31,7 +32,7 @@ from . import modlinalg
 from .cimodule import CIRing, GradedModule, is_residue_field
 from .field import digits
 from .groebner import Ideal, IncrementalGB, equal_up_to_radical, member_witness, poly_to_vec
-from .homology import RankLocus, _projective, rank_locus
+from .homology import _projective, rank_locus
 from .operators import ExtKModule, chi_action
 from .poly import Poly, PolyRing
 
@@ -198,11 +199,14 @@ def annihilator_ideal(ext_module: ExtKModule, degree_bound: int) -> Ideal:
 
 def _probes(ring: CIRing):
     """The points of F_p^c and the lines (u, v) where the ideal is compared
-    with the rank locus.  For c = 2 the one line is all of P^1; for c >= 3,
-    every point of P^(c-1)(F_p) when there are at most 31 (p <= 5 at c = 3),
-    else 8 distinct ones drawn from the seeded stream of sample_points, and
-    two seeded lines.  Each point has first nonzero coordinate one."""
+    with the rank locus.  For c = 1 the one point (1,) is all of P^0; for
+    c = 2 the one line is all of P^1; for c >= 3, every point of
+    P^(c-1)(F_p) when there are at most 31 (p <= 5 at c = 3), else 8
+    distinct ones drawn from the seeded stream of sample_points, and two
+    seeded lines.  Each point has first nonzero coordinate one."""
     p, c = ring.field.p, ring.c
+    if c == 1:
+        return [(1,)], []
     if c == 2:
         return [], [((1, 0), (0, 1))]
     if (p**c - 1) // (p - 1) <= 31:
@@ -222,25 +226,23 @@ def _probes(ring: CIRing):
     return points, lines
 
 
-def _disagreement(ring: CIRing, locus: RankLocus, ideal: Ideal) -> str:
+def _disagreement(ring: CIRing, ideal: Ideal, points, lines) -> str:
     """Where the zero set of the ideal and the rank locus differ, or "" when
     no probe tells them apart.
 
-    For c <= 2 the comparison is exact: c = 1 asks the one point of P^0,
-    and c = 2 compares with the whole locus up to radical.  For c >= 3 it
-    is exact on each probe line (the restricted ideal against the locus of
-    the line, up to radical) and at each probe point; elsewhere the two
-    agree only as far as those samples show.
+    points holds each point a of _probes with whether the locus contains it,
+    lines each line (u, v) with the locus' ideal on it (RankLocus.on_line),
+    which is compared with the ideal restricted to the line, up to radical.
+    For c <= 2 that is exact (P^0 is one point, P^1 one line); for c >= 3
+    the two agree elsewhere only as far as the probes show.
     """
-    points, lines = _probes(ring) if ring.c > 1 else ([(1,)], [])
-    for a in points:
-        if vanishes_at(ideal, a, ring.field) != locus.contains(a):
+    for a, inside in points:
+        if vanishes_at(ideal, a, ring.field) != inside:
             return f"the annihilator ideal and the rank locus differ at {a}"
-    for u, v in lines:
-        ring2 = ring.chi_ring() if ring.c == 2 else ring.s_ring(2)
-        on_line = ideal if ring.c == 2 else substitute_linear(ideal, [u, v], ring2)
-        if not equal_up_to_radical(on_line, locus.on_line(u, v, ring2)):
-            where = "" if ring.c == 2 else f" on the line through {u} and {v}"
+    ring2 = ring.s_ring(2)
+    for u, v, on_line in lines:
+        if not equal_up_to_radical(substitute_linear(ideal, [u, v], ring2), on_line):
+            where = f" on the line through {u} and {v}" if ring.c > 2 else ""  # c = 2: the line is P^1
             return f"the annihilator ideal and the rank locus differ{where}"
     return ""
 
@@ -249,12 +251,15 @@ def variety_of(ring: CIRing, module: GradedModule, degree_bound: int = None) -> 
     """Support variety of a module via the annihilator of the chi action,
     certified by the rank locus of the module's homotopies.
 
-    The degree bound climbs d, d + 1, ... with window w = 2d + 2, extending
-    one chi action, and stops at the first annihilator ideal whose zero set
-    the rank locus confirms (see _disagreement).  The climb starts at the
-    given degree bound, by default 1, and for c = 2 at no less than the
-    degree e of the locus' form on P^1: a nonzero binary form of degree
-    below e has fewer than e roots, so no lower rung can confirm.  After
+    The locus is read at the probes of _probes once, before the first
+    rung.  The degree bound then climbs d, d + 1, ... with window 2d + 2,
+    extending one chi action, and stops at the first annihilator ideal
+    whose zero set the locus confirms (see _disagreement).  It starts at the
+    given degree bound, by default 1, and at no less than the degree e of
+    the locus' form h on any probe line: the variety over Q/(f_u, f_v) is
+    V(M) restricted to span(u, v), so h is exact and squarefree, a
+    confirming ideal restricts to one with radical (h), so one of its
+    generators has degree at least e, and rung d has none above d.  After
     2(n + c) + 1 rungs the last ideal is returned flagged unstable, with the
     reason in its note, never silently.  The degree bound must be at least
     1: below that no annihilator element is ever looked at.
@@ -264,16 +269,17 @@ def variety_of(ring: CIRing, module: GradedModule, degree_bound: int = None) -> 
     if degree_bound is not None and degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
     locus = rank_locus(ring, module)
-    locus.reader()  # the certificate reads many directions: build the table of f_1..f_c now
-    start = degree_bound or 1
-    if ring.c == 2:  # the first rung's _disagreement reads the same cached form
-        start = max([start] + [g.degree() for g in locus.on_line((1, 0), (0, 1), ring.chi_ring()).gens])
+    points, lines = _probes(ring)
+    # lines first: their pencils build the table of f_1..f_c that every point then reads
+    lines = [(u, v, locus.on_line(u, v)) for u, v in lines]
+    points = [(a, locus.contains(a)) for a in points]
+    start = max([degree_bound or 1] + [g.degree() for _, _, on_line in lines for g in on_line.gens])
     ext = None
     # the chi action grows with the window, so the climb is capped
     for d in range(start, start + 2 * (ring.ambient.n + ring.c) + 1):
         ext = chi_action(ring, module, 2 * d + 2, ext)
         ideal = annihilator_ideal(ext, d)
-        reason = _disagreement(ring, locus, ideal)
+        reason = _disagreement(ring, ideal, points, lines)
         if not reason:
             return SupportVariety(ring, ideal, True, d)
     reason = f"no degree bound up to {d} gives an ideal the rank locus confirms ({reason})"

@@ -21,8 +21,9 @@ def test_prime_field_ops_reduce_into_range():
 def test_every_nonzero_element_has_inverse():
     for p in (2, 3, 5, 101):
         f = PrimeField(p)
-        for a in f.nonzero_elements():
-            assert f.mul(a, f.inv(a)) == 1
+        for a in f.elements():
+            if a != f.zero:
+                assert f.mul(a, f.inv(a)) == 1
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
 
@@ -32,9 +33,10 @@ def test_ext_field_inverses_and_embedding():
         f = ExtField(p, e)
         assert f.size == p**e
         count = 0
-        for a in f.nonzero_elements():
-            assert f.mul(a, f.inv(a)) == f.one
-            count += 1
+        for a in f.elements():
+            if a != f.zero:
+                assert f.mul(a, f.inv(a)) == f.one
+                count += 1
         assert count == p**e - 1
         # embedding respects products
         for x in range(p):

@@ -15,8 +15,9 @@ is all of P^1).
 The two-rank reading of the periodic tail is checked against a routine that
 builds and ranks every Shamash differential, the candidate points of
 on_line against a copy of the route that also took the determinants of two
-random compressions, and the reuse of each line's answer across a degree
-ladder by spies.
+random compressions, and by spies that a degree ladder reads each line
+once, before its first rung, and starts at the largest degree of the
+locus' forms on its lines.
 """
 
 import functools
@@ -38,11 +39,13 @@ from cisupport.cimodule import CIRing, residue_module, restrict_to_ring
 from cisupport.field import ExtField, PrimeField
 from cisupport.groebner import Ideal, equal_up_to_radical
 from cisupport.homology import RankLocus, rank_locus
+from cisupport.operators import chi_action
 from cisupport.poly import parse_poly
 from cisupport.realize import ConeSpec, realize_cone
 from cisupport.resolution import minimal_resolution
 from cisupport.variety import PointK, membership, variety_of
 
+import realize_cones
 from basechange import base_change_module, base_change_ring
 
 X = symbols("x")
@@ -140,13 +143,12 @@ def repro_above_degree_bound():
     return ring, realize_cone(ring, ConeSpec([parse_poly(chi, "chi1^5 - 3*chi2^5")]))
 
 
-def realized_cone(p, d):
-    """The module realize builds for chi1^d + 2 chi1 chi2^(d-1) + chi2^d
-    over k[x,y]/(x^2, y^2), the cones of tests/realize_cones.py."""
-    ring = two_var_ring(p)
-    chi = ring.chi_ring()
-    text = f"chi1^{d} + 2*chi1*chi2^{d - 1} + chi2^{d}" if d > 1 else "3*chi1 + chi2"
-    return ring, realize_cone(ring, ConeSpec([parse_poly(chi, text)]))
+def realized_cone(p, d, n=2):
+    """The module realize builds for the cone of degree d of
+    tests/realize_cones.py over k[x,y]/(x^2, y^2), or for n = 3 over
+    k[x,y,z]/(x^2, y^2, z^2)."""
+    ring = realize_cones.RINGS[n][0](p)
+    return ring, realize_cone(ring, ConeSpec([parse_poly(ring.chi_ring(), realize_cones.cone(d, n))]))
 
 
 def _cases(cones=()):
@@ -166,11 +168,10 @@ def _cases(cones=()):
 def test_rank_locus_matches_the_minors_reference_and_membership(ring, module):
     p, k = ring.field.p, residue_module(ring)
     locus = RankLocus(ring, module)
-    ring2 = ring.chi_ring() if ring.c == 2 else ring.s_ring(2)
     fields = [PrimeField(p)] + ([ExtField(p, 2)] if p <= 3 else [])
     for u, v in reference_lines(ring):
         ref = LineReference(ring, module, u, v)
-        assert equal_up_to_radical(locus.on_line(u, v, ring2), ref.ideal(ring2)), (u, v)
+        assert equal_up_to_radical(locus.on_line(u, v), ref.ideal(ring.s_ring(2))), (u, v)
         for field in fields:
             for x, a in line_points(ref, field):
                 want = ref.contains(x, field)
@@ -324,48 +325,87 @@ def compression_route(locus, u, v, ring2):
 @pytest.mark.parametrize("ring, module", _cases(CONES))
 def test_candidates_from_one_minor_give_the_compression_route_ideal(ring, module):
     locus = RankLocus(ring, module)
-    ring2 = ring.chi_ring() if ring.c == 2 else ring.s_ring(2)
     lines = reference_lines(ring) + variety._probes(ring)[1] if ring.c > 2 else reference_lines(ring)
     for u, v in lines:
-        got, want = locus.on_line(u, v, ring2), compression_route(locus, u, v, ring2)
+        got, want = locus.on_line(u, v), compression_route(locus, u, v, ring.s_ring(2))
         assert [g.terms for g in got.gens] == [g.terms for g in want.gens], (u, v)
 
 
 def _ladders():
-    """(ring, module, rungs climbed, asks of on_line across them)"""
-    # one line, P^1, asked for the ladder's start and on its one rung: the
-    # locus' form has the cone's degree 4
-    yield pytest.param(*realized_cone(5, 4), [4], 2, id="cone_p5_d4")
-    # over F_2 the cone is (chi1 + chi2)^2: the start asks, then two rungs
-    yield pytest.param(*realized_cone(2, 2), [1, 2], 3, id="cone_p2_d2")
-    # sampled probe points; rung 1 fails at a point, rung 2 asks both probe lines
+    """(ring, module, rungs climbed, lines asked)"""
+    # one line, P^1, where the locus' form has the cone's degree 4
+    yield pytest.param(*realized_cone(5, 4), [4], 1, id="cone_p5_d4")
+    # over F_2 the cone is (chi1 + chi2)^2, whose reduced form has degree
+    # one: rung 1 fails, rung 2 confirms
+    yield pytest.param(*realized_cone(2, 2), [1, 2], 1, id="cone_p2_d2")
+    # two probe lines, each meeting the conic in a form of degree 2
     ring = three_var_ring(7)
-    yield pytest.param(ring, catalog_modules(ring)["K_quadric"], [1, 2], 2, id="3var_p7-K_quadric")
+    yield pytest.param(ring, catalog_modules(ring)["K_quadric"], [2], 2, id="3var_p7-K_quadric")
+    # over F_2 chi1^2 + chi3^2 is (chi1 + chi3)^2, the plane chi1 + chi3 = 0
+    # doubled: both lines give forms of degree one, rung 1 fails and rung 2
+    # confirms
+    ring = three_var_ring(2)
+    cone = realize_cone(ring, ConeSpec([parse_poly(ring.chi_ring(), "chi1^2 + chi3^2")]))
+    yield pytest.param(ring, cone, [1, 2], 2, id="3var_p2-cone_chi1+chi3_squared")
 
 
 @pytest.mark.parametrize("ring, module, climbed, asks", _ladders())
 def test_each_line_is_eliminated_once_across_the_ladder(ring, module, climbed, asks, monkeypatch):
-    calls, rungs = [], []
+    calls = []
     real_rank, real_line, real_ann = homology._generic_rank, RankLocus.on_line, variety.annihilator_ideal
 
-    def spy_line(self, u, v, ring2):
+    def spy_line(self, u, v):
         calls.append(("on_line", id(self), tuple(u), tuple(v)))
-        return real_line(self, u, v, ring2)
+        return real_line(self, u, v)
 
     monkeypatch.setattr(homology, "_generic_rank", lambda m, p: calls.append(("rank",)) or real_rank(m, p))
     monkeypatch.setattr(RankLocus, "on_line", spy_line)
-    monkeypatch.setattr(variety, "annihilator_ideal", lambda ext, d: rungs.append(d) or real_ann(ext, d))
+    monkeypatch.setattr(variety, "annihilator_ideal", lambda ext, d: calls.append(("rung", d)) or real_ann(ext, d))
     clear_memo()
     v = variety_of(ring, module)
+    rungs = [c[1] for c in calls if c[0] == "rung"]
     assert v.stabilized and rungs == climbed
     asked = [c for c in calls if c[0] == "on_line"]
-    assert len(asked) == asks and len({c[1] for c in asked}) == 1  # one locus for the whole ladder
-    # one elimination per D_i, right after the first ask of each line only
-    seen, want = set(), []
-    for c in asked:
-        want += [c] + ([("rank",)] * 2 if c not in seen else [])
-        seen.add(c)
-    assert calls == want
+    assert len(asked) == len(set(asked)) == asks and len({c[1] for c in asked}) == 1  # one locus, each line once
+    # every line is read before the first rung, with one elimination per D_i
+    assert calls == [c for line in asked for c in (line, ("rank",), ("rank",))] + [("rung", d) for d in climbed]
+
+
+def _start_cases():
+    for p in (2, 3, 7):
+        ring = three_var_ring(p)
+        for name, module in catalog_modules(ring).items():
+            yield pytest.param(ring, module, id=f"3var_p{p}-{name}")
+    for p in (5, 101):
+        for d in (2, 3, 4):
+            yield pytest.param(*realized_cone(p, d, 3), id=f"cone3_p{p}_d{d}")
+
+
+@pytest.mark.parametrize("ring, module", _start_cases())
+def test_a_c_3_ladder_starts_at_the_largest_degree_of_its_probe_lines(ring, module, monkeypatch):
+    # the locus on a probe line is the variety over Q/(f_u, f_v), so a
+    # confirming ideal has a generator of at least the degree of each line's
+    # form: the ladder starts there, and every rung it skips would not
+    # have confirmed against the same probes
+    seen, rungs = [], []
+    real_dis, real_ann = variety._disagreement, variety.annihilator_ideal
+
+    def spy_dis(ring, ideal, points, lines):
+        seen.append((points, lines))
+        return real_dis(ring, ideal, points, lines)
+
+    monkeypatch.setattr(variety, "_disagreement", spy_dis)
+    monkeypatch.setattr(variety, "annihilator_ideal", lambda ext, d: rungs.append(d) or real_ann(ext, d))
+    clear_memo()
+    assert variety_of(ring, module).stabilized
+    points, lines = seen[0]
+    assert all(got[0] is points and got[1] is lines for got in seen)  # read once, kept for every rung
+    start = max([1] + [g.degree() for _, _, on_line in lines for g in on_line.gens])
+    assert rungs[0] == start
+    ext = None
+    for d in range(1, start):
+        ext = chi_action(ring, module, 2 * d + 2, ext)
+        assert real_dis(ring, real_ann(ext, d), points, lines), d
 
 
 def test_the_oracle_and_the_locus_take_two_ranks_per_projective_point(monkeypatch):
@@ -425,12 +465,12 @@ def test_a_point_where_only_d_1_drops_rank_is_on_the_line(u, v):
     locus = RankLocus(ring, residue_module(ring))  # k: betti (1, 2, 1) too
     locus.module_reader = homology.TorReader(betti, table)
     assert [a for a in [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (1, 4)] if locus.contains(a)] == [(1, 0), (0, 1)]
-    chi = ring.chi_ring()
-    s1, s2 = chi.var_poly(0), chi.var_poly(1)
+    ring2 = ring.s_ring(2)
+    s1, s2 = ring2.var_poly(0), ring2.var_poly(1)
     # s1 u + s2 v is (1, 0) where its second coordinate vanishes, and (0, 1)
     # where its first does
-    want = Ideal(chi, [(s1.scale(u[1]) + s2.scale(v[1])) * (s1.scale(u[0]) + s2.scale(v[0]))])
-    assert equal_up_to_radical(locus.on_line(u, v, chi), want)
+    want = Ideal(ring2, [(s1.scale(u[1]) + s2.scale(v[1])) * (s1.scale(u[0]) + s2.scale(v[0]))])
+    assert equal_up_to_radical(locus.on_line(u, v), want)
 
 
 @pytest.mark.parametrize("name", ["R/(x)", "cone(chi1*chi2)"])
@@ -450,7 +490,7 @@ def test_over_an_extension_field_the_locus_reads_tor_ranks_but_no_line(name):
         assert locus.betti_at(a, range(6)) == want, a
     assert locus.first == (f9.one, omega) and locus.module_reader is not None
     with pytest.raises(ValueError, match="rank loci are computed over prime fields"):
-        locus.on_line((1, 0), (0, 1), work.chi_ring())
+        locus.on_line((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------

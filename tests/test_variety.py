@@ -204,6 +204,22 @@ def test_pair_membership_is_the_hom_route_at_every_point(case):
             assert membership(ring, mod, other, a) == hom_route_membership(ring, mod, other, a), (m, n, a)
 
 
+def test_the_hom_route_against_k_reads_no_tor_reader(monkeypatch):
+    # the reference for (M, k) reads the minimal resolution over each
+    # section, not the TorReader that membership reads: with every Tor rank
+    # read as zero, membership changes and the reference does not
+    ring = two_var_ring(3)
+    mods = catalog_modules(ring)
+    k = mods["k"]
+    asks = [(m, a) for m in mods for a in _projective_points(ring.field, ring.c)]
+    clear_memo()
+    want = [hom_route_membership(ring, mods[m], k, a) for m, a in asks]
+    clear_memo()
+    monkeypatch.setattr(homology.TorReader, "read", lambda self, field, a, degrees: [0 for _ in degrees])
+    assert [hom_route_membership(ring, mods[m], k, a) for m, a in asks] == want
+    assert [membership(ring, mods[m], k, a) for m, a in asks] != want
+
+
 def test_pair_membership_over_f9_is_the_base_changed_hom_route():
     ring, f9 = two_var_ring(3), ExtField(3, 2)
     work = base_change_ring(ring, f9)
